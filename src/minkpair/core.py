@@ -1,7 +1,16 @@
 """Exact scalars, primitive directions, cone types and sign predicates.
 
-Everything downstream computes with `fractions.Fraction` coordinates and
-integer direction vectors; no floating point enters any decision.
+Coordinates are `fractions.Fraction` scalars and directions are primitive
+integer vectors; no floating point enters any decision.  Two kinds of exact
+decision live here:
+
+- `cone_strictly_feasible` decides homogeneous systems in two variables by
+  integer sign tests on a few candidate rays; the perp-plane tests of the 3D
+  criteria run on it.
+- `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
+  systems.  It remains for membership questions: `contains`, `contains3`,
+  vertex survival and face translates in `spatial`, and `_in_cone_span`,
+  which also decides `Cone3` pointedness (no -g_j in cone(gens)).
 """
 
 from __future__ import annotations
@@ -10,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+INF = float("inf")  # support value outside the polar of the recession cone
 
 
 class GeometryError(ValueError):
@@ -89,11 +100,12 @@ def normalize_direction(v):
     """
     if is_zero(v):
         raise GeometryError("degenerate direction")
-    fr = [Fraction(x) for x in v]
-    den = math.lcm(*(f.denominator for f in fr))
-    ints = [int(f * den) for f in fr]
-    g = math.gcd(*(abs(n) for n in ints))
-    return tuple(n // g for n in ints)
+    if not all(type(x) is int for x in v):
+        fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+        den = math.lcm(*(f.denominator for f in fr))
+        v = [f.numerator * (den // f.denominator) for f in fr]
+    g = math.gcd(*v)
+    return tuple(n // g for n in v)
 
 
 def ccw_compare(u, v, start):
@@ -196,23 +208,87 @@ def linear_feasible(constraints, nvars) -> bool:
     return True
 
 
-def cone_strictly_feasible(constraints) -> bool:
-    """True iff a NONZERO point satisfies all homogeneous constraints.
+def holds(value, rel, bound) -> bool:
+    """value rel bound, rel one of '<', '<=', '='."""
+    if rel == "=":
+        return value == bound
+    return value < bound if rel == "<" else value <= bound
 
-    `constraints` is a list of (vector, rel) with rel in {'<', '<='},
-    meaning <vector, x> rel 0.  Decided exactly by eliminating variables;
-    the nonzero requirement is handled by branching on the sign of each
-    coordinate.
+
+def cone_strictly_feasible(rows) -> bool:
+    """True iff a NONZERO u in R^2 satisfies every homogeneous row.
+
+    Each row is (a, rel): an integer pair a and rel one of '<', '<=', '=',
+    meaning <a, u> rel 0.  A zero row with '<' fails; other zero rows hold.
+    Decided in integers by testing candidate rays.  An equality row leaves
+    only u = +-rot90(a).  Otherwise the closed cone C = {u : <a_i, u> <= 0}
+    is a half-plane, a line, a pointed wedge, a ray or {0}, and the strict
+    rows only remove boundary rays of C; so if any u works, one of these
+    does: -a_0 (inside a half-plane), a boundary ray +-rot90(a_i) lying in C,
+    or the sum of two such rays (inside a wedge).
     """
-    base = [(vec, rel, 0) for vec, rel in constraints]
-    if not base:
+    strict, weak, equal = [], [], []
+    first = None
+    for a, rel in rows:
+        if rel == "<":
+            bucket = strict
+        elif rel == "<=":
+            bucket = weak
+        elif rel == "=":
+            bucket = equal
+        else:
+            raise GeometryError(f"unknown relation {rel!r}")
+        if a[0] or a[1]:
+            bucket.append(a)
+            if first is None:
+                first = a
+        elif bucket is strict:
+            return False
+
+    def solves(x, y):
+        for a, b in strict:
+            if a * x + b * y >= 0:
+                return False
+        for a, b in weak:
+            if a * x + b * y > 0:
+                return False
+        for a, b in equal:
+            if a * x + b * y:
+                return False
         return True
-    n = len(base[0][0])
-    for i in range(n):
-        for sign in (1, -1):
-            axis = tuple(-sign if j == i else 0 for j in range(n))
-            if linear_feasible(base + [(axis, "<", 0)], n):
-                return True
+
+    if equal:
+        a, b = equal[0]
+        return solves(-b, a) or solves(b, -a)
+    if first is None:
+        return True
+    if solves(-first[0], -first[1]):
+        return True
+    bounding = strict + weak
+    rays = []  # closed-feasible boundary rays, one per direction: at most two
+    for a, b in bounding:
+        # <(c, d), rot90(a, b)> = ad - bc: rot90 lies in C iff no such cross
+        # is positive, -rot90 iff none is negative
+        pos = neg = False
+        for c, d in bounding:
+            t = a * d - b * c
+            if t > 0:
+                pos = True
+            elif t < 0:
+                neg = True
+            if pos and neg:
+                break
+        else:
+            for x, y, closed in ((-b, a, not pos), (b, -a, not neg)):
+                if not closed or any(x * ry == y * rx and x * rx + y * ry > 0 for rx, ry in rays):
+                    continue
+                if solves(x, y):
+                    return True
+                rays.append((x, y))
+    for (x1, y1), (x2, y2) in combinations(rays, 2):
+        x, y = x1 + x2, y1 + y2
+        if (x or y) and solves(x, y):
+            return True
     return False
 
 
@@ -346,7 +422,7 @@ class Cone3:
     gens: tuple
 
     def __post_init__(self):
-        if self.gens and not cone_strictly_feasible([(g, "<") for g in self.gens]):
+        if not _pointed(self.gens):
             raise GeometryError("cone is not pointed")
 
     @staticmethod
@@ -356,7 +432,7 @@ class Cone3:
             d = normalize_direction(g)
             if d not in dirs:
                 dirs.append(d)
-        if dirs and not cone_strictly_feasible([(g, "<") for g in dirs]):
+        if not _pointed(dirs):
             raise GeometryError("cone is not pointed")
         kept = []
         for i, g in enumerate(dirs):
@@ -385,6 +461,16 @@ class Cone3:
         return _in_cone_span(v, list(self.gens))
 
 
+def _pointed(gens) -> bool:
+    """No -g_j in cone(gens).
+
+    cone(gens) holds a line iff some nontrivial nonnegative combination of
+    the generators vanishes, i.e. iff some -g_j is a nonnegative
+    combination of them.
+    """
+    return not any(_in_cone_span(vneg(g), gens) for g in gens)
+
+
 def _in_cone_span(v, gens) -> bool:
     """v = sum(lam_i * g_i) with lam_i >= 0, decided exactly."""
     k = len(gens)
@@ -397,6 +483,3 @@ def _in_cone_span(v, gens) -> bool:
         cons.append((axis, "<=", 0))
     return linear_feasible(cons, k)
 
-
-def in_polar_interior3(u, cone: Cone3) -> bool:
-    return cone.polar_interior_contains(u)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Cone2, GeometryError, normalize_direction, vneg
+from .core import INF, Cone2, GeometryError, normalize_direction, vneg
 from .planar import (
     ORIGIN,
     VPolygon,
@@ -20,9 +20,6 @@ from .planar import (
     reduce_pair,
     translate,
 )
-
-INF = float("inf")
-
 
 def _frac_seq(xs):
     return tuple(Fraction(x) for x in xs)

@@ -15,12 +15,14 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .core import (
+    INF,
     Cone2,
     ConeMismatchError,
     GeometryError,
     ccw_compare,
     cross2,
     dot,
+    holds,
     is_zero,
     linear_feasible,
     normalize_direction,
@@ -30,8 +32,6 @@ from .core import (
     vscale,
     vsub,
 )
-
-INF = float("inf")
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -217,7 +217,7 @@ class VPolygon:
         gens = self.cone.gens
         halves = _poly_halfplanes(self.chain)
         if not gens:
-            return all(_holds(dot(n, point), rel, c) for n, rel, c in halves)
+            return all(holds(dot(n, point), rel, c) for n, rel, c in halves)
         cons = []
         for n, rel, c in halves:
             coeffs = tuple(-dot(n, g) for g in gens)
@@ -226,12 +226,6 @@ class VPolygon:
             axis = tuple(-1 if i == j else 0 for i in range(len(gens)))
             cons.append((axis, "<=", 0))
         return linear_feasible(cons, len(gens))
-
-
-def _holds(value, rel, bound):
-    if rel == "=":
-        return value == bound
-    return value < bound if rel == "<" else value <= bound
 
 
 def _ratio_sign(d, w):

@@ -60,6 +60,14 @@ def _vector(entry, dim, what):
     return tuple(_rational(c, what) for c in entry)
 
 
+def _list_field(spec, key, what):
+    """spec[key] as a list, [] when absent; any other value is malformed."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise SceneError(f"{what}: {key} must be a list, got {value!r}")
+    return value
+
+
 def _build_set(name, spec):
     if not isinstance(spec, dict):
         raise SceneError(f"set {name!r} must be an object")
@@ -70,7 +78,7 @@ def _build_set(name, spec):
     if not isinstance(points, list) or not points:
         raise SceneError(f"set {name!r}: nonempty points list required")
     pts = [_vector(p, dim, f"set {name!r} point") for p in points]
-    cone_spec = spec.get("cone", [])
+    cone_spec = _list_field(spec, "cone", f"set {name!r}")
     gens = [_vector(g, dim, f"set {name!r} cone generator") for g in cone_spec]
     try:
         if dim == 2:
@@ -84,9 +92,10 @@ def _build_function(name, spec):
     if not isinstance(spec, dict):
         raise SceneError(f"function {name!r} must be an object")
     what = f"function {name!r}"
-    domain = [_rational(c, what) for c in spec.get("domain", ())]
-    xs = [_rational(c, what) for c in spec.get("breakpoints", ())]
-    ys = [_rational(c, what) for c in spec.get("values", ())]
+    domain, xs, ys = (
+        [_rational(c, what) for c in _list_field(spec, key, what)]
+        for key in ("domain", "breakpoints", "values")
+    )
     if len(domain) != 2:
         raise SceneError(f"{what}: domain must be [a, b]")
     if not xs or xs[0] != domain[0] or xs[-1] != domain[1]:
@@ -105,10 +114,15 @@ def parse_scene(text) -> Scene:
     if not isinstance(raw, dict):
         raise SceneError("scene must be a JSON object")
     scene = Scene()
-    for name, spec in raw.get("sets", {}).items():
-        scene.sets[name] = _build_set(name, spec)
-    for name, spec in raw.get("functions", {}).items():
-        scene.functions[name] = _build_function(name, spec)
+    for key, build, into in (
+        ("sets", _build_set, scene.sets),
+        ("functions", _build_function, scene.functions),
+    ):
+        section = raw.get(key, {})
+        if not isinstance(section, dict):
+            raise SceneError(f"{key} must be an object of named entries, got {section!r}")
+        for name, spec in section.items():
+            into[name] = build(name, spec)
     return scene
 
 

@@ -9,16 +9,19 @@ fixtures are flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    INF,
     Cone3,
     ConeMismatchError,
     GeometryError,
     cone_strictly_feasible,
     cross3,
     dot,
+    holds,
     is_zero,
     linear_feasible,
     normalize_direction,
@@ -27,9 +30,6 @@ from .core import (
     vscale,
     vsub,
 )
-
-INF = float("inf")
-
 
 def _pt(p):
     return (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
@@ -62,9 +62,6 @@ class Polytope3:
     dim: int
     facets: tuple
     edges: tuple
-
-    def vertex(self, i):
-        return self.vertices[i]
 
     def halfspaces(self):
         """Exact H-description: rows (vector, rel, offset), rel in {'<=', '='}."""
@@ -341,19 +338,13 @@ def contains3(p: VPolytope3, x) -> bool:
     gens = p.cone.gens
     rows = p.bounded.halfspaces()
     if not gens:
-        return all(_holds(dot(n, x), rel, c) for n, rel, c in rows)
+        return all(holds(dot(n, x), rel, c) for n, rel, c in rows)
     cons = []
     for n, rel, c in rows:
         cons.append((tuple(-dot(n, g) for g in gens), rel, c - dot(n, x)))
     for j in range(len(gens)):
         cons.append((tuple(-1 if t == j else 0 for t in range(len(gens))), "<=", 0))
     return linear_feasible(cons, len(gens))
-
-
-def _holds(value, rel, bound):
-    if rel == "=":
-        return value == bound
-    return value < bound if rel == "<" else value <= bound
 
 
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
@@ -385,58 +376,89 @@ class EdgeWithNormalCone:
     """Bounded edge together with {u : support set contains this edge}."""
 
     endpoints: tuple
-    normal_cone: tuple  # rows (vector, rel) of homogeneous constraints
+    # rows (vector, rel) of homogeneous constraints; the vectors are vertex
+    # differences on the polytope's integer lattice (see `_lattice`)
+    normal_cone: tuple
 
     @property
     def vector(self):
         return vsub(self.endpoints[1], self.endpoints[0])
 
 
-def _edge_open_rows(q: Polytope3, e):
-    """Strict rows cutting out relint of the edge's normal cone (within d-perp)."""
-    i, j = e
-    a = q.vertices[i]
-    return [(vsub(w, a), "<") for k, w in enumerate(q.vertices) if k not in (i, j)]
+def _lattice(q: Polytope3):
+    """q's vertices times the lcm of their denominators, as integer tuples.
+
+    Every perp-plane row is a difference of two vertices of one polytope (or
+    a cone generator); a positive scale per polytope keeps each row's sign,
+    so those tests run on these lattice points instead of the vertices.
+    """
+    den = math.lcm(*(x.denominator for v in q.vertices for x in v))
+    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in q.vertices]
 
 
-def _feasible_in_perp_plane(rows, w1, w2) -> bool:
-    """Nonzero u = alpha*w1 + beta*w2 satisfying all homogeneous rows?"""
-    flat = [((dot(v, w1), dot(v, w2)), rel) for v, rel in rows]
-    return cone_strictly_feasible(flat)
+def _project(points, w1, w2):
+    """Integer coordinates <v, w1>, <v, w2> of each point in an edge's perp plane."""
+    (a1, a2, a3), (b1, b2, b3) = w1, w2
+    return [(x * a1 + y * a2 + z * a3, x * b1 + y * b2 + z * b3) for x, y, z in points]
+
+
+def _edge_rows(proj, i, j):
+    """Strict rows cutting out relint of edge (i, j)'s normal cone, projected."""
+    ax, ay = proj[i]
+    return [((x - ax, y - ay), "<") for k, (x, y) in enumerate(proj) if k != i and k != j]
+
+
+def _edge_frame(p: VPolytope3, lat, i, j):
+    """(d, (w1, w2), rows) for the edge (i, j) of p's lattice points `lat`.
+
+    d is the primitive edge direction and (w1, w2) a basis of its perp plane;
+    rows, projected to that basis, cut out the directions that expose
+    exactly this edge and lie in the open polar of p's cone.
+    """
+    d = normalize_direction(vsub(lat[j], lat[i]))
+    w1, w2 = _perp_basis(d)
+    rows = _edge_rows(_project(lat, w1, w2), i, j)
+    rows += [(g, "<") for g in _project(p.cone.gens, w1, w2)]
+    return d, (w1, w2), rows
+
+
+def _feasible_in_perp_plane(rows) -> bool:
+    """Nonzero u = alpha*w1 + beta*w2 satisfying all rows, given projected to
+    (<a, w1>, <a, w2>) as integer pairs?"""
+    return cone_strictly_feasible(rows)
 
 
 def bounded_edges(p: VPolytope3):
     """Edges of the bounded hull exposed, bounded, by some open-polar direction."""
     q = p.bounded
+    lat = _lattice(q)
     out = []
-    for e in q.edges:
-        i, j = e
-        d = vsub(q.vertices[j], q.vertices[i])
-        w1, w2 = _perp_basis(d)
-        rows = _edge_open_rows(q, e) + [(g, "<") for g in p.cone.gens]
-        if _feasible_in_perp_plane(rows, w1, w2):
-            a, b = q.vertices[i], q.vertices[j]
-            closed = [(tuple(vsub(b, a)), "=")]
-            closed += [
-                (tuple(vsub(w, a)), "<=") for k, w in enumerate(q.vertices) if k not in e
-            ]
-            out.append(EdgeWithNormalCone((a, b), tuple(closed)))
+    for i, j in q.edges:
+        if _feasible_in_perp_plane(_edge_frame(p, lat, i, j)[2]):
+            a = lat[i]
+            closed = [(vsub(lat[j], a), "=")]
+            closed += [(vsub(w, a), "<=") for k, w in enumerate(lat) if k != i and k != j]
+            out.append(EdgeWithNormalCone((q.vertices[i], q.vertices[j]), tuple(closed)))
     return out
+
+
+def _edge_ids(q: Polytope3, edges):
+    """Vertex index pairs of edges taken from `bounded_edges`."""
+    index = {v: n for n, v in enumerate(q.vertices)}
+    return [(index[e.endpoints[0]], index[e.endpoints[1]]) for e in edges]
 
 
 # ---------------------------------------------------------------------------
 # summand criterion and equiparallel edges
 
-def _face_open_rows(q: Polytope3, ids):
-    """Rows for relint of the normal cone of the face with vertex ids `ids`."""
-    base = q.vertices[ids[0]]
-    rows = []
-    for k, w in enumerate(q.vertices):
-        if k == ids[0]:
-            continue
-        rel = "=" if k in ids else "<"
-        rows.append((vsub(w, base), rel))
-    return rows
+def _face_rows(proj, ids):
+    """Rows for relint of the normal cone of the face with vertex ids `ids`, projected."""
+    bx, by = proj[ids[0]]
+    return [
+        ((x - bx, y - by), "=" if k in ids else "<")
+        for k, (x, y) in enumerate(proj)
+        if k != ids[0]
+    ]
 
 
 def _face_contains_translate(q: Polytope3, kind, ids, facet, vec) -> bool:
@@ -485,22 +507,19 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
                 incident.append([f.normal for f in kb.facets if set(ids) <= set(f.cycle)])
             else:
                 incident.append([f.normal for f in kb.incident_facets(ids[0])])
-    cone_rows = [(g, "<") for g in p.cone.gens]
-    for edge in bounded_edges(p):
-        a, b = edge.endpoints
-        d = vsub(b, a)
-        w1, w2 = _perp_basis(d)
-        edge_rows = [(v, rel) for v, rel in edge.normal_cone if rel != "="]
-        edge_rows = [(v, "<") for v, _ in edge_rows]
+    plat, klat = _lattice(p.bounded), _lattice(kb)
+    edges = bounded_edges(p)
+    for edge, (i, j) in zip(edges, _edge_ids(p.bounded, edges)):
+        d, (w1, w2), edge_rows = _edge_frame(p, plat, i, j)
+        kproj = _project(klat, w1, w2)
         for idx, (kind, ids, facet) in enumerate(faces):
             if incident is not None:
                 signs = [dot(n, d) for n in incident[idx]]
                 if all(s > 0 for s in signs) or all(s < 0 for s in signs):
                     continue
-            rows = edge_rows + _face_open_rows(kb, ids) + cone_rows
-            if not _feasible_in_perp_plane(rows, w1, w2):
+            if not _feasible_in_perp_plane(edge_rows + _face_rows(kproj, ids)):
                 continue
-            if not _face_contains_translate(kb, kind, ids, facet, d):
+            if not _face_contains_translate(kb, kind, ids, facet, edge.vector):
                 return False
     return True
 
@@ -509,18 +528,19 @@ def equiparallel_edges(a: VPolytope3, b: VPolytope3):
     """Pairs of bounded parallel edges exposed by one common direction."""
     if a.cone != b.cone:
         raise ConeMismatchError("incompatible recession cones")
-    cone_rows = [(g, "<") for g in a.cone.gens]
+    alat, blat = _lattice(a.bounded), _lattice(b.bounded)
     edges_a = bounded_edges(a)
     edges_b = bounded_edges(b)
+    ids_b = _edge_ids(b.bounded, edges_b)
     pairs = []
-    for ea in edges_a:
-        da = ea.vector
-        w1, w2 = _perp_basis(da)
-        rows_a = [(v, "<") for v, rel in ea.normal_cone if rel != "="]
-        for eb in edges_b:
-            if not is_zero(cross3(da, eb.vector)):
+    for ea, (i, j) in zip(edges_a, _edge_ids(a.bounded, edges_a)):
+        da, (w1, w2), rows_a = _edge_frame(a, alat, i, j)
+        bproj = None
+        for eb, (s, t) in zip(edges_b, ids_b):
+            if not is_zero(cross3(da, vsub(blat[t], blat[s]))):
                 continue
-            rows_b = [(v, "<") for v, rel in eb.normal_cone if rel != "="]
-            if _feasible_in_perp_plane(rows_a + rows_b + cone_rows, w1, w2):
+            if bproj is None:
+                bproj = _project(blat, w1, w2)
+            if _feasible_in_perp_plane(rows_a + _edge_rows(bproj, s, t)):
                 pairs.append((ea, eb))
     return pairs

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkpair.core import (
     Cone2,
@@ -17,6 +19,7 @@ from minkpair.core import (
     vscale,
 )
 from conftest import rand_direction
+from oracles import fm_cone_strictly_feasible
 
 
 def test_normalize_direction_examples():
@@ -89,6 +92,19 @@ def test_cone_strictly_feasible_examples():
     assert cone_strictly_feasible([((-1, 0), "<")])
     # x+y > 0, x-y > 0, -x >= 0: adding the first two forces x > 0
     assert not cone_strictly_feasible([((-1, -1), "<"), ((-1, 1), "<"), ((1, 0), "<=")])
+    assert cone_strictly_feasible([])
+    assert not cone_strictly_feasible([((0, 0), "<")])
+    assert cone_strictly_feasible([((0, 0), "<="), ((0, 0), "=")])
+    # an equality leaves one line: u = (0, -1) satisfies y < 0
+    assert cone_strictly_feasible([((1, 0), "="), ((0, 1), "<")])
+    assert not cone_strictly_feasible([((1, 0), "="), ((0, 1), "<"), ((0, -1), "<")])
+    # closed half-plane pair meeting in a line, with the line excluded
+    assert cone_strictly_feasible([((1, 1), "<="), ((-1, -1), "<=")])
+    assert not cone_strictly_feasible([((1, 1), "<"), ((-1, -1), "<=")])
+    big = 2**64 + 1
+    assert cone_strictly_feasible([((big, -1), "<"), ((-big, -1), "<")])
+    with pytest.raises(GeometryError):
+        cone_strictly_feasible([((1, 0), ">")])
 
 
 def test_linear_feasible_affine():
@@ -136,3 +152,65 @@ def test_cone3_pointedness_and_membership():
     W = Cone3.from_generators([(1, 0, -1), (-1, 0, -1), (0, 0, -1)])
     assert W.gens == tuple(sorted([(1, 0, -1), (-1, 0, -1)]))
     assert Cone3.from_generators([]).is_trivial
+
+
+# ---------------------------------------------------------------------------
+# the integer ray test against the Fourier-Motzkin oracle
+
+SMALL = st.integers(-3, 3)
+HUGE = st.one_of(st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64)))
+COEFF = st.one_of(SMALL, SMALL, HUGE)
+REL = st.sampled_from(["<", "<=", "="])
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """Rows in two variables, with zero, repeated, scaled and antiparallel rows mixed in."""
+    rows = draw(st.lists(st.tuples(st.tuples(COEFF, COEFF), REL), max_size=6))
+    for (a, b), _ in list(rows):
+        kind = draw(st.sampled_from(["none", "none", "repeat", "scaled", "antiparallel", "zero"]))
+        k = draw(st.integers(1, 2**65))
+        extra = {"none": None, "repeat": (a, b), "scaled": (k * a, k * b),
+                 "antiparallel": (-k * a, -k * b), "zero": (0, 0)}[kind]
+        if extra is not None:
+            rows.insert(draw(st.integers(0, len(rows))), (extra, draw(REL)))
+    return rows
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(homogeneous_systems())
+def test_cone_strictly_feasible_matches_fourier_motzkin(rows):
+    assert cone_strictly_feasible(rows) == fm_cone_strictly_feasible(rows)
+
+
+GEN = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+
+@st.composite
+def generator_sets(draw):
+    """Random, coplanar or antipodal sets of nonzero integer generators."""
+    kind = draw(st.sampled_from(["random", "coplanar", "antipodal"]))
+    if kind == "random":
+        return draw(st.lists(GEN, min_size=1, max_size=5))
+    if kind == "coplanar":
+        a, b = draw(GEN), draw(GEN)
+        combos = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        gens = [tuple(s * x + t * y for x, y in zip(a, b)) for s, t in draw(st.lists(combos, max_size=5))]
+        return [g for g in gens if any(g)] or [a]
+    gens = draw(st.lists(GEN, min_size=1, max_size=4))
+    g, k = draw(st.sampled_from(gens)), draw(st.integers(1, 4))
+    return gens + [tuple(-k * x for x in g)]
+
+
+def _pointed(gens):
+    try:
+        Cone3.from_generators(gens)
+    except GeometryError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(generator_sets())
+def test_cone3_pointedness_matches_fourier_motzkin(gens):
+    assert _pointed(gens) == fm_cone_strictly_feasible([(g, "<") for g in gens])

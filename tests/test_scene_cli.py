@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkpair.cli import main
 from minkpair.scene import SceneError, dump_scene, load_scene, parse_scene
@@ -47,6 +53,96 @@ def test_scene_rejects_bad_input():
     with pytest.raises(SceneError, match="duplicate"):
         parse_scene('{"sets": {"A": {"dim": 2, "points": [["0","0"]], "cone": []}, '
                     '"A": {"dim": 2, "points": [["1","1"]], "cone": []}}}')
+    for doc in (
+        {"sets": []},
+        {"functions": []},
+        {"sets": {"A": {"dim": 2, "points": [["0", "0"]], "cone": 5}}},
+        {"functions": {"g": {"domain": 5, "breakpoints": ["-1", "1"], "values": ["0", "0"]}}},
+        {"functions": {"g": {"domain": ["-1", "1"], "breakpoints": 5, "values": ["0", "0"]}}},
+        {"functions": {"g": {"domain": ["-1", "1"], "breakpoints": ["-1", "1"], "values": 5}}},
+    ):
+        with pytest.raises(SceneError):
+            parse_scene(json.dumps(doc))
+
+
+# arbitrary JSON built from the scene vocabulary, and near-valid scenes
+GOOD = ["0", "1", "-1", "2", "1/2", "-3/2"]
+RATIONAL = st.sampled_from(GOOD * 10 + ["1/0", "x", ""])
+KEY = st.sampled_from(["sets", "functions", "dim", "points", "cone", "domain",
+                       "breakpoints", "values", "A", "B"])
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), RATIONAL),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(KEY, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def damaged(draw, spec):
+    """spec as is, or with one field dropped or replaced by arbitrary JSON."""
+    key = draw(st.sampled_from([None] * (2 * len(spec)) + list(spec)))
+    if key is not None:
+        if draw(st.booleans()):
+            spec[key] = draw(JSON)
+        else:
+            del spec[key]
+    return spec
+
+
+@st.composite
+def set_spec(draw, dim):
+    vector = st.lists(RATIONAL, min_size=dim, max_size=dim)
+    return draw(damaged({
+        "dim": dim,
+        "points": draw(st.lists(vector, min_size=1, max_size=4)),
+        "cone": draw(st.lists(vector, max_size=2)),
+    }))
+
+
+@st.composite
+def function_spec(draw):
+    xs = ["-1", *draw(st.lists(st.sampled_from(["-1/2", "0", "1/2"]), max_size=2, unique=True)), "1"]
+    xs.sort(key=Fraction)
+    return draw(damaged({
+        "domain": ["-1", "1"],
+        "breakpoints": xs,
+        "values": draw(st.lists(RATIONAL, min_size=len(xs), max_size=len(xs))),
+    }))
+
+
+@st.composite
+def scenes(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(JSON)
+    dim = draw(st.sampled_from([2, 3]))
+    doc = {
+        "sets": {name: draw(set_spec(dim)) for name in ("A", "B")},
+        "functions": {name: draw(function_spec()) for name in ("A", "B")},
+    }
+    return draw(damaged(doc))
+
+
+COMMANDS = st.sampled_from([
+    ["summand", "--pair", "A,B"], ["reduced", "--pair", "A,B"], ["minimal", "--pair", "A,B"],
+    ["reduce", "--pair", "A,B"], ["kernel", "--pair", "A,B"], ["equiv", "--pairs", "A,B,B,A"],
+    ["dcmin", "--pair", "A,B"], ["sum", "--sets", "A,B"], ["render", "--sets", "A,B"],
+    ["render", "--sets", "A,B", "--project", "0,0,1"],
+])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scenes(), COMMANDS)
+def test_cli_any_scene_shape_exits_zero_or_two(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--scene", str(path), *argv[1:]])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

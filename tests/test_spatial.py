@@ -18,6 +18,7 @@ from minkpair.spatial import (
     support3,
 )
 from conftest import rand_cone3, rand_points3
+from oracles import certified_negative
 
 F = Fraction
 TRIV = Cone3.from_generators([])
@@ -311,3 +312,59 @@ def test_recession_cone_matches_declared():
         if d != (0, 0, 0) and not cone.contains_vector(d):
             v = P.bounded.vertices[0]
             assert not all(contains3(P, vadd(v, vscale(t, d))) for t in (1, 11, 997))
+
+
+# ---------------------------------------------------------------------------
+# certified negatives and rational coordinates
+
+def three_generator_cone(rng):
+    while True:
+        gens = [(rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(-3, -2)) for _ in range(3)]
+        cone = Cone3.from_generators(gens)
+        if len(cone.gens) == 3:
+            return cone
+
+
+def cone_of_kind(rng, kind):
+    return {"trivial": TRIV, "ray": DOWN}.get(kind) or three_generator_cone(rng)
+
+
+def test_summand_certified_negatives_under_every_cone_kind():
+    rng = random.Random(59)
+    for kind in ("trivial", "ray", "three"):
+        for _ in range(4):
+            P, K = certified_negative(rng, cone_of_kind(rng, kind))
+            assert not summand_criterion3(P, K)
+            assert equiparallel_edges(P, K) == []
+
+
+def _affine(scale, shift):
+    return lambda v: tuple(scale * x + t for x, t in zip(v, shift))
+
+
+def _moved(P, f):
+    return from_points3([f(v) for v in P.bounded.vertices], P.cone)
+
+
+def test_criteria_invariant_under_rational_scaling_and_translation():
+    """Scaling both sets by 7/6 and translating each by its own vector with
+    denominators 2, 3, 5 and 7 keeps every verdict and maps every edge pair."""
+    rng = random.Random(61)
+    instances = [(from_points3(CUBE, TRIV), from_points3(TETRA, TRIV))]
+    for kind in ("trivial", "ray", "three"):
+        cone = cone_of_kind(rng, kind)
+        for _ in range(3):
+            P = from_points3(rand_points3(rng, 4), cone)
+            instances.append((P, minkowski_sum3(P, from_points3(rand_points3(rng, 3), cone))))
+        instances.append(certified_negative(rng, cone))
+    scale = F(7, 6)
+    for P, K in instances:
+        fp = _affine(scale, (F(1, 2), F(-2, 3), F(3, 5)))
+        fk = _affine(scale, (F(-5, 7), F(1, 3), F(7, 2)))
+        P2, K2 = _moved(P, fp), _moved(K, fk)
+        assert summand_criterion3(P2, K2) == summand_criterion3(P, K)
+        pairs = {(tuple(map(fp, ea.endpoints)), tuple(map(fk, eb.endpoints)))
+                 for ea, eb in equiparallel_edges(P, K)}
+        assert {(ea.endpoints, eb.endpoints) for ea, eb in equiparallel_edges(P2, K2)} == pairs
+    verdicts = [summand_criterion3(P, K) for P, K in instances]
+    assert verdicts.count(False) == 4 and verdicts.count(True) == 9
