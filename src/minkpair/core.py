@@ -1,8 +1,13 @@
 """Exact scalars, primitive directions, cone types and sign predicates.
 
-Coordinates are `fractions.Fraction` scalars and directions are primitive
-integer vectors; no floating point enters any decision.  Two kinds of exact
-decision live here:
+Coordinates are `fractions.Fraction` scalars (`as_point` makes a point of
+any coordinate sequence) and directions are primitive integer vectors; no
+floating point enters any decision.  Hot predicates run on an integer
+lattice instead: `lattice` scales a point list by the lcm of its
+denominators, and since a positive scale keeps every sign and the
+lexicographic order, sign tests on the lattice points decide the same as on
+the rationals.  `spatial` builds its hulls and its perp-plane rows on it.
+Two kinds of exact decision live here:
 
 - `cone_strictly_feasible` decides homogeneous systems in two variables by
   integer sign tests on a few candidate rays; the perp-plane tests of the 3D
@@ -16,6 +21,7 @@ decision live here:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,10 +40,20 @@ class ConeMismatchError(GeometryError):
 # ---------------------------------------------------------------------------
 # rationals
 
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def parse_rational(text):
-    """Parse "num/den" or "num" (den omitted when 1) into a Fraction."""
+    """Parse "num/den", "num" or a plain decimal such as "-1.25" into a Fraction.
+
+    Anything else is refused before any arithmetic, exponent notation in
+    particular: `Fraction("1e999999999")` would build the whole integer.
+    """
+    token = str(text).strip()
+    if not _RATIONAL.fullmatch(token):
+        raise GeometryError(f"bad rational {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise GeometryError(f"bad rational {text!r}") from exc
 
@@ -51,6 +67,19 @@ def format_rational(q) -> str:
 
 # ---------------------------------------------------------------------------
 # vectors: plain tuples, Fraction or int entries
+
+def as_point(p):
+    """Tuple of `Fraction` coordinates of any coordinate sequence."""
+    return tuple(map(Fraction, p))
+
+
+def lattice(points):
+    """(den, ints): den is the lcm of the coordinates' denominators and ints
+    holds each point times den as an integer tuple (int or `Fraction` entries).
+    """
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+
 
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -137,7 +166,7 @@ def _normalize_constraint(coeffs, strict, const):
     """Scale by a positive rational so entries are coprime integers."""
     vals = [Fraction(c) for c in coeffs] + [Fraction(const)]
     den = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * den) for v in vals]
+    ints = [v.numerator * (den // v.denominator) for v in vals]
     g = math.gcd(*(abs(n) for n in ints))
     if g > 1:
         ints = [n // g for n in ints]

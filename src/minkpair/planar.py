@@ -19,6 +19,7 @@ from .core import (
     Cone2,
     ConeMismatchError,
     GeometryError,
+    as_point,
     ccw_compare,
     cross2,
     dot,
@@ -36,10 +37,6 @@ from .core import (
 ORIGIN = (Fraction(0), Fraction(0))
 
 
-def _pt(p):
-    return (Fraction(p[0]), Fraction(p[1]))
-
-
 def _ratio(d, w):
     """Positive rational t with d == t*w (w a primitive direction)."""
     t = d[0] / w[0] if w[0] != 0 else d[1] / w[1]
@@ -50,7 +47,11 @@ def _ratio(d, w):
 
 def convex_hull_2d(points):
     """Extreme points in CCW order (monotone chain, exact, collinear dropped)."""
-    pts = sorted(set(_pt(p) for p in points))
+    return hull_chain(sorted(set(map(as_point, points))))
+
+
+def hull_chain(pts):
+    """`convex_hull_2d` of sorted distinct points, in their own (exact) scalars."""
     if len(pts) == 1:
         return pts
     lower = []
@@ -158,7 +159,7 @@ class VPolygon:
     measure: EdgeMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", _pt(self.anchor))
+        object.__setattr__(self, "anchor", as_point(self.anchor))
         for u in self.measure.directions():
             if not self.cone.polar_interior_contains(u):
                 raise GeometryError(f"measure direction {u} outside the open polar")
@@ -213,7 +214,7 @@ class VPolygon:
 
     def contains(self, point) -> bool:
         """Exact membership test."""
-        point = _pt(point)
+        point = as_point(point)
         gens = self.cone.gens
         halves = _poly_halfplanes(self.chain)
         if not gens:
@@ -307,7 +308,7 @@ def scale(a: VPolygon, t) -> VPolygon:
 
 
 def translate(a: VPolygon, v) -> VPolygon:
-    return VPolygon(a.cone, vadd(a.anchor, _pt(v)), a.measure)
+    return VPolygon(a.cone, vadd(a.anchor, as_point(v)), a.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,7 @@ class BoundaryChain:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(_pt(p) for p in self.points)
+        pts = tuple(as_point(p) for p in self.points)
         object.__setattr__(self, "points", pts)
         for p, q in zip(pts, pts[1:]):
             if p == q:

@@ -1,15 +1,18 @@
 """Exact 3D convex hulls, V-polytopes, and the edge-based summand criteria.
 
-Hulls are computed incrementally with exact rational predicates; coplanar
-triangles are merged into facets afterwards, so degenerate inputs (repeated,
-collinear, coplanar points) are handled exactly.  Lower-dimensional hulls
-(point, segment, flat polygon) are first-class citizens because several
-fixtures are flat.
+Hulls are computed incrementally on an integer lattice: the input points
+are scaled once by the lcm of their denominators (`core.lattice`), every
+hull predicate is an integer sign test on those points, and only the result
+maps back to the rational points (facet offsets become `Fraction(off, den)`).
+Coplanar triangles are merged into facets afterwards, so degenerate inputs
+(repeated, collinear, coplanar points) are handled exactly.
+Lower-dimensional hulls (point, segment, flat polygon) are first-class
+citizens because several fixtures are flat.  The perp-plane tests of the
+summand and reduced-pair criteria run on each polytope's vertex lattice too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,25 +21,20 @@ from .core import (
     Cone3,
     ConeMismatchError,
     GeometryError,
+    as_point,
     cone_strictly_feasible,
     cross3,
     dot,
     holds,
     is_zero,
+    lattice,
     linear_feasible,
     normalize_direction,
     vadd,
     vneg,
-    vscale,
     vsub,
 )
-
-def _pt(p):
-    return (Fraction(p[0]), Fraction(p[1]), Fraction(p[2]))
-
-
-def _det3(r1, r2, r3):
-    return dot(r1, cross3(r2, r3))
+from .planar import hull_chain
 
 
 def _param(v, d):
@@ -150,136 +148,121 @@ def _cycle_edge_halfplanes(vertices, cycle, normal):
 # hull construction
 
 def hull3(points) -> Polytope3:
-    """Exact convex hull; coplanar facets merged; degenerate dims flagged."""
-    pts = sorted(set(_pt(p) for p in points))
-    if not pts:
+    """Exact convex hull; coplanar facets merged; degenerate dims flagged.
+
+    The distinct points are scaled once to an integer lattice
+    (`core.lattice`).  A positive scale keeps every sign and the
+    lexicographic order, so every predicate runs on those int tuples and
+    only the result maps back to the rational points.
+    """
+    uniq = list(set(map(as_point, points)))
+    if not uniq:
         raise GeometryError("need at least one point")
-    p0 = pts[0]
-    d1 = None
-    for p in pts[1:]:
-        if p != p0:
-            d1 = vsub(p, p0)
-            break
-    if d1 is None:
-        return Polytope3((p0,), 0, (), ())
-    n2 = None
-    for p in pts:
-        c = cross3(d1, vsub(p, p0))
-        if not is_zero(c):
-            n2 = c
-            break
+    den, lat = lattice(uniq)
+    lat, pts = zip(*sorted(zip(lat, uniq)))
+    if len(lat) == 1:
+        return Polytope3(pts, 0, (), ())
+    p0 = lat[0]
+    d1 = vsub(lat[1], p0)
+    n2 = next((c for c in (cross3(d1, vsub(p, p0)) for p in lat) if not is_zero(c)), None)
     if n2 is None:
-        lo = min(pts, key=lambda p: _param(vsub(p, p0), d1))
-        hi = max(pts, key=lambda p: _param(vsub(p, p0), d1))
-        verts = tuple(sorted((lo, hi)))
-        return Polytope3(verts, 1, (), ((0, 1),))
-    full = any(dot(n2, vsub(p, p0)) != 0 for p in pts)
-    if not full:
-        return _hull_planar(pts, n2)
-    return _hull_full(pts)
+        # collinear: the lexicographic extremes are the segment's endpoints
+        return Polytope3((pts[0], pts[-1]), 1, (), ((0, 1),))
+    if all(dot(n2, vsub(p, p0)) == 0 for p in lat):
+        return _hull_planar(pts, lat, den, n2)
+    return _hull_full(pts, lat, den)
 
 
-def _planar_cycle(pts, normal, base):
-    """CCW cycle (seen from +normal) of the 2D hull of coplanar points."""
-    e = None
-    for p in pts:
-        if p != base:
-            e = normalize_direction(vsub(p, base))
-            break
+def _planar_cycle(lat, ids, normal):
+    """CCW cycle (seen from +normal) of the 2D hull of the coplanar lattice
+    points `lat[i]`, i in `ids` (sorted), as indices into `lat`."""
+    base = lat[ids[0]]
+    e = normalize_direction(vsub(lat[ids[1]], base))
     f = normalize_direction(cross3(normal, e))
     coords = {}
-    for p in pts:
-        coords.setdefault((dot(vsub(p, base), e), dot(vsub(p, base), f)), p)
-    from .planar import convex_hull_2d
-
-    cycle2d = convex_hull_2d(coords.keys())
-    return [coords[(c[0], c[1])] for c in cycle2d]
+    for i in ids:
+        w = vsub(lat[i], base)
+        coords[(dot(w, e), dot(w, f))] = i
+    return [coords[c] for c in hull_chain(sorted(coords))]
 
 
-def _hull_planar(pts, raw_normal) -> Polytope3:
-    n = normalize_direction(raw_normal)
-    cycle_pts = _planar_cycle(pts, n, pts[0])
-    verts = tuple(sorted(cycle_pts))
-    index = {p: i for i, p in enumerate(verts)}
-    cycle = tuple(index[p] for p in cycle_pts)
-    b = dot(n, cycle_pts[0])
-    facets = (
-        Facet(n, Fraction(b), cycle),
-        Facet(vneg(n), Fraction(-b), tuple(reversed(cycle))),
-    )
+def _polytope(pts, den, dim, planes):
+    """Polytope3 from planes (normal, lattice offset, cycle of indices into
+    the sorted points `pts`); vertices are the points the cycles use."""
+    order = sorted({i for *_, cyc in planes for i in cyc})
+    index = {i: r for r, i in enumerate(order)}
+    facets = []
     edges = set()
-    for k in range(len(cycle)):
-        i, j = cycle[k], cycle[(k + 1) % len(cycle)]
-        edges.add((min(i, j), max(i, j)))
-    return Polytope3(verts, 2, facets, tuple(sorted(edges)))
+    for n, off, cyc in planes:
+        cyc = tuple(index[i] for i in cyc)
+        facets.append(Facet(n, Fraction(off, den), cyc))
+        for t in range(len(cyc)):
+            i, j = cyc[t], cyc[(t + 1) % len(cyc)]
+            edges.add((min(i, j), max(i, j)))
+    return Polytope3(tuple(pts[i] for i in order), dim, tuple(facets), tuple(sorted(edges)))
 
 
-def _hull_full(pts) -> Polytope3:
-    # initial affinely independent quadruple
-    a = 0
-    b = next(i for i in range(len(pts)) if pts[i] != pts[a])
-    c = next(
-        i for i in range(len(pts)) if not is_zero(cross3(vsub(pts[b], pts[a]), vsub(pts[i], pts[a])))
-    )
-    norm0 = cross3(vsub(pts[b], pts[a]), vsub(pts[c], pts[a]))
-    d = next(i for i in range(len(pts)) if dot(norm0, vsub(pts[i], pts[a])) != 0)
-    interior = vscale(Fraction(1, 4), vadd(vadd(pts[a], pts[b]), vadd(pts[c], pts[d])))
+def _hull_planar(pts, lat, den, raw_normal) -> Polytope3:
+    n = normalize_direction(raw_normal)
+    cyc = _planar_cycle(lat, range(len(lat)), n)
+    b = dot(n, lat[cyc[0]])
+    return _polytope(pts, den, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
+
+
+def _hull_full(pts, lat, den) -> Polytope3:
+    # initial affinely independent quadruple; lat is sorted and distinct
+    a, b = 0, 1
+    pa = lat[a]
+    ab = vsub(lat[b], pa)
+    c = next(i for i in range(len(lat)) if not is_zero(cross3(ab, vsub(lat[i], pa))))
+    norm0 = cross3(ab, vsub(lat[c], pa))
+    d = next(i for i in range(len(lat)) if dot(norm0, vsub(lat[i], pa)) != 0)
+    # 4 * the simplex's centroid, compared against 4 * offset
+    interior = vadd(vadd(pa, lat[b]), vadd(lat[c], lat[d]))
 
     def oriented(tri):
         i, j, k = tri
-        n = cross3(vsub(pts[j], pts[i]), vsub(pts[k], pts[i]))
+        pi = lat[i]
+        n = cross3(vsub(lat[j], pi), vsub(lat[k], pi))
         if is_zero(n):
             raise GeometryError("degenerate hull facet")
         n = normalize_direction(n)
-        off = dot(n, pts[i])
-        if dot(n, interior) > off:
+        off = dot(n, pi)
+        side = dot(n, interior) - 4 * off
+        if side > 0:
             n, off = vneg(n), -off
-        elif dot(n, interior) == off:
+        elif side == 0:
             raise GeometryError("interior reference on facet plane")
         return (tri, n, off)
 
     tris = [oriented(t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
     in_simplex = {a, b, c, d}
-    for k in range(len(pts)):
+    for k, (x, y, z) in enumerate(lat):
         if k in in_simplex:
             continue
-        p = pts[k]
-        visible = [t for t in tris if dot(t[1], p) > t[2]]
+        visible, keep = [], []
+        for t in tris:
+            (u, v, w), off = t[1], t[2]
+            (visible if u * x + v * y + w * z > off else keep).append(t)
         if not visible:
             continue
         edge_count = {}
         for tri, _, _ in visible:
-            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-                key = (min(e), max(e))
-                edge_count[key] = edge_count.get(key, 0) + 1
-        horizon = [e for tri, _, _ in visible for e in _tri_edges(tri) if edge_count[e] == 1]
+            for e in _tri_edges(tri):
+                edge_count[e] = edge_count.get(e, 0) + 1
         # dedup while keeping deterministic order
-        horizon = list(dict.fromkeys(horizon))
-        keep = [t for t in tris if dot(t[1], p) <= t[2]]
-        for u, v in horizon:
+        horizon = [e for tri, _, _ in visible for e in _tri_edges(tri) if edge_count[e] == 1]
+        for u, v in dict.fromkeys(horizon):
             keep.append(oriented((k, u, v)))
         tris = keep
 
     # merge coplanar triangles into facets
-    planes = {}
-    for _, n, off in tris:
-        planes.setdefault((n, off), None)
-    facet_data = []
-    for n, off in sorted(planes):
-        on_plane = [p for p in pts if dot(n, p) == off]
-        facet_data.append((n, off, _planar_cycle(on_plane, n, on_plane[0])))
-
-    vert_set = sorted({p for _, _, cyc in facet_data for p in cyc})
-    index = {p: i for i, p in enumerate(vert_set)}
-    facets = []
-    edges = set()
-    for n, off, cyc_pts in facet_data:
-        cyc = tuple(index[p] for p in cyc_pts)
-        facets.append(Facet(n, Fraction(off), cyc))
-        for t in range(len(cyc)):
-            i, j = cyc[t], cyc[(t + 1) % len(cyc)]
-            edges.add((min(i, j), max(i, j)))
-    return Polytope3(tuple(vert_set), 3, tuple(facets), tuple(sorted(edges)))
+    planes = []
+    for n, off in sorted({(n, off) for _, n, off in tris}):
+        u, v, w = n
+        on_plane = [i for i, (x, y, z) in enumerate(lat) if u * x + v * y + w * z == off]
+        planes.append((n, off, _planar_cycle(lat, on_plane, n)))
+    return _polytope(pts, den, 3, planes)
 
 
 def _tri_edges(tri):
@@ -334,7 +317,7 @@ def support3(p: VPolytope3, u):
 
 def contains3(p: VPolytope3, x) -> bool:
     """Exact membership of a point in bounded + cone."""
-    x = _pt(x)
+    x = as_point(x)
     gens = p.cone.gens
     rows = p.bounded.halfspaces()
     if not gens:
@@ -373,27 +356,17 @@ def are_translates3(p: VPolytope3, q: VPolytope3) -> bool:
 
 @dataclass(frozen=True)
 class EdgeWithNormalCone:
-    """Bounded edge together with {u : support set contains this edge}."""
+    """Bounded edge exposed by a direction in the open polar of the cone.
+
+    `ids` are the endpoints' indices in the bounded hull's vertex tuple.
+    """
 
     endpoints: tuple
-    # rows (vector, rel) of homogeneous constraints; the vectors are vertex
-    # differences on the polytope's integer lattice (see `_lattice`)
-    normal_cone: tuple
+    ids: tuple
 
     @property
     def vector(self):
         return vsub(self.endpoints[1], self.endpoints[0])
-
-
-def _lattice(q: Polytope3):
-    """q's vertices times the lcm of their denominators, as integer tuples.
-
-    Every perp-plane row is a difference of two vertices of one polytope (or
-    a cone generator); a positive scale per polytope keeps each row's sign,
-    so those tests run on these lattice points instead of the vertices.
-    """
-    den = math.lcm(*(x.denominator for v in q.vertices for x in v))
-    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in q.vertices]
 
 
 def _project(points, w1, w2):
@@ -413,7 +386,10 @@ def _edge_frame(p: VPolytope3, lat, i, j):
 
     d is the primitive edge direction and (w1, w2) a basis of its perp plane;
     rows, projected to that basis, cut out the directions that expose
-    exactly this edge and lie in the open polar of p's cone.
+    exactly this edge and lie in the open polar of p's cone.  Every row is a
+    difference of two vertices of p (or a cone generator), and a positive
+    scale per polytope keeps each row's sign, so `lat` may be p's vertices
+    scaled by `core.lattice`.
     """
     d = normalize_direction(vsub(lat[j], lat[i]))
     w1, w2 = _perp_basis(d)
@@ -431,21 +407,12 @@ def _feasible_in_perp_plane(rows) -> bool:
 def bounded_edges(p: VPolytope3):
     """Edges of the bounded hull exposed, bounded, by some open-polar direction."""
     q = p.bounded
-    lat = _lattice(q)
-    out = []
-    for i, j in q.edges:
-        if _feasible_in_perp_plane(_edge_frame(p, lat, i, j)[2]):
-            a = lat[i]
-            closed = [(vsub(lat[j], a), "=")]
-            closed += [(vsub(w, a), "<=") for k, w in enumerate(lat) if k != i and k != j]
-            out.append(EdgeWithNormalCone((q.vertices[i], q.vertices[j]), tuple(closed)))
-    return out
-
-
-def _edge_ids(q: Polytope3, edges):
-    """Vertex index pairs of edges taken from `bounded_edges`."""
-    index = {v: n for n, v in enumerate(q.vertices)}
-    return [(index[e.endpoints[0]], index[e.endpoints[1]]) for e in edges]
+    lat = lattice(q.vertices)[1]
+    return [
+        EdgeWithNormalCone((q.vertices[i], q.vertices[j]), (i, j))
+        for i, j in q.edges
+        if _feasible_in_perp_plane(_edge_frame(p, lat, i, j)[2])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +474,9 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
                 incident.append([f.normal for f in kb.facets if set(ids) <= set(f.cycle)])
             else:
                 incident.append([f.normal for f in kb.incident_facets(ids[0])])
-    plat, klat = _lattice(p.bounded), _lattice(kb)
-    edges = bounded_edges(p)
-    for edge, (i, j) in zip(edges, _edge_ids(p.bounded, edges)):
-        d, (w1, w2), edge_rows = _edge_frame(p, plat, i, j)
+    plat, klat = lattice(p.bounded.vertices)[1], lattice(kb.vertices)[1]
+    for edge in bounded_edges(p):
+        d, (w1, w2), edge_rows = _edge_frame(p, plat, *edge.ids)
         kproj = _project(klat, w1, w2)
         for idx, (kind, ids, facet) in enumerate(faces):
             if incident is not None:
@@ -528,15 +494,14 @@ def equiparallel_edges(a: VPolytope3, b: VPolytope3):
     """Pairs of bounded parallel edges exposed by one common direction."""
     if a.cone != b.cone:
         raise ConeMismatchError("incompatible recession cones")
-    alat, blat = _lattice(a.bounded), _lattice(b.bounded)
-    edges_a = bounded_edges(a)
+    alat, blat = lattice(a.bounded.vertices)[1], lattice(b.bounded.vertices)[1]
     edges_b = bounded_edges(b)
-    ids_b = _edge_ids(b.bounded, edges_b)
     pairs = []
-    for ea, (i, j) in zip(edges_a, _edge_ids(a.bounded, edges_a)):
-        da, (w1, w2), rows_a = _edge_frame(a, alat, i, j)
+    for ea in bounded_edges(a):
+        da, (w1, w2), rows_a = _edge_frame(a, alat, *ea.ids)
         bproj = None
-        for eb, (s, t) in zip(edges_b, ids_b):
+        for eb in edges_b:
+            s, t = eb.ids
             if not is_zero(cross3(da, vsub(blat[t], blat[s]))):
                 continue
             if bproj is None:

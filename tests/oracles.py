@@ -3,6 +3,10 @@
 - `fm_cone_strictly_feasible`: the branching Fourier-Motzkin test the library
   used for homogeneous systems before its integer ray test, kept here to
   check that test against.
+- `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
+  library used before it moved its predicates to an integer lattice, with
+  every predicate a `Fraction` dot product; the lattice hull must return
+  equal polytopes.
 - `supporting_plane_normals` and `certified_negative_points`: brute force
   over point triples, independent of the library's hull code.
 """
@@ -10,8 +14,20 @@
 from fractions import Fraction
 from itertools import combinations
 
-from minkpair.core import linear_feasible, normalize_direction
-from minkpair.spatial import from_points3
+from minkpair.core import (
+    GeometryError,
+    cross3,
+    dot,
+    is_zero,
+    linear_feasible,
+    normalize_direction,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+)
+from minkpair.planar import convex_hull_2d
+from minkpair.spatial import Facet, Polytope3, VPolytope3, _vertex_survives, from_points3
 
 
 def fm_cone_strictly_feasible(constraints) -> bool:
@@ -32,6 +48,160 @@ def fm_cone_strictly_feasible(constraints) -> bool:
             if linear_feasible(base + [(axis, "<", 0)], n):
                 return True
     return False
+
+
+def _param(v, d):
+    """t with v == t*d for parallel vectors."""
+    for i in range(3):
+        if d[i] != 0:
+            return Fraction(v[i]) / Fraction(d[i])
+    raise GeometryError("zero direction")
+
+
+def fraction_hull3(points) -> Polytope3:
+    """Exact convex hull with `Fraction` predicates; coplanar facets merged."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    if not pts:
+        raise GeometryError("need at least one point")
+    p0 = pts[0]
+    d1 = None
+    for p in pts[1:]:
+        if p != p0:
+            d1 = vsub(p, p0)
+            break
+    if d1 is None:
+        return Polytope3((p0,), 0, (), ())
+    n2 = None
+    for p in pts:
+        c = cross3(d1, vsub(p, p0))
+        if not is_zero(c):
+            n2 = c
+            break
+    if n2 is None:
+        lo = min(pts, key=lambda p: _param(vsub(p, p0), d1))
+        hi = max(pts, key=lambda p: _param(vsub(p, p0), d1))
+        verts = tuple(sorted((lo, hi)))
+        return Polytope3(verts, 1, (), ((0, 1),))
+    full = any(dot(n2, vsub(p, p0)) != 0 for p in pts)
+    if not full:
+        return _fraction_hull_planar(pts, n2)
+    return _fraction_hull_full(pts)
+
+
+def _fraction_planar_cycle(pts, normal, base):
+    """CCW cycle (seen from +normal) of the 2D hull of coplanar points."""
+    e = None
+    for p in pts:
+        if p != base:
+            e = normalize_direction(vsub(p, base))
+            break
+    f = normalize_direction(cross3(normal, e))
+    coords = {}
+    for p in pts:
+        coords.setdefault((dot(vsub(p, base), e), dot(vsub(p, base), f)), p)
+    cycle2d = convex_hull_2d(coords.keys())
+    return [coords[(c[0], c[1])] for c in cycle2d]
+
+
+def _fraction_hull_planar(pts, raw_normal) -> Polytope3:
+    n = normalize_direction(raw_normal)
+    cycle_pts = _fraction_planar_cycle(pts, n, pts[0])
+    verts = tuple(sorted(cycle_pts))
+    index = {p: i for i, p in enumerate(verts)}
+    cycle = tuple(index[p] for p in cycle_pts)
+    b = dot(n, cycle_pts[0])
+    facets = (
+        Facet(n, Fraction(b), cycle),
+        Facet(vneg(n), Fraction(-b), tuple(reversed(cycle))),
+    )
+    edges = set()
+    for k in range(len(cycle)):
+        i, j = cycle[k], cycle[(k + 1) % len(cycle)]
+        edges.add((min(i, j), max(i, j)))
+    return Polytope3(verts, 2, facets, tuple(sorted(edges)))
+
+
+def _tri_edges(tri):
+    return (
+        (min(tri[0], tri[1]), max(tri[0], tri[1])),
+        (min(tri[1], tri[2]), max(tri[1], tri[2])),
+        (min(tri[0], tri[2]), max(tri[0], tri[2])),
+    )
+
+
+def _fraction_hull_full(pts) -> Polytope3:
+    # initial affinely independent quadruple
+    a = 0
+    b = next(i for i in range(len(pts)) if pts[i] != pts[a])
+    c = next(
+        i for i in range(len(pts)) if not is_zero(cross3(vsub(pts[b], pts[a]), vsub(pts[i], pts[a])))
+    )
+    norm0 = cross3(vsub(pts[b], pts[a]), vsub(pts[c], pts[a]))
+    d = next(i for i in range(len(pts)) if dot(norm0, vsub(pts[i], pts[a])) != 0)
+    interior = vscale(Fraction(1, 4), vadd(vadd(pts[a], pts[b]), vadd(pts[c], pts[d])))
+
+    def oriented(tri):
+        i, j, k = tri
+        n = cross3(vsub(pts[j], pts[i]), vsub(pts[k], pts[i]))
+        if is_zero(n):
+            raise GeometryError("degenerate hull facet")
+        n = normalize_direction(n)
+        off = dot(n, pts[i])
+        if dot(n, interior) > off:
+            n, off = vneg(n), -off
+        elif dot(n, interior) == off:
+            raise GeometryError("interior reference on facet plane")
+        return (tri, n, off)
+
+    tris = [oriented(t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
+    in_simplex = {a, b, c, d}
+    for k in range(len(pts)):
+        if k in in_simplex:
+            continue
+        p = pts[k]
+        visible = [t for t in tris if dot(t[1], p) > t[2]]
+        if not visible:
+            continue
+        edge_count = {}
+        for tri, _, _ in visible:
+            for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
+                key = (min(e), max(e))
+                edge_count[key] = edge_count.get(key, 0) + 1
+        horizon = [e for tri, _, _ in visible for e in _tri_edges(tri) if edge_count[e] == 1]
+        horizon = list(dict.fromkeys(horizon))
+        keep = [t for t in tris if dot(t[1], p) <= t[2]]
+        for u, v in horizon:
+            keep.append(oriented((k, u, v)))
+        tris = keep
+
+    planes = {}
+    for _, n, off in tris:
+        planes.setdefault((n, off), None)
+    facet_data = []
+    for n, off in sorted(planes):
+        on_plane = [p for p in pts if dot(n, p) == off]
+        facet_data.append((n, off, _fraction_planar_cycle(on_plane, n, on_plane[0])))
+
+    vert_set = sorted({p for _, _, cyc in facet_data for p in cyc})
+    index = {p: i for i, p in enumerate(vert_set)}
+    facets = []
+    edges = set()
+    for n, off, cyc_pts in facet_data:
+        cyc = tuple(index[p] for p in cyc_pts)
+        facets.append(Facet(n, Fraction(off), cyc))
+        for t in range(len(cyc)):
+            i, j = cyc[t], cyc[(t + 1) % len(cyc)]
+            edges.add((min(i, j), max(i, j)))
+    return Polytope3(tuple(vert_set), 3, tuple(facets), tuple(sorted(edges)))
+
+
+def fraction_from_points3(points, cone) -> VPolytope3:
+    """`from_points3` with both hulls built by `fraction_hull3`."""
+    q = fraction_hull3(points)
+    if cone.is_trivial:
+        return VPolytope3(q, cone)
+    keep = [v for i, v in enumerate(q.vertices) if _vertex_survives(q, i, cone)]
+    return VPolytope3(fraction_hull3(keep), cone)
 
 
 def _sub(a, b):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from minkpair.core import (
     in_polar_interior,
     linear_feasible,
     normalize_direction,
+    parse_rational,
     vscale,
 )
 from conftest import rand_direction
@@ -214,3 +216,28 @@ def _pointed(gens):
 @given(generator_sets())
 def test_cone3_pointedness_matches_fourier_motzkin(gens):
     assert _pointed(gens) == fm_cone_strictly_feasible([(g, "<") for g in gens])
+
+
+def test_parse_rational_accepts_integers_fractions_and_plain_decimals():
+    cases = {"3": 3, " -3/4 ": Fraction(-3, 4), "+2/6": Fraction(1, 3), "1.25": Fraction(5, 4),
+             "-.5": Fraction(-1, 2), "2.": 2, "007/014": Fraction(1, 2)}
+    for text, value in cases.items():
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == value
+
+
+def test_parse_rational_rejects_everything_else():
+    for text in ("", "1e3", "1E-3", "2.5e1", "1/0", "1/", "/2", "1//2", "1/-2", "--1", "0x10",
+                 "1_000", "nan", "inf", "1 / 2", "\u0661\u0662", "1.5/2", "."):
+        with pytest.raises(GeometryError):
+            parse_rational(text)
+
+
+def test_parse_rational_refuses_huge_exponents_unevaluated():
+    # Fraction("1e1000000") alone takes about 0.3 s; the last two would need
+    # gigabytes.  Refusal must come from the syntax, before any arithmetic.
+    start = time.perf_counter()
+    for text in ("1e1000000", "1e999999999", "-7.5E+999999999", "1/2e999999999"):
+        with pytest.raises(GeometryError, match="bad rational"):
+            parse_rational(text)
+    assert time.perf_counter() - start < 0.05

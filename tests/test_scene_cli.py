@@ -328,3 +328,17 @@ def test_render_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "render", "--scene", str(path), "--sets", "P",
                      "--viewport", "0,0,0,5", "--out", "-")
     assert code == 2
+
+
+def test_cli_refuses_exponent_notation_with_one_line(capsys, tmp_path):
+    scene = {"sets": {"P": {"dim": 3, "points": [["1e999999999", "0", "0"]], "cone": []}}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    code, out, err = run(capsys, "sum", "--scene", str(path), "--sets", "P,P", "--out", "-")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "1e999999999" in err
+    good = tmp_path / "g.json"
+    good.write_text(json.dumps({"sets": {"P": {"dim": 2, "points": [["1", "1"]], "cone": []}}}))
+    for flag, value in (("--viewport", "0,0,1e999999999,5"), ("--project", "0,0,-1e999999999")):
+        code, out, err = run(capsys, "render", "--scene", str(good), "--sets", "P",
+                             flag, value, "--out", "-")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1

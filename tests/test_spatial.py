@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkpair.core import Cone3, ConeMismatchError, GeometryError, vadd, vscale
 from minkpair.spatial import (
@@ -18,7 +20,7 @@ from minkpair.spatial import (
     support3,
 )
 from conftest import rand_cone3, rand_points3
-from oracles import certified_negative
+from oracles import certified_negative, fraction_from_points3, fraction_hull3
 
 F = Fraction
 TRIV = Cone3.from_generators([])
@@ -100,6 +102,57 @@ def test_hull3_degenerate_forms():
     assert s.dim == 1 and set(s.vertices) == {(0, 0, 0), (2, 2, 2)}
     hexa = hull3([(2, 2, 0), (-2, -2, 0), (2, 0, 2), (-2, 0, -2), (0, 2, -2), (0, -2, 2)])
     assert hexa.dim == 2 and len(hexa.vertices) == 6 and len(hexa.edges) == 6
+
+
+# denominators up to 97, many of them coprime; numerators of 2**64 or more
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 64, 81, 89, 91, 95, 96, 97)
+HUGE = st.integers(2**64, 2**72) | st.integers(-(2**72), -(2**64))
+SCALARS = (
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from(DENOMINATORS)),
+    st.one_of(st.integers(-4, 4), HUGE, st.builds(Fraction, HUGE, st.sampled_from(DENOMINATORS))),
+)
+
+
+@st.composite
+def point_sets(draw):
+    """Integer, rational and huge clouds, and affine images of lattice
+    patterns of rank 0 to 3 (a point, collinear, coplanar and full sets);
+    both with repeated points."""
+    scalar = draw(st.sampled_from(SCALARS))
+    point = st.tuples(scalar, scalar, scalar)
+    rank = draw(st.sampled_from(("cloud", 0, 1, 2, 3)))
+    if rank == "cloud":
+        pts = draw(st.lists(point, min_size=4, max_size=12))
+    else:
+        base = draw(point)
+        axes = draw(st.lists(point.filter(lambda v: v != (0, 0, 0)), min_size=rank, max_size=rank))
+        grid = st.tuples(*(st.integers(-3, 3) for _ in range(rank)))
+        pts = [
+            tuple(b + sum(t * a[c] for t, a in zip(ts, axes)) for c, b in enumerate(base))
+            for ts in draw(st.lists(grid, min_size=2 * rank + 1, max_size=12))
+        ]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_hull3_matches_fraction_oracle(points):
+    h = hull3(points)
+    assert h == fraction_hull3(points)
+    assert all(type(x) is Fraction for v in h.vertices for x in v)
+    assert all(type(f.offset) is Fraction for f in h.facets)
+
+
+def test_from_points3_matches_fraction_oracle_under_every_cone_kind():
+    rng = random.Random(67)
+    for kind in ("trivial", "ray", "three"):
+        cone = cone_of_kind(rng, kind)
+        for _ in range(6):
+            pts = [tuple(F(rng.randint(-30, 30), rng.choice((1, 2, 3, 7))) for _ in range(3))
+                   for _ in range(rng.randint(1, 14))]
+            assert from_points3(pts, cone) == fraction_from_points3(pts, cone)
 
 
 def test_vpolytope_prunes_absorbed_vertices():
