@@ -14,8 +14,8 @@ Two kinds of exact decision live here:
   criteria run on it.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
   systems.  It remains for membership questions: `contains`, `contains3`,
-  vertex survival and face translates in `spatial`, and `_in_cone_span`,
-  which also decides `Cone3` pointedness (no -g_j in cone(gens)).
+  vertex survival in `spatial`, and `_in_cone_span`, which also decides
+  `Cone3` pointedness (no -g_j in cone(gens)).
 """
 
 from __future__ import annotations

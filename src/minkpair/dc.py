@@ -8,6 +8,7 @@ normalized so the second part is nonnegative and vanishes at 0.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,13 @@ from .planar import (
 
 def _frac_seq(xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def _interpolate(xs, ys, x):
+    """Value at x, xs[0] <= x <= xs[-1], of the broken line through the (xs[i], ys[i])."""
+    i = max(bisect_left(xs, x), 1)
+    t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+    return ys[i - 1] + t * (ys[i] - ys[i - 1])
 
 
 @dataclass(frozen=True)
@@ -70,11 +78,7 @@ class PLConvexFn:
         xs, ys = self.breakpoints, self.values
         if not xs[0] <= x <= xs[-1]:
             raise GeometryError("evaluation outside the domain")
-        for i in range(len(xs) - 1):
-            if x <= xs[i + 1]:
-                t = (x - xs[i]) / (xs[i + 1] - xs[i])
-                return ys[i] + t * (ys[i + 1] - ys[i])
-        return ys[-1]
+        return _interpolate(xs, ys, x)
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,7 @@ class PLFnLine:
             return ys[0] + self.left_slope * (y - xs[0])
         if y >= xs[-1]:
             return ys[-1] + self.right_slope * (y - xs[-1])
-        for i in range(len(xs) - 1):
-            if y <= xs[i + 1]:
-                t = (y - xs[i]) / (xs[i + 1] - xs[i])
-                return ys[i] + t * (ys[i + 1] - ys[i])
-        raise AssertionError
+        return _interpolate(xs, ys, y)
 
 
 def conjugate(g: PLConvexFn) -> PLFnLine:

@@ -7,8 +7,10 @@ maps back to the rational points (facet offsets become `Fraction(off, den)`).
 Coplanar triangles are merged into facets afterwards, so degenerate inputs
 (repeated, collinear, coplanar points) are handled exactly.
 Lower-dimensional hulls (point, segment, flat polygon) are first-class
-citizens because several fixtures are flat.  The perp-plane tests of the
-summand and reduced-pair criteria run on each polytope's vertex lattice too.
+citizens because several fixtures are flat.  The summand and reduced-pair
+criteria run on each polytope's vertex lattice too, with no `Fraction` solver:
+one perp-plane frame per exposed edge, and face translates by integer widths;
+`linear_feasible` remains for vertex survival and `contains3`.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ from .core import (
     vsub,
 )
 from .planar import hull_chain
-
-
-def _param(v, d):
-    """t with v == t*d for parallel vectors."""
-    for i in range(3):
-        if d[i] != 0:
-            return Fraction(v[i]) / Fraction(d[i])
-    raise GeometryError("zero direction")
 
 
 @dataclass(frozen=True)
@@ -375,10 +369,15 @@ def _project(points, w1, w2):
     return [(x * a1 + y * a2 + z * a3, x * b1 + y * b2 + z * b3) for x, y, z in points]
 
 
-def _edge_rows(proj, i, j):
-    """Strict rows cutting out relint of edge (i, j)'s normal cone, projected."""
-    ax, ay = proj[i]
-    return [((x - ax, y - ay), "<") for k, (x, y) in enumerate(proj) if k != i and k != j]
+def _face_rows(proj, ids):
+    """Rows for relint of the normal cone of the face with vertex ids `ids`,
+    projected; in the frame of a parallel edge an edge's `=` row is zero."""
+    bx, by = proj[ids[0]]
+    return [
+        ((x - bx, y - by), "=" if k in ids else "<")
+        for k, (x, y) in enumerate(proj)
+        if k != ids[0]
+    ]
 
 
 def _edge_frame(p: VPolytope3, lat, i, j):
@@ -393,7 +392,7 @@ def _edge_frame(p: VPolytope3, lat, i, j):
     """
     d = normalize_direction(vsub(lat[j], lat[i]))
     w1, w2 = _perp_basis(d)
-    rows = _edge_rows(_project(lat, w1, w2), i, j)
+    rows = _face_rows(_project(lat, w1, w2), (i, j))
     rows += [(g, "<") for g in _project(p.cone.gens, w1, w2)]
     return d, (w1, w2), rows
 
@@ -404,57 +403,52 @@ def _feasible_in_perp_plane(rows) -> bool:
     return cone_strictly_feasible(rows)
 
 
+def _exposed_edges(p: VPolytope3, lat):
+    """(i, j, d, (w1, w2), rows) of `_edge_frame` for each edge (i, j) of p's
+    bounded hull exposed, bounded, by some open-polar direction."""
+    for i, j in p.bounded.edges:
+        d, basis, rows = _edge_frame(p, lat, i, j)
+        if _feasible_in_perp_plane(rows):
+            yield i, j, d, basis, rows
+
+
+def _edge(q: Polytope3, i, j):
+    return EdgeWithNormalCone((q.vertices[i], q.vertices[j]), (i, j))
+
+
 def bounded_edges(p: VPolytope3):
     """Edges of the bounded hull exposed, bounded, by some open-polar direction."""
-    q = p.bounded
-    lat = lattice(q.vertices)[1]
-    return [
-        EdgeWithNormalCone((q.vertices[i], q.vertices[j]), (i, j))
-        for i, j in q.edges
-        if _feasible_in_perp_plane(_edge_frame(p, lat, i, j)[2])
-    ]
+    lat = lattice(p.bounded.vertices)[1]
+    return [_edge(p.bounded, i, j) for i, j, *_ in _exposed_edges(p, lat)]
 
 
 # ---------------------------------------------------------------------------
 # summand criterion and equiparallel edges
 
-def _face_rows(proj, ids):
-    """Rows for relint of the normal cone of the face with vertex ids `ids`, projected."""
-    bx, by = proj[ids[0]]
-    return [
-        ((x - bx, y - by), "=" if k in ids else "<")
-        for k, (x, y) in enumerate(proj)
-        if k != ids[0]
-    ]
+def _face_contains_translate(kden, klat, kind, ids, facet, pden, elat) -> bool:
+    """Does the face (kind, ids, facet) of K contain a translate of the edge
+    vector e = elat / pden?  K's vertices are `klat` / kden.
 
-
-def _face_contains_translate(q: Polytope3, kind, ids, facet, vec) -> bool:
+    That holds iff e lies in the difference body F - F, so every test is an
+    integer comparison of e with a width of the face.
+    """
     if kind == "vertex":
-        return is_zero(vec)
+        return False
     if kind == "edge":
         i, j = ids
-        fvec = vsub(q.vertices[j], q.vertices[i])
-        if not is_zero(cross3(fvec, vec)):
-            return False
-        prim = normalize_direction(fvec)
-        return abs(_param(vec, prim)) <= abs(_param(fvec, prim))
-    if dot(facet.normal, vec) != 0:
+        f = vsub(klat[j], klat[i])
+        return is_zero(cross3(f, elat)) and kden * abs(dot(f, elat)) <= pden * dot(f, f)
+    n, cyc = facet.normal, facet.cycle
+    if dot(n, elat) != 0:
         return False
-    # polygon contains a translate of the segment iff F and F - vec overlap
-    base = q.vertices[facet.cycle[0]]
-    e1 = None
-    for i in facet.cycle[1:]:
-        w = vsub(q.vertices[i], base)
-        if not is_zero(w):
-            e1 = normalize_direction(w)
-            break
-    e2 = normalize_direction(cross3(facet.normal, e1))
-    cons = []
-    for m, off in _cycle_edge_halfplanes(q.vertices, facet.cycle, facet.normal):
-        coeffs = (dot(m, e1), dot(m, e2))
-        cons.append((coeffs, "<=", off - dot(m, base)))
-        cons.append((coeffs, "<=", off - dot(m, vadd(base, vec))))
-    return linear_feasible(cons, 2)
+    # F - F is a polygon whose edge normals are those of F, with the width
+    # of F along each as its support value on both sides
+    for prev, v in zip(cyc[-1:] + cyc[:-1], cyc):
+        m = cross3(vsub(klat[prev], klat[v]), n)
+        vals = [dot(m, klat[t]) for t in cyc]
+        if kden * abs(dot(m, elat)) > pden * (max(vals) - min(vals)):
+            return False
+    return True
 
 
 def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
@@ -474,9 +468,10 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
                 incident.append([f.normal for f in kb.facets if set(ids) <= set(f.cycle)])
             else:
                 incident.append([f.normal for f in kb.incident_facets(ids[0])])
-    plat, klat = lattice(p.bounded.vertices)[1], lattice(kb.vertices)[1]
-    for edge in bounded_edges(p):
-        d, (w1, w2), edge_rows = _edge_frame(p, plat, *edge.ids)
+    pden, plat = lattice(p.bounded.vertices)
+    kden, klat = lattice(kb.vertices)
+    for i, j, d, (w1, w2), edge_rows in _exposed_edges(p, plat):
+        elat = vsub(plat[j], plat[i])
         kproj = _project(klat, w1, w2)
         for idx, (kind, ids, facet) in enumerate(faces):
             if incident is not None:
@@ -485,7 +480,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
                     continue
             if not _feasible_in_perp_plane(edge_rows + _face_rows(kproj, ids)):
                 continue
-            if not _face_contains_translate(kb, kind, ids, facet, edge.vector):
+            if not _face_contains_translate(kden, klat, kind, ids, facet, pden, elat):
                 return False
     return True
 
@@ -494,18 +489,16 @@ def equiparallel_edges(a: VPolytope3, b: VPolytope3):
     """Pairs of bounded parallel edges exposed by one common direction."""
     if a.cone != b.cone:
         raise ConeMismatchError("incompatible recession cones")
-    alat, blat = lattice(a.bounded.vertices)[1], lattice(b.bounded.vertices)[1]
-    edges_b = bounded_edges(b)
+    blat = lattice(b.bounded.vertices)[1]
     pairs = []
-    for ea in bounded_edges(a):
-        da, (w1, w2), rows_a = _edge_frame(a, alat, *ea.ids)
+    for i, j, da, (w1, w2), rows_a in _exposed_edges(a, lattice(a.bounded.vertices)[1]):
         bproj = None
-        for eb in edges_b:
-            s, t = eb.ids
+        for s, t in b.bounded.edges:
             if not is_zero(cross3(da, vsub(blat[t], blat[s]))):
                 continue
             if bproj is None:
                 bproj = _project(blat, w1, w2)
-            if _feasible_in_perp_plane(rows_a + _edge_rows(bproj, s, t)):
-                pairs.append((ea, eb))
+            # rows_a holds the cone rows, so such a direction also exposes (s, t)
+            if _feasible_in_perp_plane(rows_a + _face_rows(bproj, (s, t))):
+                pairs.append((_edge(a.bounded, i, j), _edge(b.bounded, s, t)))
     return pairs

@@ -17,8 +17,12 @@ SCALE = 40  # pixels per coordinate unit
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _fmt(q) -> str:
-    return f"{float(q):.3f}"
+def _px(q) -> float:
+    """Pixel length of the exact coordinate length q."""
+    try:
+        return float(q * SCALE)
+    except OverflowError:
+        raise GeometryError("drawing coordinate too large for a float") from None
 
 
 def _clip_halfplane(poly, n, off):
@@ -83,13 +87,13 @@ class _Canvas:
     def __init__(self, rect):
         self.rect = tuple(Fraction(c) for c in rect)
         xmin, ymin, xmax, ymax = self.rect
-        self.width = float((xmax - xmin) * SCALE)
-        self.height = float((ymax - ymin) * SCALE)
+        self.width = _px(xmax - xmin)
+        self.height = _px(ymax - ymin)
         self.parts = []
 
     def to_px(self, p):
         xmin, _, _, ymax = self.rect
-        return (float((p[0] - xmin) * SCALE), float((ymax - p[1]) * SCALE))
+        return (_px(p[0] - xmin), _px(ymax - p[1]))
 
     def polygon(self, pts, color):
         coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(self.to_px, pts))

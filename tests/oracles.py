@@ -3,6 +3,10 @@
 - `fm_cone_strictly_feasible`: the branching Fourier-Motzkin test the library
   used for homogeneous systems before its integer ray test, kept here to
   check that test against.
+- `fm_face_contains_translate`: the `Fraction` test the library used to
+  decide whether a face of a polytope contains a translate of a vector (an
+  in-face frame and Fourier-Motzkin on "F and F - vec overlap"), kept to
+  check the integer width test against.
 - `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
   library used before it moved its predicates to an integer lattice, with
   every predicate a `Fraction` dot product; the lattice hull must return
@@ -27,7 +31,14 @@ from minkpair.core import (
     vsub,
 )
 from minkpair.planar import convex_hull_2d
-from minkpair.spatial import Facet, Polytope3, VPolytope3, _vertex_survives, from_points3
+from minkpair.spatial import (
+    Facet,
+    Polytope3,
+    VPolytope3,
+    _cycle_edge_halfplanes,
+    _vertex_survives,
+    from_points3,
+)
 
 
 def fm_cone_strictly_feasible(constraints) -> bool:
@@ -56,6 +67,36 @@ def _param(v, d):
         if d[i] != 0:
             return Fraction(v[i]) / Fraction(d[i])
     raise GeometryError("zero direction")
+
+
+def fm_face_contains_translate(q: Polytope3, kind, ids, facet, vec) -> bool:
+    """Does the face (kind, ids, facet) of q contain a translate of vec?"""
+    if kind == "vertex":
+        return is_zero(vec)
+    if kind == "edge":
+        i, j = ids
+        fvec = vsub(q.vertices[j], q.vertices[i])
+        if not is_zero(cross3(fvec, vec)):
+            return False
+        prim = normalize_direction(fvec)
+        return abs(_param(vec, prim)) <= abs(_param(fvec, prim))
+    if dot(facet.normal, vec) != 0:
+        return False
+    # polygon contains a translate of the segment iff F and F - vec overlap
+    base = q.vertices[facet.cycle[0]]
+    e1 = None
+    for i in facet.cycle[1:]:
+        w = vsub(q.vertices[i], base)
+        if not is_zero(w):
+            e1 = normalize_direction(w)
+            break
+    e2 = normalize_direction(cross3(facet.normal, e1))
+    cons = []
+    for m, off in _cycle_edge_halfplanes(q.vertices, facet.cycle, facet.normal):
+        coeffs = (dot(m, e1), dot(m, e2))
+        cons.append((coeffs, "<=", off - dot(m, base)))
+        cons.append((coeffs, "<=", off - dot(m, vadd(base, vec))))
+    return linear_feasible(cons, 2)
 
 
 def fraction_hull3(points) -> Polytope3:

@@ -59,6 +59,34 @@ def test_plconvex_merges_and_validates():
         DcPair(PLConvexFn((-1, 1), (0, 0)), PLConvexFn((-2, 1), (0, 0)))
 
 
+def _scan(xs, ys, x):
+    """Piece-by-piece linear interpolation, the reference for the bisect lookup."""
+    for i in range(len(xs) - 1):
+        if x <= xs[i + 1]:
+            return ys[i] + (x - xs[i]) / (xs[i + 1] - xs[i]) * (ys[i + 1] - ys[i])
+    raise AssertionError("x beyond the last breakpoint")
+
+
+def test_evaluation_matches_linear_scan():
+    """At breakpoints, between them and at both ends, for PLConvexFn and for
+    its conjugate (a PLFnLine, which continues with its outer slopes)."""
+    rng = random.Random(31)
+    for _ in range(60):
+        g = rand_plconvex(rng, nmax=6)
+        xs, ys = g.breakpoints, g.values
+        for x in list(xs) + [a + (b - a) / 3 for a, b in zip(xs, xs[1:])]:
+            assert g(x) == _scan(xs, ys, x)
+        with pytest.raises(GeometryError):
+            g(xs[-1] + F(1, 1000))
+        s = conjugate(g)
+        bs, vs = s.breakpoints, s.values
+        inner = list(bs[1:-1]) + [a + (b - a) / 3 for a, b in zip(bs, bs[1:])]
+        for y in inner:
+            assert s(y) == _scan(bs, vs, y)
+        for y in inner + [bs[0], bs[-1], bs[0] - 1, bs[-1] + F(5, 2)]:
+            assert s(y) == max(x * y - v for x, v in zip(xs, ys))
+
+
 # ---------------------------------------------------------------------------
 # conjugate
 

@@ -342,3 +342,19 @@ def test_cli_refuses_exponent_notation_with_one_line(capsys, tmp_path):
         code, out, err = run(capsys, "render", "--scene", str(good), "--sets", "P",
                              flag, value, "--out", "-")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+HUGE_INT = "1" + "0" * 400  # a plain integer whose pixel value overflows a float
+
+
+@pytest.mark.parametrize("point, viewport", [
+    (["1", "1"], "0,0," + HUGE_INT + ",5"),  # viewport width
+    ([HUGE_INT, "1"], None),  # automatic viewport around the point
+    ([HUGE_INT, "1"], "0,0,1,1"),  # the point's own pixel position
+])
+def test_render_refuses_float_overflow_with_one_line(capsys, tmp_path, point, viewport):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sets": {"P": {"dim": 2, "points": [point], "cone": []}}}))
+    extra = ("--viewport", viewport) if viewport else ()
+    code, out, err = run(capsys, "render", "--scene", str(path), "--sets", "P", *extra, "--out", "-")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "float" in err

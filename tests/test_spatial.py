@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkpair.core import Cone3, ConeMismatchError, GeometryError, vadd, vscale
+from minkpair import spatial
+from minkpair.core import (
+    Cone3,
+    ConeMismatchError,
+    GeometryError,
+    lattice,
+    normalize_direction,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+)
 from minkpair.spatial import (
+    _face_contains_translate,
     are_equivalent3,
     are_translates3,
     bounded_edges,
@@ -20,7 +33,12 @@ from minkpair.spatial import (
     support3,
 )
 from conftest import rand_cone3, rand_points3
-from oracles import certified_negative, fraction_from_points3, fraction_hull3
+from oracles import (
+    certified_negative,
+    fm_face_contains_translate,
+    fraction_from_points3,
+    fraction_hull3,
+)
 
 F = Fraction
 TRIV = Cone3.from_generators([])
@@ -421,3 +439,125 @@ def test_criteria_invariant_under_rational_scaling_and_translation():
         assert {(ea.endpoints, eb.endpoints) for ea, eb in equiparallel_edges(P2, K2)} == pairs
     verdicts = [summand_criterion3(P, K) for P, K in instances]
     assert verdicts.count(False) == 4 and verdicts.count(True) == 9
+
+
+# ---------------------------------------------------------------------------
+# face translates, and the sweeps on the vertex lattice
+
+K_DENOMINATORS = (1, 3, 5, 9, 15)  # coprime to every P denominator below
+P_DENOMINATORS = (1, 2, 4, 7, 8)
+
+
+@st.composite
+def face_translate_cases(draw):
+    """A full, flat or collinear K with coordinates over one denominator,
+    and a seeded rng for the vectors tried on its faces."""
+    kd = draw(st.sampled_from(K_DENOMINATORS))
+    vec = st.tuples(*(st.builds(Fraction, st.integers(-9, 9), st.just(kd)) for _ in range(3)))
+    rank = draw(st.sampled_from((3, 2, 1)))  # full, flat or collinear
+    base = draw(vec)
+    if rank == 3:
+        pts = draw(st.lists(vec, min_size=4, max_size=8))
+    else:
+        axes = draw(st.lists(vec.filter(lambda v: v != (0, 0, 0)), min_size=rank, max_size=rank))
+        grid = st.tuples(*(st.integers(-3, 3) for _ in axes))
+        pts = [tuple(b + sum(t * a[c] for t, a in zip(ts, axes)) for c, b in enumerate(base))
+               for ts in draw(st.lists(grid, min_size=2, max_size=8))]
+    return pts, draw(st.randoms(use_true_random=False))
+
+
+def _edge_lattice(rng, e):
+    """(pden, elat): e on a P lattice whose denominator is a multiple of e's."""
+    pden = math.lcm(*(x.denominator for x in e)) * rng.choice((1, 1, 2, 7))
+    return pden, tuple(int(x * pden) for x in e)
+
+
+def _tried_vectors(rng, q, kind, ids):
+    """In-face vectors of K and their negatives (translates exist), the same
+    longer by 1/den along their primitive direction, and random vectors:
+    in the face's span, or anywhere, with a denominator coprime to K's."""
+    vs = q.vertices
+    diffs = [vsub(vs[b], vs[a]) for a, b in itertools.combinations(ids, 2)]
+    diffs = [d for d in diffs if d != (0, 0, 0)]
+    out = []
+    for w in rng.sample(diffs, min(len(diffs), 4)):
+        den = rng.choice(P_DENOMINATORS[1:])
+        longer = vadd(w, vscale(Fraction(1, den), normalize_direction(w)))
+        out += [(w, True), (vneg(w), True), (longer, None), (vneg(longer), None)]
+    for _ in range(3):
+        den = rng.choice(P_DENOMINATORS)
+        if len(diffs) >= 2:
+            a, b = rng.sample(diffs, 2)
+            s, t = (Fraction(rng.randint(-6, 6), den) for _ in range(2))
+            out.append((vadd(vscale(s, a), vscale(t, b)), None))
+        out.append((tuple(Fraction(rng.randint(-20, 20), den) for _ in range(3)), None))
+    return [(e, want) for e, want in out if e != (0, 0, 0)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(face_translate_cases())
+def test_face_translate_matches_fraction_oracle(case):
+    """The integer width test agrees with Fourier-Motzkin on every face of K
+    for parallel, antiparallel, equal, longer and random vectors."""
+    points, rng = case
+    q = hull3(points)
+    kden, klat = lattice(q.vertices)
+    for kind, ids, facet in q.faces():
+        for e, want in _tried_vectors(rng, q, kind, ids):
+            pden, elat = _edge_lattice(rng, e)
+            got = _face_contains_translate(kden, klat, kind, ids, facet, pden, elat)
+            assert got == fm_face_contains_translate(q, kind, ids, facet, e)
+            assert want is None or got is want
+
+
+def _sweep_instances(rng):
+    """Sums and certified negatives under every cone kind, with flat P too."""
+    out = []
+    for kind in ("trivial", "ray", "three"):
+        cone = cone_of_kind(rng, kind)
+        for flat in (False, True):
+            pts = rand_points3(rng, rng.randint(2, 6))
+            if flat:
+                pts = [(x, y, x - y) for x, y, _ in pts]
+            P = from_points3(pts, cone)
+            out.append((P, minkowski_sum3(P, from_points3(rand_points3(rng, 4), cone))))
+            out.append((P, from_points3(rand_points3(rng, 5), cone)))
+        out.append(certified_negative(rng, cone))
+    return out
+
+
+def test_equiparallel_edges_symmetric_and_exposed():
+    rng = random.Random(83)
+    for P, K in _sweep_instances(rng):
+        for a, b in ((P, K), (K, P)):
+            pairs = equiparallel_edges(a, b)
+            back = {(ea, eb) for eb, ea in equiparallel_edges(b, a)}
+            assert set(pairs) == back
+            exposed = bounded_edges(b)
+            assert all(eb in exposed for _, eb in pairs)
+
+
+def test_sweeps_make_no_fraction_feasibility_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linear_feasible called")
+
+    rng = random.Random(89)
+    instances = _sweep_instances(rng)
+    expected = [(summand_criterion3(P, K), equiparallel_edges(P, K)) for P, K in instances]
+    monkeypatch.setattr(spatial, "linear_feasible", refuse)
+    assert [(summand_criterion3(P, K), equiparallel_edges(P, K)) for P, K in instances] == expected
+    assert any(v for v, _ in expected) and not all(v for v, _ in expected)
+
+
+def test_edge_frame_built_once_per_edge_of_the_first_argument(monkeypatch):
+    calls = []
+    frame = spatial._edge_frame
+    monkeypatch.setattr(spatial, "_edge_frame", lambda *a: calls.append(a[2:]) or frame(*a))
+    for P, K in _sweep_instances(random.Random(97)):
+        for check in (summand_criterion3, equiparallel_edges):
+            calls.clear()
+            verdict = check(P, K)
+            assert len(set(calls)) == len(calls) and set(calls) <= set(P.bounded.edges)
+            # a false summand verdict stops the sweep at the first failing edge
+            if check is equiparallel_edges or verdict:
+                assert sorted(calls) == sorted(P.bounded.edges)
