@@ -11,11 +11,12 @@ Two kinds of exact decision live here:
 
 - `cone_strictly_feasible` decides homogeneous systems in two variables by
   integer sign tests on a few candidate rays; the perp-plane tests of the 3D
-  criteria run on it.
+  criteria run on it.  `cone_strictly_feasible3`, its sibling in three
+  variables, decides vertex survival in `spatial` and `Cone3` pointedness;
+  `_in_cone_span` decides cone membership by integer determinants.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
-  systems.  It remains for membership questions: `contains`, `contains3`,
-  vertex survival in `spatial`, and `_in_cone_span`, which also decides
-  `Cone3` pointedness (no -g_j in cone(gens)).
+  systems.  It remains for the membership questions `contains` and
+  `contains3`.
 """
 
 from __future__ import annotations
@@ -321,6 +322,43 @@ def cone_strictly_feasible(rows) -> bool:
     return False
 
 
+def cone_strictly_feasible3(rows) -> bool:
+    """True iff some u in R^3 has <a, u> < 0 for every row a.
+
+    Rows are nonzero integer triples; no rows is feasible.  By Gordan's
+    theorem this is also "cone(rows) is pointed".  Decided in integers by
+    the rank of the rows.  Rank 1: every row is a multiple of a_0, so
+    u = -a_0 works unless some row is a negative multiple.  Rank 2: the rows
+    span the plane normal to n = a_0 x a_j, so the question moves to the
+    basis (a_0, n x a_0) of that plane and `cone_strictly_feasible`.
+    Rank 3: the closed cone {u : <a_i, u> <= 0} is pointed, so its extreme
+    rays are among the +-(a_i x a_j), and the sum of those lying in it is
+    interior exactly when the interior is nonempty.
+    """
+    if not rows:
+        return True
+
+    def solves(ux, uy, uz):
+        return all(x * ux + y * uy + z * uz < 0 for x, y, z in rows)
+
+    a0 = rows[0]
+    n = next((c for c in (cross3(a0, a) for a in rows) if not is_zero(c)), None)
+    if n is None:
+        return solves(*vneg(a0))
+    if all(dot(n, a) == 0 for a in rows):
+        b = cross3(n, a0)
+        return cone_strictly_feasible([((dot(a, a0), dot(a, b)), "<") for a in rows])
+    sx = sy = sz = 0
+    for a, b in combinations(rows, 2):
+        cx, cy, cz = cross3(a, b)
+        vals = [x * cx + y * cy + z * cz for x, y, z in rows]
+        if max(vals) <= 0:
+            sx, sy, sz = sx + cx, sy + cy, sz + cz
+        elif min(vals) >= 0:
+            sx, sy, sz = sx - cx, sy - cy, sz - cz
+    return solves(sx, sy, sz)
+
+
 # ---------------------------------------------------------------------------
 # planar cones
 
@@ -491,24 +529,41 @@ class Cone3:
 
 
 def _pointed(gens) -> bool:
-    """No -g_j in cone(gens).
+    """cone(gens) holds no line.
 
-    cone(gens) holds a line iff some nontrivial nonnegative combination of
-    the generators vanishes, i.e. iff some -g_j is a nonnegative
-    combination of them.
+    It holds one iff some nontrivial nonnegative combination of the
+    generators vanishes, which by Gordan's theorem fails iff some u has
+    <g, u> < 0 for every generator.
     """
-    return not any(_in_cone_span(vneg(g), gens) for g in gens)
+    return cone_strictly_feasible3(gens)
 
 
 def _in_cone_span(v, gens) -> bool:
-    """v = sum(lam_i * g_i) with lam_i >= 0, decided exactly."""
-    k = len(gens)
-    cons = []
-    for row in range(3):
-        coeffs = tuple(g[row] for g in gens)
-        cons.append((coeffs, "=", v[row]))
-    for j in range(k):
-        axis = tuple(-1 if i == j else 0 for i in range(k))
-        cons.append((axis, "<=", 0))
-    return linear_feasible(cons, k)
+    """v = sum(lam_i * g_i) with lam_i >= 0, decided in integers.
 
+    By Caratheodory v is then a nonnegative combination of linearly
+    independent generators: v is 0, or a positive multiple of one generator,
+    or in the wedge of an independent pair (in their plane, with both
+    cross-product signs right), or in the cone of an independent triple
+    (every Cramer determinant of the sign of the triple's).
+    """
+    if is_zero(v):
+        return True
+    for g in gens:
+        if is_zero(cross3(g, v)) and dot(g, v) > 0:
+            return True
+    for g, h in combinations(gens, 2):
+        n = cross3(g, h)
+        if not is_zero(n) and dot(n, v) == 0:
+            if dot(cross3(v, h), n) >= 0 and dot(cross3(g, v), n) >= 0:
+                return True
+    for g, h, k in combinations(gens, 3):
+        hk = cross3(h, k)
+        det = dot(g, hk)
+        if det == 0:
+            continue
+        sign = 1 if det > 0 else -1
+        parts = (dot(v, hk), dot(g, cross3(v, k)), dot(g, cross3(h, v)))
+        if all(sign * x >= 0 for x in parts):
+            return True
+    return False

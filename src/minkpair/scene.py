@@ -111,6 +111,8 @@ def parse_scene(text) -> Scene:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
     except json.JSONDecodeError as exc:
         raise SceneError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SceneError("invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise SceneError("scene must be a JSON object")
     scene = Scene()
@@ -132,6 +134,8 @@ def load_scene(path) -> Scene:
             return parse_scene(fh.read())
     except OSError as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"cannot decode scene {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ are scaled once by the lcm of their denominators (`core.lattice`), every
 hull predicate is an integer sign test on those points, and only the result
 maps back to the rational points (facet offsets become `Fraction(off, den)`).
 Coplanar triangles are merged into facets afterwards, so degenerate inputs
-(repeated, collinear, coplanar points) are handled exactly.
+(repeated, collinear, coplanar points) are handled exactly.  The result
+depends on the input only through its vertices, so `hull3(q.vertices) == q`.
 Lower-dimensional hulls (point, segment, flat polygon) are first-class
 citizens because several fixtures are flat.  The summand and reduced-pair
 criteria run on each polytope's vertex lattice too, with no `Fraction` solver:
-one perp-plane frame per exposed edge, and face translates by integer widths;
-`linear_feasible` remains for vertex survival and `contains3`.
+one perp-plane frame per exposed edge, and face translates by integer widths.
+Vertex survival in `from_points3` is one strict integer system in three
+variables over the same lattice; `linear_feasible` remains for `contains3`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     GeometryError,
     as_point,
     cone_strictly_feasible,
+    cone_strictly_feasible3,
     cross3,
     dot,
     holds,
@@ -95,27 +98,6 @@ class Polytope3:
     def incident_facets(self, i):
         return [f for f in self.facets if i in f.cycle]
 
-    def vertex_normal_cone_generators(self, i):
-        """Generators of the normal cone at vertex i (positive hull = cone)."""
-        v = self.vertices
-        if self.dim == 3:
-            return [f.normal for f in self.incident_facets(i)]
-        if self.dim == 2:
-            f = self.facets[0]
-            cyc = f.cycle
-            k = cyc.index(i)
-            prev_pt, this_pt, next_pt = v[cyc[k - 1]], v[i], v[cyc[(k + 1) % len(cyc)]]
-            m_in = normalize_direction(cross3(vsub(this_pt, prev_pt), f.normal))
-            m_out = normalize_direction(cross3(vsub(next_pt, this_pt), f.normal))
-            n = f.normal
-            return [n, vneg(n), m_in, m_out]
-        if self.dim == 1:
-            other = v[1 - i]
-            d = normalize_direction(vsub(other, v[i]))
-            w1, w2 = _perp_basis(d)
-            return [w1, vneg(w1), w2, vneg(w2), vneg(d)]
-        return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-
 
 def _perp_basis(d):
     """Two independent primitive integer vectors spanning the plane normal to d."""
@@ -169,7 +151,11 @@ def hull3(points) -> Polytope3:
 
 def _planar_cycle(lat, ids, normal):
     """CCW cycle (seen from +normal) of the 2D hull of the coplanar lattice
-    points `lat[i]`, i in `ids` (sorted), as indices into `lat`."""
+    points `lat[i]`, i in `ids` (sorted), as indices into `lat`.
+
+    The cycle starts where it would from its vertices alone, so the hull of
+    a hull's vertices is that same hull.
+    """
     base = lat[ids[0]]
     e = normalize_direction(vsub(lat[ids[1]], base))
     f = normalize_direction(cross3(normal, e))
@@ -177,7 +163,8 @@ def _planar_cycle(lat, ids, normal):
     for i in ids:
         w = vsub(lat[i], base)
         coords[(dot(w, e), dot(w, f))] = i
-    return [coords[c] for c in hull_chain(sorted(coords))]
+    cyc = [coords[c] for c in hull_chain(sorted(coords))]
+    return cyc if len(cyc) == len(ids) else _planar_cycle(lat, sorted(cyc), normal)
 
 
 def _polytope(pts, den, dim, planes):
@@ -199,6 +186,9 @@ def _polytope(pts, den, dim, planes):
 def _hull_planar(pts, lat, den, raw_normal) -> Polytope3:
     n = normalize_direction(raw_normal)
     cyc = _planar_cycle(lat, range(len(lat)), n)
+    if len(cyc) < len(lat):
+        # orient the plane as its vertices alone would
+        return hull3([pts[i] for i in cyc])
     b = dot(n, lat[cyc[0]])
     return _polytope(pts, den, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
 
@@ -281,20 +271,21 @@ def from_points3(points, cone: Cone3) -> VPolytope3:
     q = hull3(points)
     if cone.is_trivial:
         return VPolytope3(q, cone)
-    keep = [v for i, v in enumerate(q.vertices) if _vertex_survives(q, i, cone)]
-    return VPolytope3(hull3(keep), cone)
+    lat = lattice(q.vertices)[1]
+    keep = [v for i, v in enumerate(q.vertices) if _vertex_survives(q, lat, i, cone)]
+    # hull3(q.vertices) == q, so a hull that loses no vertex is its own result
+    return VPolytope3(q if len(keep) == len(q.vertices) else hull3(keep), cone)
 
 
-def _vertex_survives(q: Polytope3, i, cone: Cone3) -> bool:
-    """relint of the vertex normal cone meets the open polar of the cone."""
-    gens = q.vertex_normal_cone_generators(i)
-    k = len(gens)
-    cons = []
-    for g in cone.gens:
-        cons.append((tuple(dot(n, g) for n in gens), "<", 0))
-    for j in range(k):
-        cons.append((tuple(-1 if t == j else 0 for t in range(k)), "<", 0))
-    return linear_feasible(cons, k)
+def _vertex_survives(q: Polytope3, lat, i, cone: Cone3) -> bool:
+    """relint of the vertex normal cone meets the open polar of the cone.
+
+    That relint is {u : <w - v, u> < 0} over the edges (v, w) at v = lat[i],
+    for every dimension of q (q's lattice points `lat` keep each sign), so
+    the question is one strict system in three variables.
+    """
+    rows = [vsub(lat[b if a == i else a], lat[i]) for a, b in q.edges if i in (a, b)]
+    return cone_strictly_feasible3(rows + list(cone.gens))
 
 
 def support3(p: VPolytope3, u):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +11,9 @@ import pytest
 from minkpair.core import Cone2, Cone3, cross2, normalize_direction, vadd, vneg, vscale
 from minkpair.planar import ORIGIN, EdgeMeasure, VPolygon, from_points, translate
 
-SCENES = Path(__file__).resolve().parent.parent / "scenes"
+TESTS = Path(__file__).resolve().parent
+SCENES = TESTS.parent / "scenes"
+GIB = 1 << 30
 
 
 @pytest.fixture
@@ -101,3 +107,19 @@ def rand_cone3(rng):
 
 def rand_points3(rng, n, lim=4):
     return [tuple(Fraction(rng.randint(-lim, lim)) for _ in range(3)) for _ in range(n)]
+
+
+def run_capped(body, timeout=60):
+    """Run the Python source `body` in a child interpreter whose address space
+    is capped at 1 GiB, with minkpair and the test helpers importable.
+
+    An exact-arithmetic blow-up then fails with `MemoryError` or the timeout
+    instead of taking the test runner down.  Returns the child's stdout;
+    fails the test on a nonzero exit.
+    """
+    code = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({GIB}, {GIB}))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    done = subprocess.run([sys.executable, "-c", code + textwrap.dedent(body)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

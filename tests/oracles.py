@@ -10,7 +10,13 @@
 - `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
   library used before it moved its predicates to an integer lattice, with
   every predicate a `Fraction` dot product; the lattice hull must return
-  equal polytopes.
+  equal polytopes.  `fraction_from_points3` keeps a vertex by
+  `fm_normal_cone_survives`, the Fourier-Motzkin test the library used before
+  its integer ray test, in one variable per normal-cone generator.
+- `fm_vertex_survives`: vertex survival from the vertex list alone (no edges
+  or facets), by Fourier-Motzkin in the three coordinates of u.
+- `fm_in_cone_span`: cone membership by Fourier-Motzkin in one variable per
+  generator, as the library decided it before its determinant test.
 - `supporting_plane_normals` and `certified_negative_points`: brute force
   over point triples, independent of the library's hull code.
 """
@@ -20,6 +26,7 @@ from itertools import combinations
 
 from minkpair.core import (
     GeometryError,
+    as_point,
     cross3,
     dot,
     is_zero,
@@ -36,7 +43,7 @@ from minkpair.spatial import (
     Polytope3,
     VPolytope3,
     _cycle_edge_halfplanes,
-    _vertex_survives,
+    _perp_basis,
     from_points3,
 )
 
@@ -100,7 +107,16 @@ def fm_face_contains_translate(q: Polytope3, kind, ids, facet, vec) -> bool:
 
 
 def fraction_hull3(points) -> Polytope3:
-    """Exact convex hull with `Fraction` predicates; coplanar facets merged."""
+    """Exact convex hull with `Fraction` predicates; coplanar facets merged.
+
+    Built from the vertices alone, so that the result depends on the point
+    set only through its hull.
+    """
+    h = _fraction_hull3(points)
+    return h if len(h.vertices) == len(set(map(as_point, points))) else _fraction_hull3(h.vertices)
+
+
+def _fraction_hull3(points) -> Polytope3:
     pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
     if not pts:
         raise GeometryError("need at least one point")
@@ -236,12 +252,67 @@ def _fraction_hull_full(pts) -> Polytope3:
     return Polytope3(tuple(vert_set), 3, tuple(facets), tuple(sorted(edges)))
 
 
+def _vertex_normal_cone_generators(q: Polytope3, i):
+    """Generators of the normal cone at vertex i (positive hull = cone)."""
+    v = q.vertices
+    if q.dim == 3:
+        return [f.normal for f in q.incident_facets(i)]
+    if q.dim == 2:
+        f = q.facets[0]
+        cyc = f.cycle
+        k = cyc.index(i)
+        prev_pt, this_pt, next_pt = v[cyc[k - 1]], v[i], v[cyc[(k + 1) % len(cyc)]]
+        m_in = normalize_direction(cross3(vsub(this_pt, prev_pt), f.normal))
+        m_out = normalize_direction(cross3(vsub(next_pt, this_pt), f.normal))
+        n = f.normal
+        return [n, vneg(n), m_in, m_out]
+    if q.dim == 1:
+        other = v[1 - i]
+        d = normalize_direction(vsub(other, v[i]))
+        w1, w2 = _perp_basis(d)
+        return [w1, vneg(w1), w2, vneg(w2), vneg(d)]
+    return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+def fm_normal_cone_survives(q: Polytope3, i, cone) -> bool:
+    """relint of the vertex normal cone meets the open polar of the cone:
+    strictly positive weights on the normal-cone generators whose sum lies
+    in the open polar."""
+    gens = _vertex_normal_cone_generators(q, i)
+    k = len(gens)
+    cons = []
+    for g in cone.gens:
+        cons.append((tuple(dot(n, g) for n in gens), "<", 0))
+    for j in range(k):
+        cons.append((tuple(-1 if t == j else 0 for t in range(k)), "<", 0))
+    return linear_feasible(cons, k)
+
+
+def fm_vertex_survives(vertices, i, cone) -> bool:
+    """Some u has <w - v, u> < 0 for every other vertex w of `vertices`
+    (u exposes v = vertices[i] alone) and <g, u> < 0 for every generator."""
+    v = vertices[i]
+    cons = [(vsub(w, v), "<", 0) for w in vertices if w != v]
+    cons += [(g, "<", 0) for g in cone.gens]
+    return linear_feasible(cons, 3)
+
+
+def fm_in_cone_span(v, gens) -> bool:
+    """v = sum(lam_i * g_i) with lam_i >= 0, by Fourier-Motzkin in the lam_i."""
+    k = len(gens)
+    cons = [(tuple(g[row] for g in gens), "=", v[row]) for row in range(3)]
+    for j in range(k):
+        cons.append((tuple(-1 if i == j else 0 for i in range(k)), "<=", 0))
+    return linear_feasible(cons, k)
+
+
 def fraction_from_points3(points, cone) -> VPolytope3:
-    """`from_points3` with both hulls built by `fraction_hull3`."""
+    """`from_points3` with both hulls built by `fraction_hull3` and vertices
+    kept by `fm_normal_cone_survives`."""
     q = fraction_hull3(points)
     if cone.is_trivial:
         return VPolytope3(q, cone)
-    keep = [v for i, v in enumerate(q.vertices) if _vertex_survives(q, i, cone)]
+    keep = [v for i, v in enumerate(q.vertices) if fm_normal_cone_survives(q, i, cone)]
     return VPolytope3(fraction_hull3(keep), cone)
 
 

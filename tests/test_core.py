@@ -12,7 +12,9 @@ from minkpair.core import (
     Cone3,
     GeometryError,
     ccw_compare,
+    _in_cone_span,
     cone_strictly_feasible,
+    cone_strictly_feasible3,
     dot,
     in_polar_interior,
     linear_feasible,
@@ -20,8 +22,8 @@ from minkpair.core import (
     parse_rational,
     vscale,
 )
-from conftest import rand_direction
-from oracles import fm_cone_strictly_feasible
+from conftest import rand_direction, run_capped
+from oracles import fm_cone_strictly_feasible, fm_in_cone_span
 
 
 def test_normalize_direction_examples():
@@ -216,6 +218,75 @@ def _pointed(gens):
 @given(generator_sets())
 def test_cone3_pointedness_matches_fourier_motzkin(gens):
     assert _pointed(gens) == fm_cone_strictly_feasible([(g, "<") for g in gens])
+
+
+VEC3 = (st.tuples(SMALL, SMALL, SMALL) | st.tuples(COEFF, COEFF, COEFF)).filter(any)
+
+
+@st.composite
+def strict_systems3(draw):
+    """Nonzero rows of rank 1, 2 or 3, with repeated, scaled and antiparallel rows mixed in."""
+    basis = [draw(VEC3) for _ in range(draw(st.sampled_from([1, 2, 3])))]
+    weights = st.tuples(*(st.integers(-3, 3) for _ in basis))
+    rows = basis + [tuple(sum(t * b[c] for t, b in zip(ts, basis)) for c in range(3))
+                    for ts in draw(st.lists(weights, max_size=5))]
+    rows = draw(st.permutations([r for r in rows if any(r)]))
+    for r in list(rows):
+        kind = draw(st.sampled_from(["none", "none", "repeat", "scaled", "antiparallel"]))
+        k = draw(st.integers(1, 3) | st.integers(2**64, 2**65))
+        extra = {"none": None, "repeat": r, "scaled": vscale(k, r), "antiparallel": vscale(-k, r)}[kind]
+        if extra is not None:
+            rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(strict_systems3())
+def test_cone_strictly_feasible3_matches_fourier_motzkin(rows):
+    assert cone_strictly_feasible3(rows) == fm_cone_strictly_feasible([(a, "<") for a in rows])
+
+
+def test_cone_strictly_feasible3_by_rank():
+    assert cone_strictly_feasible3([])
+    assert cone_strictly_feasible3([(1, 2, 3), (2, 4, 6)])
+    assert not cone_strictly_feasible3([(1, 2, 3), (-1, -2, -3)])
+    assert cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert not cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
+    assert cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert not cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    # rank 3 whose closed cone is a single ray: no interior
+    assert not cone_strictly_feasible3([(1, 1, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1)])
+    assert cone_strictly_feasible3([(1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 1)])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(generator_sets(), st.data())
+def test_in_cone_span_matches_fourier_motzkin(gens, data):
+    kind = data.draw(st.sampled_from(["zero", "vector", "vector", "combination", "combination"]))
+    if kind == "zero":
+        v = (0, 0, 0)
+    elif kind == "vector":
+        v = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)))
+    else:
+        weights = data.draw(st.lists(st.integers(-1, 3), min_size=len(gens), max_size=len(gens)))
+        v = tuple(sum(t * g[c] for t, g in zip(weights, gens)) for c in range(3))
+    assert _in_cone_span(v, gens) == fm_in_cone_span(v, gens)
+
+
+# the lattice points of the circle of radius 5, counterclockwise from (5, 0):
+# lifted to height 7, every one of them spans an extreme ray
+RING = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+        (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+@pytest.mark.parametrize("count", [8, 9, 12])
+def test_ring_cone_constructs_within_a_gib(count):
+    out = run_capped(f"""
+        from minkpair.core import Cone3
+        ring = {RING[:count]!r}
+        print(len(Cone3.from_generators([(x, y, 7) for x, y in ring]).gens))
+    """)
+    assert int(out) == count
 
 
 def test_parse_rational_accepts_integers_fractions_and_plain_decimals():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from minkpair.cli import main
 from minkpair.scene import SceneError, dump_scene, load_scene, parse_scene
 from minkpair.svg import project_upper_faces
-from conftest import SCENES
+from conftest import SCENES, run_capped
 
 F = Fraction
 
@@ -358,3 +358,34 @@ def test_render_refuses_float_overflow_with_one_line(capsys, tmp_path, point, vi
     extra = ("--viewport", viewport) if viewport else ()
     code, out, err = run(capsys, "render", "--scene", str(path), "--sets", "P", *extra, "--out", "-")
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "float" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 200000 + b"]" * 200000,  # deeper than the JSON decoder recurses
+], ids=["not-utf8", "nested"])
+def test_cli_refuses_undecodable_and_overnested_scenes_with_one_line(capsys, tmp_path, content):
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    with pytest.raises(SceneError):
+        load_scene(path)
+    code, out, err = run(capsys, "summand", "--scene", str(path), "--pair", "A,B")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+def test_cli_summand_under_a_nine_generator_cone(tmp_path):
+    """K = P + M, under the cone over 9 lattice points of a circle; its
+    pointedness by Fourier-Motzkin in 9 variables exhausted 1 GiB."""
+    ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0), (-4, -3), (-3, -4)]
+    cone = [[str(x), str(y), "7"] for x, y in ring]
+    p = [(0, 0, 0), (1, 0, 0)]
+    k = [(a + x, b + y, c + z) for a, b, c in p for x, y, z in ((0, 0, 0), (0, 1, 0), (0, 0, -1))]
+    scene = {"sets": {name: {"dim": 3, "points": [[str(t) for t in v] for v in pts], "cone": cone}
+                      for name, pts in (("P", p), ("K", k))}}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(scene))
+    out = run_capped(f"""
+        from minkpair.cli import main
+        raise SystemExit(main(["summand", "--scene", {str(path)!r}, "--pair", "P,K"]))
+    """)
+    assert json.loads(out)["summand"] is True

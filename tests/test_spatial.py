@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkpair import spatial
+from minkpair import core, spatial
 from minkpair.core import (
     Cone3,
     ConeMismatchError,
@@ -21,6 +21,7 @@ from minkpair.core import (
 )
 from minkpair.spatial import (
     _face_contains_translate,
+    _vertex_survives,
     are_equivalent3,
     are_translates3,
     bounded_edges,
@@ -32,10 +33,11 @@ from minkpair.spatial import (
     summand_criterion3,
     support3,
 )
-from conftest import rand_cone3, rand_points3
+from conftest import rand_cone3, rand_points3, run_capped
 from oracles import (
     certified_negative,
     fm_face_contains_translate,
+    fm_vertex_survives,
     fraction_from_points3,
     fraction_hull3,
 )
@@ -163,6 +165,13 @@ def test_hull3_matches_fraction_oracle(points):
     assert all(type(f.offset) is Fraction for f in h.facets)
 
 
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_hull3_of_its_own_vertices_is_itself(points):
+    h = hull3(points)
+    assert hull3(h.vertices) == h
+
+
 def test_from_points3_matches_fraction_oracle_under_every_cone_kind():
     rng = random.Random(67)
     for kind in ("trivial", "ray", "three"):
@@ -181,6 +190,70 @@ def test_vpolytope_prunes_absorbed_vertices():
     assert len(Q.bounded.vertices) == 3
 
 
+SMALL_VEC = st.tuples(*(st.integers(-2, 2) for _ in range(3))).filter(any)
+
+
+def _pointed_cone(gens):
+    try:
+        return Cone3.from_generators(gens)
+    except GeometryError:
+        return None
+
+
+def _cone_with(count):
+    """Pointed cones with `count` extreme generators."""
+    gens = st.lists(SMALL_VEC, min_size=count, max_size=count)
+    return gens.map(_pointed_cone).filter(lambda c: c is not None and len(c.gens) == count)
+
+
+@st.composite
+def survival_cases(draw):
+    """A full, flat, collinear or one-point hull over one denominator up to 7,
+    under a trivial, ray, 3-generator or 4-generator cone."""
+    den = draw(st.integers(1, 7))
+    vec = st.tuples(*(st.builds(Fraction, st.integers(-6, 6), st.just(den)) for _ in range(3)))
+    rank = draw(st.sampled_from((3, 3, 2, 1, 0)))
+    base = draw(vec)
+    axes = draw(st.lists(vec.filter(any), min_size=rank, max_size=rank))
+    grid = st.tuples(*(st.integers(-3, 3) for _ in axes))
+    pts = [tuple(b + sum(t * a[c] for t, a in zip(ts, axes)) for c, b in enumerate(base))
+           for ts in draw(st.lists(grid, min_size=rank + 1, max_size=9))]
+    return pts, draw(st.one_of(st.just(TRIV), _cone_with(1), _cone_with(3), _cone_with(4)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(survival_cases())
+def test_vertex_survival_matches_vertex_list_oracle(case):
+    """The edge rows decide survival as Fourier-Motzkin on "u exposes this
+    vertex alone, in the open polar" over all the vertices does."""
+    pts, cone = case
+    q = hull3(pts)
+    lat = lattice(q.vertices)[1]
+    for i in range(len(q.vertices)):
+        assert _vertex_survives(q, lat, i, cone) == fm_vertex_survives(q.vertices, i, cone)
+
+
+# a vertex with 8 incident facets: Fourier-Motzkin in the 8 facet normals
+# exhausted 1 GiB on it
+CLOUD14 = [(3, -6, 6), (0, 5, 2), (3, -2, -4), (5, -1, -5), (2, 2, 1), (-5, -1, -1), (0, -1, -5),
+           (2, -2, -1), (-4, 4, -2), (-6, 0, 0), (-6, 6, 0), (-1, -3, 2), (3, 5, -1), (-2, 0, -6)]
+CLOUD14_CONE = [(0, -1, -1), (1, -1, 1), (1, 0, 1), (2, 1, 0)]
+
+
+def test_cloud_with_an_eight_facet_vertex_builds_within_a_gib():
+    out = run_capped(f"""
+        from minkpair.core import Cone3
+        from minkpair.spatial import from_points3, hull3
+        from oracles import fm_vertex_survives
+        pts, cone = {CLOUD14!r}, Cone3.from_generators({CLOUD14_CONE!r})
+        q = hull3(pts)
+        print(max(len(q.incident_facets(i)) for i in range(len(q.vertices))))
+        keep = [v for i, v in enumerate(q.vertices) if fm_vertex_survives(q.vertices, i, cone)]
+        print(from_points3(pts, cone).bounded == hull3(keep))
+    """)
+    assert out.split() == ["8", "True"]
+
+
 # ---------------------------------------------------------------------------
 # sums and equivalence
 
@@ -191,6 +264,19 @@ def test_sum3_neutral_element():
         P = from_points3(rand_points3(rng, 5), cone)
         V0 = from_points3([(0, 0, 0)], cone)
         assert minkowski_sum3(P, V0) == P
+
+
+def test_equivalence_under_the_trivial_cone_ignores_non_vertex_points():
+    """(A, B) ~ (A + M, B + M): both sums are A + B + M, built from point
+    clouds that differ off the vertices."""
+    a = from_points3([(-2, 0, -1), (-1, -1, -1), (-1, 2, -1), (0, 0, 0)], TRIV)
+    b = from_points3([(-2, 1, -1), (-2, 2, -2), (2, 2, 0), (2, 2, 1)], TRIV)
+    m = from_points3([(-2, 0, 2), (-2, 1, 2), (0, 2, -1), (1, -2, 1), (2, -2, -1)], TRIV)
+    assert are_equivalent3(a, b, minkowski_sum3(a, m), minkowski_sum3(b, m))
+    rng = random.Random(3)
+    for _ in range(100):
+        a, b, m = (from_points3(rand_points3(rng, rng.randint(1, 5), lim=2), TRIV) for _ in range(3))
+        assert are_equivalent3(a, b, minkowski_sum3(a, m), minkowski_sum3(b, m))
 
 
 def test_sum3_cone_mismatch():
@@ -547,6 +633,27 @@ def test_sweeps_make_no_fraction_feasibility_call(monkeypatch):
     monkeypatch.setattr(spatial, "linear_feasible", refuse)
     assert [(summand_criterion3(P, K), equiparallel_edges(P, K)) for P, K in instances] == expected
     assert any(v for v, _ in expected) and not all(v for v, _ in expected)
+
+
+def test_construction_makes_no_fraction_feasibility_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linear_feasible called")
+
+    rng = random.Random(97)
+    cases = [(rand_points3(rng, rng.randint(1, 9)), cone_of_kind(rng, kind).gens)
+             for kind in ("trivial", "ray", "three") * 6]
+
+    def build():
+        out = []
+        for pts, gens in cases:
+            cone = Cone3.from_generators(gens)
+            out.append(minkowski_sum3(from_points3(pts, cone), from_points3(pts[:3], cone)))
+        return out
+
+    expected = build()
+    monkeypatch.setattr(core, "linear_feasible", refuse)
+    monkeypatch.setattr(spatial, "linear_feasible", refuse)
+    assert build() == expected
 
 
 def test_edge_frame_built_once_per_edge_of_the_first_argument(monkeypatch):
