@@ -7,16 +7,17 @@ lattice instead: `lattice` scales a point list by the lcm of its
 denominators, and since a positive scale keeps every sign and the
 lexicographic order, sign tests on the lattice points decide the same as on
 the rationals.  `spatial` builds its hulls and its perp-plane rows on it.
-Two kinds of exact decision live here:
+The exact decisions here:
 
 - `cone_strictly_feasible` decides homogeneous systems in two variables by
   integer sign tests on a few candidate rays; the perp-plane tests of the 3D
-  criteria run on it.  `cone_strictly_feasible3`, its sibling in three
-  variables, decides vertex survival in `spatial` and `Cone3` pointedness;
-  `_in_cone_span` decides cone membership by integer determinants.
+  criteria and `VPolygon.contains` run on it.  `cone_strictly_feasible3`,
+  its sibling in three variables with strict and weak rows, decides vertex
+  survival in `spatial`, `Cone3` pointedness and membership, and
+  `contains3`: by Farkas' lemma a point lies outside conv(V) + cone(G)
+  exactly when some u strictly separates it.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
-  systems.  It remains for the membership questions `contains` and
-  `contains3`.
+  systems.  No library code calls it; the benchmark harness still times it.
 """
 
 from __future__ import annotations
@@ -238,13 +239,6 @@ def linear_feasible(constraints, nvars) -> bool:
     return True
 
 
-def holds(value, rel, bound) -> bool:
-    """value rel bound, rel one of '<', '<=', '='."""
-    if rel == "=":
-        return value == bound
-    return value < bound if rel == "<" else value <= bound
-
-
 def cone_strictly_feasible(rows) -> bool:
     """True iff a NONZERO u in R^2 satisfies every homogeneous row.
 
@@ -322,24 +316,32 @@ def cone_strictly_feasible(rows) -> bool:
     return False
 
 
-def cone_strictly_feasible3(rows) -> bool:
-    """True iff some u in R^3 has <a, u> < 0 for every row a.
+def cone_strictly_feasible3(strict, weak=()) -> bool:
+    """True iff some u in R^3 has <a, u> < 0 for every row a of `strict` and
+    <b, u> <= 0 for every row b of `weak`.
 
-    Rows are nonzero integer triples; no rows is feasible.  By Gordan's
-    theorem this is also "cone(rows) is pointed".  Decided in integers by
-    the rank of the rows.  Rank 1: every row is a multiple of a_0, so
-    u = -a_0 works unless some row is a negative multiple.  Rank 2: the rows
-    span the plane normal to n = a_0 x a_j, so the question moves to the
-    basis (a_0, n x a_0) of that plane and `cone_strictly_feasible`.
-    Rank 3: the closed cone {u : <a_i, u> <= 0} is pointed, so its extreme
-    rays are among the +-(a_i x a_j), and the sum of those lying in it is
-    interior exactly when the interior is nonempty.
+    Rows are integer triples.  With no strict row u = 0 works; otherwise a
+    zero strict row fails every candidate below and a zero weak row passes
+    it.  With weak rows only generators, this is "some u strictly separates"
+    in Farkas' lemma; with none, by Gordan's theorem, "cone(strict) is
+    pointed".  Decided in integers by the rank of the rows, a_0 being the
+    first strict row.  Rank 1: every row is a multiple of a_0, so u = -a_0
+    works if any u does.  Rank 2: the rows span the plane normal to
+    n = a_0 x a_j, so the question moves, each row keeping its relation, to
+    the basis (a_0, n x a_0) of that plane and `cone_strictly_feasible`.
+    Rank 3: the closed cone C = {u : <a_i, u> <= 0} is pointed, so its
+    extreme rays are among the +-(a_i x a_j), and the sum of those lying in
+    C is in its relative interior; a strict row negative anywhere on C is
+    negative there.
     """
-    if not rows:
+    if not strict:
         return True
+    rows = [*strict, *weak]
 
     def solves(ux, uy, uz):
-        return all(x * ux + y * uy + z * uz < 0 for x, y, z in rows)
+        return all(x * ux + y * uy + z * uz < 0 for x, y, z in strict) and all(
+            x * ux + y * uy + z * uz <= 0 for x, y, z in weak
+        )
 
     a0 = rows[0]
     n = next((c for c in (cross3(a0, a) for a in rows) if not is_zero(c)), None)
@@ -347,15 +349,30 @@ def cone_strictly_feasible3(rows) -> bool:
         return solves(*vneg(a0))
     if all(dot(n, a) == 0 for a in rows):
         b = cross3(n, a0)
-        return cone_strictly_feasible([((dot(a, a0), dot(a, b)), "<") for a in rows])
+        return cone_strictly_feasible(
+            [((dot(a, a0), dot(a, b)), "<") for a in strict]
+            + [((dot(a, a0), dot(a, b)), "<=") for a in weak]
+        )
     sx = sy = sz = 0
     for a, b in combinations(rows, 2):
         cx, cy, cz = cross3(a, b)
-        vals = [x * cx + y * cy + z * cz for x, y, z in rows]
-        if max(vals) <= 0:
-            sx, sy, sz = sx + cx, sy + cy, sz + cz
-        elif min(vals) >= 0:
-            sx, sy, sz = sx - cx, sy - cy, sz - cz
+        # c or -c lies in C unless the rows take both signs on c
+        pos = neg = False
+        for x, y, z in rows:
+            t = x * cx + y * cy + z * cz
+            if t > 0:
+                pos = True
+                if neg:
+                    break
+            elif t < 0:
+                neg = True
+                if pos:
+                    break
+        else:
+            if not pos:
+                sx, sy, sz = sx + cx, sy + cy, sz + cz
+            elif not neg:
+                sx, sy, sz = sx - cx, sy - cy, sz - cz
     return solves(sx, sy, sz)
 
 
@@ -501,11 +518,7 @@ class Cone3:
                 dirs.append(d)
         if not _pointed(dirs):
             raise GeometryError("cone is not pointed")
-        kept = []
-        for i, g in enumerate(dirs):
-            others = dirs[:i] + dirs[i + 1 :]
-            if not others or not _in_cone_span(g, others):
-                kept.append(g)
+        kept = [g for i, g in enumerate(dirs) if not _in_cone_span(g, dirs[:i] + dirs[i + 1 :])]
         return Cone3(tuple(sorted(kept)))
 
     @property
@@ -521,11 +534,7 @@ class Cone3:
         return all(dot(u, g) < 0 for g in self.gens)
 
     def contains_vector(self, v) -> bool:
-        if is_zero(v):
-            return True
-        if self.is_trivial:
-            return False
-        return _in_cone_span(v, list(self.gens))
+        return _in_cone_span(v, self.gens)
 
 
 def _pointed(gens) -> bool:
@@ -541,29 +550,7 @@ def _pointed(gens) -> bool:
 def _in_cone_span(v, gens) -> bool:
     """v = sum(lam_i * g_i) with lam_i >= 0, decided in integers.
 
-    By Caratheodory v is then a nonnegative combination of linearly
-    independent generators: v is 0, or a positive multiple of one generator,
-    or in the wedge of an independent pair (in their plane, with both
-    cross-product signs right), or in the cone of an independent triple
-    (every Cramer determinant of the sign of the triple's).
+    By Farkas' lemma v lies outside cone(gens) iff some u has <v, u> > 0 and
+    <g, u> <= 0 for every generator.
     """
-    if is_zero(v):
-        return True
-    for g in gens:
-        if is_zero(cross3(g, v)) and dot(g, v) > 0:
-            return True
-    for g, h in combinations(gens, 2):
-        n = cross3(g, h)
-        if not is_zero(n) and dot(n, v) == 0:
-            if dot(cross3(v, h), n) >= 0 and dot(cross3(g, v), n) >= 0:
-                return True
-    for g, h, k in combinations(gens, 3):
-        hk = cross3(h, k)
-        det = dot(g, hk)
-        if det == 0:
-            continue
-        sign = 1 if det > 0 else -1
-        parts = (dot(v, hk), dot(g, cross3(v, k)), dot(g, cross3(h, v)))
-        if all(sign * x >= 0 for x in parts):
-            return True
-    return False
+    return not cone_strictly_feasible3([vneg(v)], gens)

@@ -6,6 +6,9 @@ the cone) to the rational multiple lam > 0 such that the boundary edge with
 that normal, traversed counterclockwise, equals lam * rot90(u).  The anchor
 is the midpoint of the support face in the cone's reference direction.
 Two V-polygons are equal as sets iff their canonical forms are equal.
+Point membership is a homogeneous integer ray test (`core.cone_strictly_feasible`)
+on the lattice of the chain and the point: by Farkas' lemma the point lies
+outside exactly when some direction strictly separates it.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from .core import (
     GeometryError,
     as_point,
     ccw_compare,
+    cone_strictly_feasible,
     cross2,
     dot,
-    holds,
     is_zero,
-    linear_feasible,
+    lattice,
     normalize_direction,
     rot90,
     vadd,
@@ -213,20 +216,15 @@ class VPolygon:
         return m, ("segment", p, q)
 
     def contains(self, point) -> bool:
-        """Exact membership test."""
-        point = as_point(point)
-        gens = self.cone.gens
-        halves = _poly_halfplanes(self.chain)
-        if not gens:
-            return all(holds(dot(n, point), rel, c) for n, rel, c in halves)
-        cons = []
-        for n, rel, c in halves:
-            coeffs = tuple(-dot(n, g) for g in gens)
-            cons.append((coeffs, rel, c - dot(n, point)))
-        for j in range(len(gens)):
-            axis = tuple(-1 if i == j else 0 for i in range(len(gens)))
-            cons.append((axis, "<=", 0))
-        return linear_feasible(cons, len(gens))
+        """Exact membership test, by Farkas: the point lies outside iff some u
+        has <v - point, u> < 0 for every chain vertex v and <g, u> <= 0 for
+        every cone generator g.  Decided on the lattice of the chain and the
+        point."""
+        lat = lattice(self.chain + (as_point(point),))[1]
+        x, y = lat.pop()
+        rows = [((a - x, b - y), "<") for a, b in lat]
+        rows += [(g, "<=") for g in self.cone.gens]
+        return not cone_strictly_feasible(rows)
 
 
 def _ratio_sign(d, w):

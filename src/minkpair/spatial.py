@@ -12,7 +12,8 @@ citizens because several fixtures are flat.  The summand and reduced-pair
 criteria run on each polytope's vertex lattice too, with no `Fraction` solver:
 one perp-plane frame per exposed edge, and face translates by integer widths.
 Vertex survival in `from_points3` is one strict integer system in three
-variables over the same lattice; `linear_feasible` remains for `contains3`.
+variables over the same lattice, and `contains3` one strict-and-weak system
+over the lattice of the vertices and the point (Farkas separation).
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .core import (
     cone_strictly_feasible3,
     cross3,
     dot,
-    holds,
     is_zero,
     lattice,
-    linear_feasible,
     normalize_direction,
     vadd,
     vneg,
@@ -57,31 +56,6 @@ class Polytope3:
     dim: int
     facets: tuple
     edges: tuple
-
-    def halfspaces(self):
-        """Exact H-description: rows (vector, rel, offset), rel in {'<=', '='}."""
-        v = self.vertices
-        if self.dim == 3:
-            return [(f.normal, "<=", f.offset) for f in self.facets]
-        if self.dim == 2:
-            f = self.facets[0]
-            rows = [(f.normal, "=", f.offset)]
-            rows.extend(
-                (m, "<=", off) for m, off in _cycle_edge_halfplanes(v, f.cycle, f.normal)
-            )
-            return rows
-        if self.dim == 1:
-            p, q = v
-            d = vsub(q, p)
-            w1, w2 = _perp_basis(d)
-            return [
-                (w1, "=", dot(w1, p)),
-                (w2, "=", dot(w2, p)),
-                (tuple(d), "<=", dot(d, q)),
-                (vneg(d), "<=", dot(vneg(d), p)),
-            ]
-        p = v[0]
-        return [((1, 0, 0), "=", p[0]), ((0, 1, 0), "=", p[1]), ((0, 0, 1), "=", p[2])]
 
     def faces(self):
         """All proper faces as (kind, ids, facet-or-None); ids are sorted tuples."""
@@ -109,15 +83,6 @@ def _perp_basis(d):
     w1 = normalize_direction(w1)
     w2 = normalize_direction(cross3(d, w1))
     return w1, w2
-
-
-def _cycle_edge_halfplanes(vertices, cycle, normal):
-    rows = []
-    for k, i in enumerate(cycle):
-        j = cycle[(k + 1) % len(cycle)]
-        m = normalize_direction(cross3(vsub(vertices[j], vertices[i]), normal))
-        rows.append((m, dot(m, vertices[i])))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +266,12 @@ def support3(p: VPolytope3, u):
 
 
 def contains3(p: VPolytope3, x) -> bool:
-    """Exact membership of a point in bounded + cone."""
-    x = as_point(x)
-    gens = p.cone.gens
-    rows = p.bounded.halfspaces()
-    if not gens:
-        return all(holds(dot(n, x), rel, c) for n, rel, c in rows)
-    cons = []
-    for n, rel, c in rows:
-        cons.append((tuple(-dot(n, g) for g in gens), rel, c - dot(n, x)))
-    for j in range(len(gens)):
-        cons.append((tuple(-1 if t == j else 0 for t in range(len(gens))), "<=", 0))
-    return linear_feasible(cons, len(gens))
+    """Exact membership of a point in bounded + cone, by Farkas: x lies
+    outside iff some u has <v - x, u> < 0 for every vertex v and <g, u> <= 0
+    for every cone generator g.  Decided on the lattice of the vertices and x."""
+    lat = lattice(p.bounded.vertices + (as_point(x),))[1]
+    x = lat.pop()
+    return not cone_strictly_feasible3([vsub(v, x) for v in lat], p.cone.gens)
 
 
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:

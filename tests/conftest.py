@@ -15,6 +15,11 @@ TESTS = Path(__file__).resolve().parent
 SCENES = TESTS.parent / "scenes"
 GIB = 1 << 30
 
+# the lattice points of the circle of radius 5, counterclockwise from (5, 0):
+# lifted to height 7, every one of them spans an extreme ray
+RING = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+        (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+
 
 @pytest.fixture
 def rng():

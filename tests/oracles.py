@@ -17,6 +17,10 @@
   or facets), by Fourier-Motzkin in the three coordinates of u.
 - `fm_in_cone_span`: cone membership by Fourier-Motzkin in one variable per
   generator, as the library decided it before its determinant test.
+- `fm_contains` and `fm_contains3`: point membership by Fourier-Motzkin in
+  one variable per cone generator over the bounded part's H-description
+  (`fm_halfspaces` in 3D), as the library decided it before its separation
+  test.
 - `supporting_plane_normals` and `certified_negative_points`: brute force
   over point triples, independent of the library's hull code.
 """
@@ -37,15 +41,75 @@ from minkpair.core import (
     vscale,
     vsub,
 )
-from minkpair.planar import convex_hull_2d
+from minkpair.planar import _poly_halfplanes, convex_hull_2d
 from minkpair.spatial import (
     Facet,
     Polytope3,
     VPolytope3,
-    _cycle_edge_halfplanes,
     _perp_basis,
     from_points3,
 )
+
+
+def _holds(value, rel, bound) -> bool:
+    """value rel bound, rel one of '<', '<=', '='."""
+    if rel == "=":
+        return value == bound
+    return value < bound if rel == "<" else value <= bound
+
+
+def _fm_member(rows, gens, x) -> bool:
+    """x = b + sum(lam_j * g_j) with b meeting every (n, rel, c) row and
+    lam_j >= 0, by Fourier-Motzkin in the lam_j."""
+    if not gens:
+        return all(_holds(dot(n, x), rel, c) for n, rel, c in rows)
+    cons = [(tuple(-dot(n, g) for g in gens), rel, c - dot(n, x)) for n, rel, c in rows]
+    for j in range(len(gens)):
+        cons.append((tuple(-1 if t == j else 0 for t in range(len(gens))), "<=", 0))
+    return linear_feasible(cons, len(gens))
+
+
+def fm_contains(poly, point) -> bool:
+    """`VPolygon.contains` over the chain's H-description."""
+    return _fm_member(_poly_halfplanes(poly.chain), poly.cone.gens, as_point(point))
+
+
+def _cycle_edge_halfplanes(vertices, cycle, normal):
+    rows = []
+    for k, i in enumerate(cycle):
+        j = cycle[(k + 1) % len(cycle)]
+        m = normalize_direction(cross3(vsub(vertices[j], vertices[i]), normal))
+        rows.append((m, dot(m, vertices[i])))
+    return rows
+
+
+def fm_halfspaces(q: Polytope3):
+    """Exact H-description of q: rows (vector, rel, offset), rel in {'<=', '='}."""
+    v = q.vertices
+    if q.dim == 3:
+        return [(f.normal, "<=", f.offset) for f in q.facets]
+    if q.dim == 2:
+        f = q.facets[0]
+        rows = [(f.normal, "=", f.offset)]
+        rows.extend((m, "<=", off) for m, off in _cycle_edge_halfplanes(v, f.cycle, f.normal))
+        return rows
+    if q.dim == 1:
+        p, r = v
+        d = vsub(r, p)
+        w1, w2 = _perp_basis(d)
+        return [
+            (w1, "=", dot(w1, p)),
+            (w2, "=", dot(w2, p)),
+            (tuple(d), "<=", dot(d, r)),
+            (vneg(d), "<=", dot(vneg(d), p)),
+        ]
+    p = v[0]
+    return [((1, 0, 0), "=", p[0]), ((0, 1, 0), "=", p[1]), ((0, 0, 1), "=", p[2])]
+
+
+def fm_contains3(p: VPolytope3, x) -> bool:
+    """`contains3` over `fm_halfspaces` of the bounded hull."""
+    return _fm_member(fm_halfspaces(p.bounded), p.cone.gens, as_point(x))
 
 
 def fm_cone_strictly_feasible(constraints) -> bool:

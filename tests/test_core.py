@@ -22,7 +22,7 @@ from minkpair.core import (
     parse_rational,
     vscale,
 )
-from conftest import rand_direction, run_capped
+from conftest import RING, rand_direction, run_capped
 from oracles import fm_cone_strictly_feasible, fm_in_cone_span
 
 
@@ -246,6 +246,22 @@ def test_cone_strictly_feasible3_matches_fourier_motzkin(rows):
     assert cone_strictly_feasible3(rows) == fm_cone_strictly_feasible([(a, "<") for a in rows])
 
 
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(strict_systems3(), st.data())
+def test_mixed_cone_strictly_feasible3_matches_fourier_motzkin(rows, data):
+    """Rows split into strict and weak ones, with zero rows of either kind mixed in."""
+    weak_mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    strict = [a for a, w in zip(rows, weak_mask) if not w] or rows[:1]
+    weak = [a for a, w in zip(rows, weak_mask) if w]
+    zeros = data.draw(st.sampled_from(["none", "none", "none", "weak", "strict"]))
+    if zeros == "weak":
+        weak.insert(data.draw(st.integers(0, len(weak))), (0, 0, 0))
+    elif zeros == "strict":
+        strict.insert(data.draw(st.integers(0, len(strict))), (0, 0, 0))
+    want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
+    assert cone_strictly_feasible3(strict, weak) == want
+
+
 def test_cone_strictly_feasible3_by_rank():
     assert cone_strictly_feasible3([])
     assert cone_strictly_feasible3([(1, 2, 3), (2, 4, 6)])
@@ -257,6 +273,23 @@ def test_cone_strictly_feasible3_by_rank():
     # rank 3 whose closed cone is a single ray: no interior
     assert not cone_strictly_feasible3([(1, 1, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1)])
     assert cone_strictly_feasible3([(1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 1)])
+    # strict and weak rows, rank 1
+    assert cone_strictly_feasible3([(-1, -2, -3)], [(-2, -4, -6)])
+    assert cone_strictly_feasible3([(1, 2, 3)], [(2, 4, 6)])
+    assert not cone_strictly_feasible3([(1, 2, 3)], [(-1, -2, -3)])
+    # rank 2: x > 0 strictly, y >= 0 and x + y <= 0 leave nothing
+    assert not cone_strictly_feasible3([(-1, 0, 0)], [(0, -1, 0), (1, 1, 0)])
+    assert cone_strictly_feasible3([(-1, 0, 0)], [(0, -1, 0), (-1, 1, 0)])
+    # rank 3: the weak rows pin u to the ray of (1, 1, 1), which the strict row must see
+    weak = [(-1, 1, 0), (0, -1, 1), (1, 0, -1), (-1, -1, -1)]
+    assert cone_strictly_feasible3([(-1, 0, 0)], weak)
+    assert not cone_strictly_feasible3([(1, 0, 0)], weak)
+    # weak rows whose closed cone is {0}
+    assert not cone_strictly_feasible3([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    # zero rows: a strict one fails, a weak one holds, no strict row is feasible
+    assert not cone_strictly_feasible3([(0, 0, 0)], [])
+    assert cone_strictly_feasible3([(1, 0, 0)], [(0, 0, 0)])
+    assert cone_strictly_feasible3([], [(1, 0, 0), (-1, 0, 0)])
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -271,12 +304,6 @@ def test_in_cone_span_matches_fourier_motzkin(gens, data):
         weights = data.draw(st.lists(st.integers(-1, 3), min_size=len(gens), max_size=len(gens)))
         v = tuple(sum(t * g[c] for t, g in zip(weights, gens)) for c in range(3))
     assert _in_cone_span(v, gens) == fm_in_cone_span(v, gens)
-
-
-# the lattice points of the circle of radius 5, counterclockwise from (5, 0):
-# lifted to height 7, every one of them spans an extreme ray
-RING = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
-        (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
 
 
 @pytest.mark.parametrize("count", [8, 9, 12])

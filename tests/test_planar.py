@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkpair.core import (
     Cone2,
     ConeMismatchError,
     GeometryError,
+    cross2,
     dot,
+    normalize_direction,
     linear_feasible,
     rot90,
     vadd,
@@ -43,6 +47,7 @@ from conftest import (
     rand_vpolygon,
     rand_wedge,
 )
+from oracles import fm_contains
 
 TRIV = Cone2(())
 WEDGE = Cone2.from_generators([(-1, -1), (-1, 1)])
@@ -539,3 +544,82 @@ def test_hull_2d_basics():
     assert convex_hull_2d([(0, 0), (2, 2), (1, 1)]) == [(0, 0), (2, 2)]
     sq = convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), F(1, 2))])
     assert len(sq) == 4
+
+
+# ---------------------------------------------------------------------------
+# point membership against the Fourier-Motzkin oracle
+
+DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 64, 81, 89, 91, 95, 96, 97)
+HUGE = st.integers(2**64, 2**72) | st.integers(-(2**72), -(2**64))
+SCALARS = (
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-60, 60), st.sampled_from(DENOMINATORS)),
+    st.one_of(st.integers(-6, 6), HUGE, st.builds(Fraction, HUGE, st.sampled_from(DENOMINATORS))),
+)
+DIR2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any).map(normalize_direction)
+
+
+@st.composite
+def cones2(draw):
+    kind = draw(st.sampled_from(["trivial", "ray", "wedge"]))
+    if kind == "trivial":
+        return TRIV
+    a = draw(DIR2)
+    if kind == "ray":
+        return Cone2((a,))
+    b = draw(DIR2.filter(lambda b: cross2(a, b) != 0))
+    return Cone2((a, b)) if cross2(a, b) > 0 else Cone2((b, a))
+
+
+@st.composite
+def membership_cases(draw):
+    """A V-polygon over one point, a collinear or a general set (with repeated
+    points) under any cone kind, and queries at its vertices, on and near its
+    edges, along its cone and anywhere."""
+    scalar = draw(st.sampled_from(SCALARS))
+    point = st.tuples(scalar, scalar)
+    cone = draw(cones2())
+    shape = draw(st.sampled_from(["point", "collinear", "general", "general"]))
+    if shape == "point":
+        pts = [draw(point)]
+    elif shape == "collinear":
+        base, axis = draw(point), draw(point.filter(any))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+        pts = [vadd(base, tuple(t * c for c in axis)) for t in steps]
+    else:
+        pts = draw(st.lists(point, min_size=1, max_size=7))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    A = from_points(pts, cone)
+    chain = A.chain
+    queries = [draw(st.sampled_from(chain)), draw(point), draw(point)]
+    for _ in range(3):
+        i = draw(st.integers(0, len(chain) - 1))
+        p, q = chain[i], chain[(i + 1) % len(chain)]
+        t = Fraction(draw(st.integers(-2, 10)), 8)
+        queries.append(vadd(p, tuple(t * c for c in vsub(q, p))))
+    for g in cone.gens:
+        k = draw(st.sampled_from([1, 3, 2**64 + 1]))
+        nudge = draw(st.sampled_from([(0, 0), (Fraction(1, 97), 0), (0, Fraction(-1, 97))]))
+        queries.append(vadd(vadd(draw(st.sampled_from(chain)), tuple(k * c for c in g)), nudge))
+    return A, queries
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(membership_cases())
+def test_contains_matches_fourier_motzkin(case):
+    A, queries = case
+    for x in queries:
+        assert A.contains(x) == fm_contains(A, x)
+
+
+def test_contains_degenerate_examples():
+    # one point, a segment and a ray's base: vertices and edge points are inside
+    P = from_points([(1, 2)], TRIV)
+    assert P.contains((1, 2)) and not P.contains((1, F(2001, 1000)))
+    S = from_points([(0, 0), (4, 2), (2, 1), (4, 2)], TRIV)
+    assert S.contains((2, 1)) and S.contains((4, 2)) and not S.contains((6, 3))
+    assert not S.contains((2, F(1, 1) + F(1, 2**64)))
+    R = from_points([(0, 0), (2, 0)], UP)
+    assert R.contains((1, 2**70)) and not R.contains((-F(1, 97), 5))
+    W = from_points([(0, 0)], WEDGE)
+    assert W.contains((-3, 2)) and W.contains((-3, -3)) and not W.contains((-3, F(301, 100)))

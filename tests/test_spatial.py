@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from minkpair import core, spatial
 from minkpair.core import (
+    Cone2,
     Cone3,
     ConeMismatchError,
     GeometryError,
@@ -33,9 +34,19 @@ from minkpair.spatial import (
     summand_criterion3,
     support3,
 )
-from conftest import rand_cone3, rand_points3, run_capped
+from minkpair.planar import is_summand, minkowski_sum, shared_normals
+from conftest import (
+    RING,
+    rand_cone3,
+    rand_direction,
+    rand_points3,
+    rand_vpolygon,
+    rand_wedge,
+    run_capped,
+)
 from oracles import (
     certified_negative,
+    fm_contains3,
     fm_face_contains_translate,
     fm_vertex_survives,
     fraction_from_points3,
@@ -471,6 +482,68 @@ def test_recession_cone_matches_declared():
             assert not all(contains3(P, vadd(v, vscale(t, d))) for t in (1, 11, 997))
 
 
+@st.composite
+def membership_cases3(draw):
+    """A one-point, collinear, flat or full set (with repeated points) under a
+    trivial, ray, flat-wedge, 3- or 4-generator cone, and queries at its
+    vertices, on and near segments between them, along its cone and anywhere."""
+    scalar = draw(st.sampled_from(SCALARS))
+    point = st.tuples(scalar, scalar, scalar)
+    rank = draw(st.sampled_from((0, 1, 2, 3, 3)))
+    base = draw(point)
+    axes = draw(st.lists(point.filter(any), min_size=rank, max_size=rank))
+    grid = st.tuples(*(st.integers(-2, 2) for _ in axes))
+    pts = [tuple(b + sum(t * a[c] for t, a in zip(ts, axes)) for c, b in enumerate(base))
+           for ts in draw(st.lists(grid, min_size=rank + 1, max_size=7))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    cone = draw(st.one_of(st.just(TRIV), *(_cone_with(k) for k in (1, 2, 3, 4))))
+    P = from_points3(pts, cone)
+    verts = P.bounded.vertices
+    queries = [draw(st.sampled_from(verts)), draw(point), draw(point)]
+    for _ in range(3):
+        v, w = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
+        t = Fraction(draw(st.integers(-2, 10)), 8)
+        queries.append(vadd(v, vscale(t, vsub(w, v))))
+    for g in cone.gens:
+        k = draw(st.sampled_from([1, 3, 2**64 + 1]))
+        nudge = draw(st.sampled_from([(0, 0, 0), (Fraction(1, 97), 0, 0), (0, 0, Fraction(-1, 97))]))
+        queries.append(vadd(vadd(draw(st.sampled_from(verts)), vscale(k, g)), nudge))
+    return P, queries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(membership_cases3())
+def test_contains3_matches_fourier_motzkin(case):
+    P, queries = case
+    for x in queries:
+        assert contains3(P, x) == fm_contains3(P, x)
+
+
+def test_contains3_degenerate_examples():
+    P = from_points3([(1, 2, 3), (1, 2, 3)], TRIV)
+    assert contains3(P, (1, 2, 3)) and not contains3(P, (1, 2, F(3001, 1000)))
+    S = from_points3([(0, 0, 0), (2, 2, 2), (1, 1, 1)], DOWN)
+    assert contains3(S, (1, 1, 1)) and contains3(S, (1, 1, -2**70))
+    assert not contains3(S, (1, 1, 1 + F(1, 2**64))) and not contains3(S, (3, 3, 3))
+    T = from_points3(TETRA, TRIV)
+    assert contains3(T, (F(2, 3), F(2, 3), F(2, 3))) and not contains3(T, (F(2, 3), F(2, 3), F(67, 97)))
+
+
+@pytest.mark.parametrize("count", [8, 12])
+def test_contains3_under_a_ring_cone_answers_within_a_gib(count):
+    """Fourier-Motzkin in one variable per generator exhausted 1 GiB at 8."""
+    out = run_capped(f"""
+        from fractions import Fraction
+        from minkpair.core import Cone3
+        from minkpair.spatial import contains3, from_points3
+        cone = Cone3.from_generators([(x, y, 7) for x, y in {RING[:count]!r}])
+        p = from_points3([(0, 0, 0), (1, 0, 0)], cone)
+        queries = [(1, 1, 20), (1, 0, 0), (6, 0, 7), (1, 1, -1), (2, 0, 0), (6, Fraction(1, 97), 7)]
+        print(*(contains3(p, x) for x in queries))
+    """)
+    assert out.split() == ["True"] * 3 + ["False"] * 3
+
+
 # ---------------------------------------------------------------------------
 # certified negatives and rational coordinates
 
@@ -630,7 +703,8 @@ def test_sweeps_make_no_fraction_feasibility_call(monkeypatch):
     rng = random.Random(89)
     instances = _sweep_instances(rng)
     expected = [(summand_criterion3(P, K), equiparallel_edges(P, K)) for P, K in instances]
-    monkeypatch.setattr(spatial, "linear_feasible", refuse)
+    assert not hasattr(spatial, "linear_feasible")
+    monkeypatch.setattr(core, "linear_feasible", refuse)
     assert [(summand_criterion3(P, K), equiparallel_edges(P, K)) for P, K in instances] == expected
     assert any(v for v, _ in expected) and not all(v for v, _ in expected)
 
@@ -651,8 +725,8 @@ def test_construction_makes_no_fraction_feasibility_call(monkeypatch):
         return out
 
     expected = build()
+    assert not hasattr(spatial, "linear_feasible")
     monkeypatch.setattr(core, "linear_feasible", refuse)
-    monkeypatch.setattr(spatial, "linear_feasible", refuse)
     assert build() == expected
 
 
@@ -668,3 +742,37 @@ def test_edge_frame_built_once_per_edge_of_the_first_argument(monkeypatch):
             # a false summand verdict stops the sweep at the first failing edge
             if check is equiparallel_edges or verdict:
                 assert sorted(calls) == sorted(P.bounded.edges)
+
+
+# ---------------------------------------------------------------------------
+# prisms over planar pairs: an independent oracle for the 3D criteria
+
+def _prism(poly):
+    """poly x [0, 1] under the cone C2 x {0}, for a V-polygon poly under C2."""
+    cone = Cone3.from_generators([(x, y, 0) for x, y in poly.cone.gens])
+    return from_points3([(x, y, z) for x, y in poly.chain for z in (0, 1)], cone)
+
+
+def test_prism_criteria_match_the_planar_measure_calculus():
+    """P2 x [0, 1] is a summand of K2 x [0, 1] exactly when P2 is one of K2
+    (project a 3D decomposition; the converse is direct), so
+    `summand_criterion3` must agree with `is_summand` on positives and random
+    negatives.  Two horizontal edges of the prisms are parallel and exposed by
+    one direction exactly when the planar edges share an outer normal; the
+    vertical edges always form such a pair, as the two normal fans overlap."""
+    rng = random.Random(103)
+    verdicts = []
+    for kind in ("trivial", "ray", "wedge") * 20:
+        cone = {"trivial": Cone2(()), "ray": Cone2((rand_direction(rng),)),
+                "wedge": rand_wedge(rng)}[kind]
+        P2 = rand_vpolygon(rng, cone, 5, 6)
+        for K2 in (minkowski_sum(P2, rand_vpolygon(rng, cone, 4, 6)), rand_vpolygon(rng, cone, 6, 6)):
+            P3, K3 = _prism(P2), _prism(K2)
+            verdict = is_summand(P2, K2)[0]
+            assert summand_criterion3(P3, K3) == verdict
+            verdicts.append(verdict)
+            pairs = equiparallel_edges(P3, K3)
+            horizontal = [(a, b) for a, b in pairs if a.vector[2] == 0]
+            assert bool(horizontal) == bool(shared_normals(P2, K2))
+            assert len(horizontal) < len(pairs)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 60
