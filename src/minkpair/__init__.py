@@ -7,7 +7,6 @@ from .core import (
     GeometryError,
     ccw_compare,
     cone_strictly_feasible,
-    in_polar_interior,
     normalize_direction,
 )
 from .planar import (

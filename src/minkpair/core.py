@@ -488,11 +488,6 @@ class Cone2:
         return cross2(a, v) >= 0 and cross2(v, b) >= 0
 
 
-def in_polar_interior(u, cone) -> bool:
-    """True iff u lies in the interior of the polar of `cone`."""
-    return cone.polar_interior_contains(u)
-
-
 # ---------------------------------------------------------------------------
 # spatial cones
 

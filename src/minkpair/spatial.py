@@ -10,7 +10,10 @@ depends on the input only through its vertices, so `hull3(q.vertices) == q`.
 Lower-dimensional hulls (point, segment, flat polygon) are first-class
 citizens because several fixtures are flat.  The summand and reduced-pair
 criteria run on each polytope's vertex lattice too, with no `Fraction` solver:
-one perp-plane frame per exposed edge, and face translates by integer widths.
+one perp-plane frame per exposed edge.  The summand criterion then walks the
+vertices of the 2D hull of K's projection onto that plane; above each lies a
+vertex of K or an edge parallel to P's edge, whose length is compared in
+integers.
 Vertex survival in `from_points3` is one strict integer system in three
 variables over the same lattice, and `contains3` one strict-and-weak system
 over the lattice of the vertices and the point (Farkas separation).
@@ -56,21 +59,6 @@ class Polytope3:
     dim: int
     facets: tuple
     edges: tuple
-
-    def faces(self):
-        """All proper faces as (kind, ids, facet-or-None); ids are sorted tuples."""
-        out = [("vertex", (i,), None) for i in range(len(self.vertices))]
-        out.extend(("edge", e, None) for e in self.edges)
-        seen = set()
-        for f in self.facets:
-            ids = tuple(sorted(f.cycle))
-            if ids not in seen:
-                seen.add(ids)
-                out.append(("facet", ids, f))
-        return out
-
-    def incident_facets(self, i):
-        return [f for f in self.facets if i in f.cycle]
 
 
 def _perp_basis(d):
@@ -375,62 +363,46 @@ def bounded_edges(p: VPolytope3):
 # ---------------------------------------------------------------------------
 # summand criterion and equiparallel edges
 
-def _face_contains_translate(kden, klat, kind, ids, facet, pden, elat) -> bool:
-    """Does the face (kind, ids, facet) of K contain a translate of the edge
-    vector e = elat / pden?  K's vertices are `klat` / kden.
+def _face_contains_translate(kden, klat, ids, pden, elat) -> bool:
+    """Does the vertex or edge of K with vertex ids `ids` contain a translate
+    of the edge vector e = elat / pden?  K's vertices are `klat` / kden.
 
-    That holds iff e lies in the difference body F - F, so every test is an
-    integer comparison of e with a width of the face.
+    An edge does iff it is parallel to e and at least as long, which is an
+    integer comparison of e with the edge vector.
     """
-    if kind == "vertex":
+    if len(ids) == 1:
         return False
-    if kind == "edge":
-        i, j = ids
-        f = vsub(klat[j], klat[i])
-        return is_zero(cross3(f, elat)) and kden * abs(dot(f, elat)) <= pden * dot(f, f)
-    n, cyc = facet.normal, facet.cycle
-    if dot(n, elat) != 0:
-        return False
-    # F - F is a polygon whose edge normals are those of F, with the width
-    # of F along each as its support value on both sides
-    for prev, v in zip(cyc[-1:] + cyc[:-1], cyc):
-        m = cross3(vsub(klat[prev], klat[v]), n)
-        vals = [dot(m, klat[t]) for t in cyc]
-        if kden * abs(dot(m, elat)) > pden * (max(vals) - min(vals)):
-            return False
-    return True
+    i, j = ids
+    f = vsub(klat[j], klat[i])
+    return is_zero(cross3(f, elat)) and kden * abs(dot(f, elat)) <= pden * dot(f, f)
 
 
 def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
-    """Edge test: every face of k exposed alongside a bounded edge of p
-    must contain a translate of that edge."""
+    """Edge test: every face of k exposed alongside a bounded edge e of p
+    must contain a translate of e.
+
+    The directions exposing e lie in e's perp plane, so they expose the faces
+    of k above the 2D hull of k's projection there.  Above a hull vertex lies
+    a vertex of k or an edge parallel to e.  The face above a hull edge holds
+    both ends' faces, and e's open set of directions meets both ends' open
+    normal cones if it holds that edge's normal; so a hull vertex without a
+    translate of e needs an open normal cone that misses e's directions.
+    """
     if p.cone != k.cone:
         raise ConeMismatchError("incompatible recession cones")
-    kb = k.bounded
-    faces = kb.faces()
-    incident = None
-    if kb.dim == 3:
-        incident = []
-        for kind, ids, facet in faces:
-            if kind == "facet":
-                incident.append([facet.normal])
-            elif kind == "edge":
-                incident.append([f.normal for f in kb.facets if set(ids) <= set(f.cycle)])
-            else:
-                incident.append([f.normal for f in kb.incident_facets(ids[0])])
     pden, plat = lattice(p.bounded.vertices)
-    kden, klat = lattice(kb.vertices)
-    for i, j, d, (w1, w2), edge_rows in _exposed_edges(p, plat):
+    kden, klat = lattice(k.bounded.vertices)
+    for i, j, _, (w1, w2), edge_rows in _exposed_edges(p, plat):
         elat = vsub(plat[j], plat[i])
-        kproj = _project(klat, w1, w2)
-        for idx, (kind, ids, facet) in enumerate(faces):
-            if incident is not None:
-                signs = [dot(n, d) for n in incident[idx]]
-                if all(s > 0 for s in signs) or all(s < 0 for s in signs):
-                    continue
-            if not _feasible_in_perp_plane(edge_rows + _face_rows(kproj, ids)):
+        over = {}
+        for t, q in enumerate(_project(klat, w1, w2)):
+            over.setdefault(q, []).append(t)
+        hull = hull_chain(sorted(over))
+        for t, q in enumerate(hull):
+            if _face_contains_translate(kden, klat, over[q], pden, elat):
                 continue
-            if not _face_contains_translate(kden, klat, kind, ids, facet, pden, elat):
+            wedge = [(vsub(r, q), "<") for r in (hull[t - 1], hull[(t + 1) % len(hull)]) if r != q]
+            if _feasible_in_perp_plane(edge_rows + wedge):
                 return False
     return True
 

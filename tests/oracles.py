@@ -7,6 +7,10 @@
   decide whether a face of a polytope contains a translate of a vector (an
   in-face frame and Fourier-Motzkin on "F and F - vec overlap"), kept to
   check the integer width test against.
+- `face_sweep_summand_criterion3`: the summand sweep the library ran before
+  its walk over the hull of K's projection: every vertex, edge and facet of
+  K against every exposed edge of P, with exposure decided by
+  `fm_cone_strictly_feasible` and containment by `fm_face_contains_translate`.
 - `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
   library used before it moved its predicates to an integer lattice, with
   every predicate a `Fraction` dot product; the lattice hull must return
@@ -34,6 +38,7 @@ from minkpair.core import (
     cross3,
     dot,
     is_zero,
+    lattice,
     linear_feasible,
     normalize_direction,
     vadd,
@@ -46,7 +51,10 @@ from minkpair.spatial import (
     Facet,
     Polytope3,
     VPolytope3,
+    _edge_frame,
+    _face_rows,
     _perp_basis,
+    _project,
     from_points3,
 )
 
@@ -168,6 +176,32 @@ def fm_face_contains_translate(q: Polytope3, kind, ids, facet, vec) -> bool:
         cons.append((coeffs, "<=", off - dot(m, base)))
         cons.append((coeffs, "<=", off - dot(m, vadd(base, vec))))
     return linear_feasible(cons, 2)
+
+
+def face_sweep_summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
+    """Every face of k's bounded hull whose relint normal cone meets the open
+    polar directions exposing a bounded edge of p holds a translate of it."""
+    kb = k.bounded
+    faces = [("vertex", (i,), None) for i in range(len(kb.vertices))]
+    faces += [("edge", e, None) for e in kb.edges]
+    seen = set()
+    for f in kb.facets:
+        ids = tuple(sorted(f.cycle))
+        if ids not in seen:
+            seen.add(ids)
+            faces.append(("facet", ids, f))
+    plat, klat = lattice(p.bounded.vertices)[1], lattice(kb.vertices)[1]
+    for i, j in p.bounded.edges:
+        _, (w1, w2), edge_rows = _edge_frame(p, plat, i, j)
+        if not fm_cone_strictly_feasible(edge_rows):
+            continue
+        e = vsub(p.bounded.vertices[j], p.bounded.vertices[i])
+        kproj = _project(klat, w1, w2)
+        for kind, ids, facet in faces:
+            if (not fm_face_contains_translate(kb, kind, ids, facet, e)
+                    and fm_cone_strictly_feasible(edge_rows + _face_rows(kproj, ids))):
+                return False
+    return True
 
 
 def fraction_hull3(points) -> Polytope3:
@@ -320,7 +354,7 @@ def _vertex_normal_cone_generators(q: Polytope3, i):
     """Generators of the normal cone at vertex i (positive hull = cone)."""
     v = q.vertices
     if q.dim == 3:
-        return [f.normal for f in q.incident_facets(i)]
+        return [f.normal for f in q.facets if i in f.cycle]
     if q.dim == 2:
         f = q.facets[0]
         cyc = f.cycle

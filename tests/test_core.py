@@ -16,7 +16,6 @@ from minkpair.core import (
     cone_strictly_feasible,
     cone_strictly_feasible3,
     dot,
-    in_polar_interior,
     linear_feasible,
     normalize_direction,
     parse_rational,
@@ -71,9 +70,9 @@ def test_ccw_compare_total_order():
 
 def test_polar_interior_examples():
     V = Cone2.from_generators([(-1, -1), (-1, 1)])
-    assert in_polar_interior((1, 0), V)
-    assert not in_polar_interior((0, 1), V)
-    assert in_polar_interior((5, -3), Cone2(()))
+    assert V.polar_interior_contains((1, 0))
+    assert not V.polar_interior_contains((0, 1))
+    assert Cone2(()).polar_interior_contains((5, -3))
 
 
 def test_polar_interior_implies_negative_pairing():
@@ -81,7 +80,7 @@ def test_polar_interior_implies_negative_pairing():
     V = Cone2.from_generators([(-2, -1), (-1, 3)])
     for _ in range(200):
         u = rand_direction(rng)
-        if not in_polar_interior(u, V):
+        if not V.polar_interior_contains(u):
             continue
         a, b = rng.randint(0, 5), rng.randint(0, 5)
         v = tuple(a * g1 + b * g2 for g1, g2 in zip(*V.gens))

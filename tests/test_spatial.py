@@ -46,6 +46,7 @@ from conftest import (
 )
 from oracles import (
     certified_negative,
+    face_sweep_summand_criterion3,
     fm_contains3,
     fm_face_contains_translate,
     fm_vertex_survives,
@@ -217,19 +218,28 @@ def _cone_with(count):
     return gens.map(_pointed_cone).filter(lambda c: c is not None and len(c.gens) == count)
 
 
+# a trivial, ray, 3-generator or 4-generator cone
+CONE_KINDS = st.one_of(st.just(TRIV), _cone_with(1), _cone_with(3), _cone_with(4))
+
+
 @st.composite
-def survival_cases(draw):
-    """A full, flat, collinear or one-point hull over one denominator up to 7,
-    under a trivial, ray, 3-generator or 4-generator cone."""
-    den = draw(st.integers(1, 7))
+def shaped_points(draw, den, max_size):
+    """A full, flat, collinear or one-point set over the denominator `den`."""
     vec = st.tuples(*(st.builds(Fraction, st.integers(-6, 6), st.just(den)) for _ in range(3)))
     rank = draw(st.sampled_from((3, 3, 2, 1, 0)))
     base = draw(vec)
     axes = draw(st.lists(vec.filter(any), min_size=rank, max_size=rank))
     grid = st.tuples(*(st.integers(-3, 3) for _ in axes))
-    pts = [tuple(b + sum(t * a[c] for t, a in zip(ts, axes)) for c, b in enumerate(base))
-           for ts in draw(st.lists(grid, min_size=rank + 1, max_size=9))]
-    return pts, draw(st.one_of(st.just(TRIV), _cone_with(1), _cone_with(3), _cone_with(4)))
+    return [tuple(b + sum(t * a[c] for t, a in zip(ts, axes)) for c, b in enumerate(base))
+            for ts in draw(st.lists(grid, min_size=rank + 1, max_size=max_size))]
+
+
+@st.composite
+def survival_cases(draw):
+    """A full, flat, collinear or one-point hull over one denominator up to 7,
+    under any cone kind."""
+    pts = draw(shaped_points(draw(st.integers(1, 7)), 9))
+    return pts, draw(CONE_KINDS)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -258,7 +268,7 @@ def test_cloud_with_an_eight_facet_vertex_builds_within_a_gib():
         from oracles import fm_vertex_survives
         pts, cone = {CLOUD14!r}, Cone3.from_generators({CLOUD14_CONE!r})
         q = hull3(pts)
-        print(max(len(q.incident_facets(i)) for i in range(len(q.vertices))))
+        print(max(len([f for f in q.facets if i in f.cycle]) for i in range(len(q.vertices))))
         keep = [v for i, v in enumerate(q.vertices) if fm_vertex_survives(q.vertices, i, cone)]
         print(from_points3(pts, cone).bounded == hull3(keep))
     """)
@@ -411,6 +421,40 @@ def test_summand_true_gives_subadditive_difference():
                 continue
             phi = lambda t: support3(K, t)[0] - support3(P, t)[0]
             assert phi(w) <= phi(u) + phi(v)
+
+
+@st.composite
+def summand_pairs(draw):
+    """(P, K) under any cone kind with K = P + L, K = sP + P or a random K;
+    P, L and the random K are full, flat, collinear or one point over the
+    denominators 1, 2, 3 and 7."""
+    cone = draw(CONE_KINDS)
+    dens = st.sampled_from((1, 2, 3, 7))
+    P = from_points3(draw(shaped_points(draw(dens), 4)), cone)
+    how = draw(st.sampled_from(("sum", "scaled", "random")))
+    if how == "scaled":
+        s = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 3)))
+        return P, minkowski_sum3(from_points3([vscale(s, v) for v in P.bounded.vertices], cone), P)
+    L = from_points3(draw(shaped_points(draw(dens), 4)), cone)
+    return P, minkowski_sum3(P, L) if how == "sum" else L
+
+
+def test_summand_criterion_matches_the_face_sweep():
+    """The walk over the hull of K's projection along each edge of P agrees
+    with the sweep over every vertex, edge and facet of K, in both argument
+    orders, and both verdicts occur."""
+    verdicts = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(summand_pairs())
+    def agree(pair):
+        for a, b in (pair, pair[::-1]):
+            verdict = summand_criterion3(a, b)
+            assert verdict == face_sweep_summand_criterion3(a, b)
+            verdicts.append(verdict)
+
+    agree()
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +675,7 @@ def _edge_lattice(rng, e):
     return pden, tuple(int(x * pden) for x in e)
 
 
-def _tried_vectors(rng, q, kind, ids):
+def _tried_vectors(rng, q, ids):
     """In-face vectors of K and their negatives (translates exist), the same
     longer by 1/den along their primitive direction, and random vectors:
     in the face's span, or anywhere, with a denominator coprime to K's."""
@@ -656,16 +700,18 @@ def _tried_vectors(rng, q, kind, ids):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(face_translate_cases())
 def test_face_translate_matches_fraction_oracle(case):
-    """The integer width test agrees with Fourier-Motzkin on every face of K
-    for parallel, antiparallel, equal, longer and random vectors."""
+    """The integer length test agrees with Fourier-Motzkin on every vertex
+    and edge of K for parallel, antiparallel, equal, longer and random
+    vectors."""
     points, rng = case
     q = hull3(points)
     kden, klat = lattice(q.vertices)
-    for kind, ids, facet in q.faces():
-        for e, want in _tried_vectors(rng, q, kind, ids):
+    faces = [("vertex", (i,)) for i in range(len(q.vertices))] + [("edge", e) for e in q.edges]
+    for kind, ids in faces:
+        for e, want in _tried_vectors(rng, q, ids):
             pden, elat = _edge_lattice(rng, e)
-            got = _face_contains_translate(kden, klat, kind, ids, facet, pden, elat)
-            assert got == fm_face_contains_translate(q, kind, ids, facet, e)
+            got = _face_contains_translate(kden, klat, ids, pden, elat)
+            assert got == fm_face_contains_translate(q, kind, ids, None, e)
             assert want is None or got is want
 
 
