@@ -4,8 +4,11 @@ Hulls are computed incrementally on an integer lattice: the input points
 are scaled once by the lcm of their denominators (`core.lattice`), every
 hull predicate is an integer sign test on those points, and only the result
 maps back to the rational points (facet offsets become `Fraction(off, den)`).
-Coplanar triangles are merged into facets afterwards, so degenerate inputs
-(repeated, collinear, coplanar points) are handled exactly.  The result
+Extreme points go in first: an initial simplex of far-apart points, then the
+rest farthest first, so most later points lie inside and orient no triangle.
+Coplanar triangles are merged into facets afterwards, each facet from the
+corners of its own triangles, so degenerate inputs (repeated, collinear,
+coplanar points) are handled exactly.  The result
 depends on the input only through its vertices, so `hull3(q.vertices) == q`.
 Lower-dimensional hulls (point, segment, flat polygon) are first-class
 citizens because several fixtures are flat.  The summand and reduced-pair
@@ -39,6 +42,7 @@ from .core import (
     normalize_direction,
     vadd,
     vneg,
+    vscale,
     vsub,
 )
 from .planar import hull_chain
@@ -83,6 +87,15 @@ def hull3(points) -> Polytope3:
     (`core.lattice`).  A positive scale keeps every sign and the
     lexicographic order, so every predicate runs on those int tuples and
     only the result maps back to the rational points.
+
+    A full-dimensional hull starts from an extreme simplex: the
+    lexicographically first and last points, the point farthest from their
+    line and the point farthest from the plane of those three.  The other
+    points go in farthest first from the simplex's centroid, each replacing
+    the triangles it strictly sees by a fan over their horizon; a point that
+    sees none (inside, or on a facet) costs one scan.  The final triangles
+    are grouped by plane, and each facet's cycle is the 2D hull of the
+    corners of its own triangles.
     """
     uniq = list(set(map(as_point, points)))
     if not uniq:
@@ -110,8 +123,10 @@ def _planar_cycle(lat, ids, normal):
     a hull's vertices is that same hull.
     """
     base = lat[ids[0]]
-    e = normalize_direction(vsub(lat[ids[1]], base))
-    f = normalize_direction(cross3(normal, e))
+    # unnormalized axes: a positive scale of each keeps the lexicographic
+    # order and every `cross2` sign
+    e = vsub(lat[ids[1]], base)
+    f = cross3(normal, e)
     coords = {}
     for i in ids:
         w = vsub(lat[i], base)
@@ -147,59 +162,64 @@ def _hull_planar(pts, lat, den, raw_normal) -> Polytope3:
 
 
 def _hull_full(pts, lat, den) -> Polytope3:
-    # initial affinely independent quadruple; lat is sorted and distinct
-    a, b = 0, 1
+    # extreme initial simplex: the lexicographic ends of the sorted distinct
+    # points are vertices, c is farthest from their line and d from their
+    # plane; `max` keeps the first index on ties
+    a, b = 0, len(lat) - 1
     pa = lat[a]
     ab = vsub(lat[b], pa)
-    c = next(i for i in range(len(lat)) if not is_zero(cross3(ab, vsub(lat[i], pa))))
+    ids = range(len(lat))
+    c = max(ids, key=lambda i: _norm2(cross3(ab, vsub(lat[i], pa))))
     norm0 = cross3(ab, vsub(lat[c], pa))
-    d = next(i for i in range(len(lat)) if dot(norm0, vsub(lat[i], pa)) != 0)
+    d = max(ids, key=lambda i: abs(dot(norm0, vsub(lat[i], pa))))
     # 4 * the simplex's centroid, compared against 4 * offset
-    interior = vadd(vadd(pa, lat[b]), vadd(lat[c], lat[d]))
+    interior = ix, iy, iz = vadd(vadd(pa, lat[b]), vadd(lat[c], lat[d]))
 
-    def oriented(tri):
-        i, j, k = tri
-        pi = lat[i]
-        n = cross3(vsub(lat[j], pi), vsub(lat[k], pi))
-        if is_zero(n):
+    def oriented(i, j, k):
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = lat[i], lat[j], lat[k]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+        n = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+        if n == (0, 0, 0):
             raise GeometryError("degenerate hull facet")
-        n = normalize_direction(n)
-        off = dot(n, pi)
-        side = dot(n, interior) - 4 * off
+        u, v, w = normalize_direction(n)
+        off = u * x0 + v * y0 + w * z0
+        side = u * ix + v * iy + w * iz - 4 * off
         if side > 0:
-            n, off = vneg(n), -off
+            u, v, w, off = -u, -v, -w, -off
         elif side == 0:
             raise GeometryError("interior reference on facet plane")
-        return (tri, n, off)
+        return (u, v, w, off, (i, j, k))
 
-    tris = [oriented(t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
-    in_simplex = {a, b, c, d}
-    for k, (x, y, z) in enumerate(lat):
-        if k in in_simplex:
-            continue
-        visible, keep = [], []
-        for t in tris:
-            (u, v, w), off = t[1], t[2]
-            (visible if u * x + v * y + w * z > off else keep).append(t)
+    tris = [oriented(*t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
+    # farthest points first: most later points then see no facet at all
+    rest = [i for i in ids if i not in (a, b, c, d)]
+    rest.sort(key=lambda i: -_norm2(vsub(vscale(4, lat[i]), interior)))
+    for k in rest:
+        x, y, z = lat[k]
+        visible = [t for t in tris if t[0] * x + t[1] * y + t[2] * z > t[3]]
         if not visible:
             continue
         edge_count = {}
-        for tri, _, _ in visible:
-            for e in _tri_edges(tri):
+        for t in visible:
+            for e in _tri_edges(t[4]):
                 edge_count[e] = edge_count.get(e, 0) + 1
         # dedup while keeping deterministic order
-        horizon = [e for tri, _, _ in visible for e in _tri_edges(tri) if edge_count[e] == 1]
-        for u, v in dict.fromkeys(horizon):
-            keep.append(oriented((k, u, v)))
-        tris = keep
+        horizon = [e for t in visible for e in _tri_edges(t[4]) if edge_count[e] == 1]
+        tris = [t for t in tris if t not in visible]
+        tris += [oriented(k, u, v) for u, v in dict.fromkeys(horizon)]
 
-    # merge coplanar triangles into facets
-    planes = []
-    for n, off in sorted({(n, off) for _, n, off in tris}):
-        u, v, w = n
-        on_plane = [i for i, (x, y, z) in enumerate(lat) if u * x + v * y + w * z == off]
-        planes.append((n, off, _planar_cycle(lat, on_plane, n)))
+    # merge coplanar triangles into facets; a facet's vertices are among the
+    # corners of its triangles
+    corners = {}
+    for u, v, w, off, tri in tris:
+        corners.setdefault(((u, v, w), off), set()).update(tri)
+    planes = [(n, off, _planar_cycle(lat, sorted(on), n)) for (n, off), on in sorted(corners.items())]
     return _polytope(pts, den, 3, planes)
+
+
+def _norm2(v):
+    return dot(v, v)
 
 
 def _tri_edges(tri):

@@ -184,6 +184,68 @@ def test_hull3_of_its_own_vertices_is_itself(points):
     assert hull3(h.vertices) == h
 
 
+def lifted_cloud(rng, n, m, radius=8):
+    """(vertices, cloud): m lattice points on z = x^2 + y^2, every one a
+    vertex of their hull, plus n - m convex combinations of three of them,
+    most of them interior and some on a facet."""
+    xy = set()
+    while len(xy) < m:
+        xy.add((rng.randint(-radius, radius), rng.randint(-radius, radius)))
+    verts = [(F(x), F(y), F(x * x + y * y)) for x, y in sorted(xy)]
+    cloud = list(verts)
+    while len(cloud) < n:
+        picks = rng.sample(verts, 3)
+        w = [rng.randint(1, 4) for _ in picks]
+        cloud.append(tuple(sum(wi * p[c] for wi, p in zip(w, picks)) / sum(w) for c in range(3)))
+    rng.shuffle(cloud)
+    return verts, cloud
+
+
+def lattice_box(rng):
+    """A random subset of a box's lattice points holding its corners, so most
+    of them lie on its facets and edges or inside."""
+    a, b, c = (rng.randint(1, 4) for _ in range(3))
+    grid = list(itertools.product(range(a + 1), range(b + 1), range(c + 1)))
+    corners = list(itertools.product((0, a), (0, b), (0, c)))
+    return corners + rng.sample(grid, rng.randint(len(grid) // 2, len(grid)))
+
+
+def lattice_sum(rng):
+    """Minkowski sum of three small lattice sets: many coplanar and repeated points."""
+    parts = [rand_points3(rng, rng.randint(2, 5), lim=2) for _ in range(3)]
+    return [vadd(vadd(a, b), c) for a in parts[0] for b in parts[1] for c in parts[2]]
+
+
+def test_hull3_matches_fraction_oracle_on_large_clouds():
+    """Clouds far beyond `point_sets`: many interior points, and points on
+    facets and edges, where insertion order and the facet merge matter."""
+    rng = random.Random(113)
+    full = [lifted_cloud(rng, rng.randint(40, 120), rng.randint(6, 20))[1] for _ in range(16)]
+    full += [lattice_box(rng) for _ in range(16)]
+    for pts in full + [lattice_sum(rng) for _ in range(16)]:
+        h = hull3(pts)
+        assert h == fraction_hull3(pts)
+        shuffled = list(pts)
+        rng.shuffle(shuffled)
+        assert hull3(shuffled) == h
+    assert all(hull3(pts).dim == 3 for pts in full)
+
+
+def test_hull3_orients_fewer_triangles_than_points(monkeypatch):
+    """Extreme points go in first, so interior points, and points on a facet
+    or an edge, orient no triangle: fewer triangles than points on a
+    400-point cloud with 24 vertices and on the 216 lattice points of a cube."""
+    verts, cloud = lifted_cloud(random.Random(127), 400, 24)
+    grid = list(itertools.product(range(6), repeat=3))
+    calls = []
+    norm = spatial.normalize_direction
+    monkeypatch.setattr(spatial, "normalize_direction", lambda v: calls.append(v) or norm(v))
+    for pts, corners in ((cloud, verts), (grid, itertools.product((0, 5), repeat=3))):
+        calls.clear()
+        assert set(hull3(pts).vertices) == set(corners)
+        assert 0 < len(calls) < len(set(pts))
+
+
 def test_from_points3_matches_fraction_oracle_under_every_cone_kind():
     rng = random.Random(67)
     for kind in ("trivial", "ray", "three"):
