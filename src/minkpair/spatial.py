@@ -42,7 +42,6 @@ from .core import (
     normalize_direction,
     vadd,
     vneg,
-    vscale,
     vsub,
 )
 from .planar import hull_chain
@@ -164,16 +163,18 @@ def _hull_planar(pts, lat, den, raw_normal) -> Polytope3:
 def _hull_full(pts, lat, den) -> Polytope3:
     # extreme initial simplex: the lexicographic ends of the sorted distinct
     # points are vertices, c is farthest from their line and d from their
-    # plane; `max` keeps the first index on ties
+    # plane; `index(max(...))` keeps the first index on ties
     a, b = 0, len(lat) - 1
-    pa = lat[a]
-    ab = vsub(lat[b], pa)
-    ids = range(len(lat))
-    c = max(ids, key=lambda i: _norm2(cross3(ab, vsub(lat[i], pa))))
-    norm0 = cross3(ab, vsub(lat[c], pa))
-    d = max(ids, key=lambda i: abs(dot(norm0, vsub(lat[i], pa))))
+    ax, ay, az = lat[a]
+    rel = [(x - ax, y - ay, z - az) for x, y, z in lat]
+    ux, uy, uz = rel[b]
+    line = [(uy * z - uz * y) ** 2 + (uz * x - ux * z) ** 2 + (ux * y - uy * x) ** 2 for x, y, z in rel]
+    c = line.index(max(line))
+    nx, ny, nz = cross3(rel[b], rel[c])
+    plane = [abs(nx * x + ny * y + nz * z) for x, y, z in rel]
+    d = plane.index(max(plane))
     # 4 * the simplex's centroid, compared against 4 * offset
-    interior = ix, iy, iz = vadd(vadd(pa, lat[b]), vadd(lat[c], lat[d]))
+    ix, iy, iz = vadd(vadd(lat[a], lat[b]), vadd(lat[c], lat[d]))
 
     def oriented(i, j, k):
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = lat[i], lat[j], lat[k]
@@ -193,8 +194,9 @@ def _hull_full(pts, lat, den) -> Polytope3:
 
     tris = [oriented(*t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
     # farthest points first: most later points then see no facet at all
-    rest = [i for i in ids if i not in (a, b, c, d)]
-    rest.sort(key=lambda i: -_norm2(vsub(vscale(4, lat[i]), interior)))
+    far = [(4 * x - ix) ** 2 + (4 * y - iy) ** 2 + (4 * z - iz) ** 2 for x, y, z in lat]
+    rest = [i for i in range(len(lat)) if i not in (a, b, c, d)]
+    rest.sort(key=lambda i: -far[i])
     for k in rest:
         x, y, z = lat[k]
         visible = [t for t in tris if t[0] * x + t[1] * y + t[2] * z > t[3]]
@@ -216,10 +218,6 @@ def _hull_full(pts, lat, den) -> Polytope3:
         corners.setdefault(((u, v, w), off), set()).update(tri)
     planes = [(n, off, _planar_cycle(lat, sorted(on), n)) for (n, off), on in sorted(corners.items())]
     return _polytope(pts, den, 3, planes)
-
-
-def _norm2(v):
-    return dot(v, v)
 
 
 def _tri_edges(tri):

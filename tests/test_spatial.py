@@ -232,9 +232,10 @@ def test_hull3_matches_fraction_oracle_on_large_clouds():
 
 
 def test_hull3_orients_fewer_triangles_than_points(monkeypatch):
-    """Extreme points go in first, so interior points, and points on a facet
-    or an edge, orient no triangle: fewer triangles than points on a
-    400-point cloud with 24 vertices and on the 216 lattice points of a cube."""
+    """Extreme points go in first, so most interior points, and most points
+    on a facet or an edge, orient no triangle: fewer triangles than points
+    on a 400-point cloud with 24 vertices and on the 216 lattice points of a
+    cube."""
     verts, cloud = lifted_cloud(random.Random(127), 400, 24)
     grid = list(itertools.product(range(6), repeat=3))
     calls = []
