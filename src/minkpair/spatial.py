@@ -167,8 +167,8 @@ def _hull_full(pts, lat, den) -> Polytope3:
     a, b = 0, len(lat) - 1
     ax, ay, az = lat[a]
     rel = [(x - ax, y - ay, z - az) for x, y, z in lat]
-    ux, uy, uz = rel[b]
-    line = [(uy * z - uz * y) ** 2 + (uz * x - ux * z) ** 2 + (ux * y - uy * x) ** 2 for x, y, z in rel]
+    ex, ey, ez = rel[b]
+    line = [(ey * z - ez * y) ** 2 + (ez * x - ex * z) ** 2 + (ex * y - ey * x) ** 2 for x, y, z in rel]
     c = line.index(max(line))
     nx, ny, nz = cross3(rel[b], rel[c])
     plane = [abs(nx * x + ny * y + nz * z) for x, y, z in rel]
