@@ -43,7 +43,6 @@ from .spatial import (
 from .dc import (
     DcPair,
     PLConvexFn,
-    conjugate,
     domain_cone,
     from_set,
     hartman_minimize,

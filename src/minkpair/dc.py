@@ -1,9 +1,14 @@
 """Univariate piecewise-linear dc-functions f = g - h with both parts convex.
 
-A convex part corresponds to an unbounded planar set: the hypograph of the
-negated conjugate, whose recession cone is determined by the domain interval.
-Minimizing the representation is delegated to the planar pair reduction, then
-normalized so the second part is nonnegative and vanishes at 0.
+A convex part g on [a, b] corresponds to an unbounded planar set A whose
+support in direction (x, 1) is g(x): the hypograph of the negated conjugate,
+with the recession cone spanned by (-1, a) and (1, -b).  Both directions of
+the correspondence take linear time.  A's chain points are (s, -g*(s)) for
+g's slopes s, and its edge measure is read off g's slope jumps (the
+conjugate's breakpoints are g's slopes); g's value at each breakpoint is the
+support of the adjacent chain point.  Minimizing the representation is
+delegated to the planar pair reduction, then normalized so the second part
+is nonnegative and vanishes at 0.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import INF, Cone2, GeometryError, normalize_direction, vneg
+from .core import INF, Cone2, GeometryError, vneg
 from .planar import (
     ORIGIN,
+    EdgeMeasure,
     VPolygon,
-    from_points,
+    _face_midpoint,
     is_zero_minimal,
     reduce_pair,
     translate,
@@ -81,63 +87,40 @@ class PLConvexFn:
         return _interpolate(xs, ys, x)
 
 
-@dataclass(frozen=True)
-class PLFnLine:
-    """Convex piecewise-linear function finite on all of R (a conjugate)."""
-
-    breakpoints: tuple
-    values: tuple
-    left_slope: Fraction
-    right_slope: Fraction
-
-    def __call__(self, y):
-        y = Fraction(y)
-        xs, ys = self.breakpoints, self.values
-        if y <= xs[0]:
-            return ys[0] + self.left_slope * (y - xs[0])
-        if y >= xs[-1]:
-            return ys[-1] + self.right_slope * (y - xs[-1])
-        return _interpolate(xs, ys, y)
-
-
-def conjugate(g: PLConvexFn) -> PLFnLine:
-    """Convex conjugate g*(y) = max_x (x*y - g(x)); finite everywhere."""
-    a, b = g.domain
-    slopes = sorted(set(g.slopes()))
-    values = [max(x * y - v for x, v in zip(g.breakpoints, g.values)) for y in slopes]
-    return PLFnLine(tuple(slopes), tuple(values), Fraction(a), Fraction(b))
-
-
-def conjugate_line(f: PLFnLine) -> PLConvexFn:
-    """Conjugate of a finite PL function; lands back on [left_slope, right_slope]."""
-    xs = [f.left_slope, f.right_slope]
-    for i in range(len(f.breakpoints) - 1):
-        xs.append(
-            (f.values[i + 1] - f.values[i]) / (f.breakpoints[i + 1] - f.breakpoints[i])
-        )
-    xs = sorted(set(xs))
-    vals = [max(x * y - v for y, v in zip(f.breakpoints, f.values)) for x in xs]
-    return PLConvexFn(tuple(xs), tuple(vals))
-
-
 def domain_cone(a, b) -> Cone2:
     """Recession cone shared by all hypograph sets over the domain [a, b]."""
     a, b = Fraction(a), Fraction(b)
     if not a < 0 < b:
         raise GeometryError("domain must contain 0 in its interior")
-    return Cone2((normalize_direction((-1, a)), normalize_direction((1, -b))))
+    return Cone2(((-a.denominator, a.numerator), (b.denominator, -b.numerator)))
 
 
 def to_hypograph_set(g: PLConvexFn) -> VPolygon:
-    """Planar set whose support in direction (x, 1) reproduces g(x)."""
-    a, b = g.domain
-    star = conjugate(g)
-    pts = [(y, -v) for y, v in zip(star.breakpoints, star.values)]
-    return from_points(pts, domain_cone(a, b))
+    """Planar set whose support in direction (x, 1) reproduces g(x).
+
+    Segment i of g (slope s_i, through (x_i, y_i)) gives the chain point
+    (s_i, y_i - x_i*s_i); the slope jump at an inner breakpoint x = p/q gives
+    the edge with outer normal (p, q) and coefficient (s_{i+1} - s_i)/q.
+    """
+    xs, ys = g.breakpoints, g.values
+    slopes = g.slopes()
+    cone = domain_cone(xs[0], xs[-1])
+    pts = [(s, y - x * s) for x, y, s in zip(xs, ys, slopes)]
+    jumps = {
+        (x.numerator, x.denominator): (s1 - s0) / x.denominator
+        for x, s0, s1 in zip(xs[1:], slopes, slopes[1:])
+    }
+    return VPolygon(cone, _face_midpoint(pts, cone.u0()), EdgeMeasure.from_entries(jumps))
 
 
 def from_set(A: VPolygon, domain) -> PLConvexFn:
-    """Support function along the line (x, 1); inverse of to_hypograph_set."""
+    """Support function along the line (x, 1); inverse of to_hypograph_set.
+
+    The breakpoints are where adjacent chain points (sorted by slope) give
+    equal support.  The value at a breakpoint, and at b, is the support of
+    the chain point whose piece ends there (at a, of the first one); that
+    point attains the maximum, so no other point is consulted.
+    """
     a, b = Fraction(domain[0]), Fraction(domain[1])
     if A.cone != domain_cone(a, b):
         raise GeometryError("cone mismatch with domain")
@@ -146,7 +129,7 @@ def from_set(A: VPolygon, domain) -> PLConvexFn:
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         xs.append((y0 - y1) / (x1 - x0))
     xs.append(b)
-    vals = [max(p * x + q for p, q in pts) for x in xs]
+    vals = [p * x + q for (p, q), x in zip(pts[:1] + pts, xs)]
     return PLConvexFn(tuple(xs), tuple(vals))
 
 

@@ -149,7 +149,8 @@ def measure_inf(ma: EdgeMeasure, mb: EdgeMeasure) -> EdgeMeasure:
 
 
 def shared_normals(a: "VPolygon", b: "VPolygon"):
-    return [u for u in a.measure.directions() if b.measure.coeff(u) > 0]
+    coeffs = b.measure.as_dict()
+    return [u for u in a.measure.directions() if coeffs.get(u, 0) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +177,10 @@ class VPolygon:
     @cached_property
     def chain(self):
         """Vertices of the minimal boundary part, CCW (a cycle when bounded)."""
-        dirs = self.measure.sorted_ccw(self.cone.arc_start())
+        coeffs = self.measure.as_dict()
         pts = [ORIGIN]
-        for u in dirs:
-            pts.append(vadd(pts[-1], vscale(self.measure.coeff(u), rot90(u))))
+        for u in self.measure.sorted_ccw(self.cone.arc_start()):
+            pts.append(vadd(pts[-1], vscale(coeffs[u], rot90(u))))
         if self.cone.is_trivial and len(pts) > 1:
             pts = pts[:-1]
         shift = vsub(self.anchor, _face_midpoint(pts, self.cone.u0()))
@@ -373,8 +374,9 @@ def is_summand(a: VPolygon, k: VPolygon):
     """(True, complement) when a + complement == k, else (False, None)."""
     if a.cone != k.cone:
         raise ConeMismatchError("incompatible recession cones")
+    coeffs = k.measure.as_dict()
     for u, lam in a.measure.entries:
-        if lam > k.measure.coeff(u):
+        if lam > coeffs.get(u, 0):
             return False, None
     comp = VPolygon(k.cone, vsub(k.anchor, a.anchor), k.measure.sub(a.measure))
     if minkowski_sum(a, comp) != k:

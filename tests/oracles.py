@@ -27,8 +27,15 @@
   test.
 - `supporting_plane_normals` and `certified_negative_points`: brute force
   over point triples, independent of the library's hull code.
+- `conjugate`, `conjugate_line` and `PLFnLine`: convex conjugates of
+  piecewise-linear functions by a max over every breakpoint (O(n^2)).
+  `hull_hypograph_set` and `max_from_set` are the dc set correspondence the
+  library ran before it read the edge measure off the slope jumps and the
+  values off adjacent chain points: the conjugate's points through
+  `from_points`, and a max over every chain point for each value.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,7 +53,8 @@ from minkpair.core import (
     vscale,
     vsub,
 )
-from minkpair.planar import _poly_halfplanes, convex_hull_2d
+from minkpair.dc import PLConvexFn, _interpolate, domain_cone
+from minkpair.planar import _poly_halfplanes, convex_hull_2d, from_points
 from minkpair.spatial import (
     Facet,
     Polytope3,
@@ -468,3 +476,62 @@ def certified_negative(rng, cone, p_size=4):
         if len(p.bounded.vertices) >= 2:
             break
     return p, from_points3(certified_negative_points(rng, p_points), cone)
+
+
+@dataclass(frozen=True)
+class PLFnLine:
+    """Convex piecewise-linear function finite on all of R (a conjugate)."""
+
+    breakpoints: tuple
+    values: tuple
+    left_slope: Fraction
+    right_slope: Fraction
+
+    def __call__(self, y):
+        y = Fraction(y)
+        xs, ys = self.breakpoints, self.values
+        if y <= xs[0]:
+            return ys[0] + self.left_slope * (y - xs[0])
+        if y >= xs[-1]:
+            return ys[-1] + self.right_slope * (y - xs[-1])
+        return _interpolate(xs, ys, y)
+
+
+def conjugate(g: PLConvexFn) -> PLFnLine:
+    """Convex conjugate g*(y) = max_x (x*y - g(x)); finite everywhere."""
+    a, b = g.domain
+    slopes = sorted(set(g.slopes()))
+    values = [max(x * y - v for x, v in zip(g.breakpoints, g.values)) for y in slopes]
+    return PLFnLine(tuple(slopes), tuple(values), Fraction(a), Fraction(b))
+
+
+def conjugate_line(f: PLFnLine) -> PLConvexFn:
+    """Conjugate of a finite PL function; lands back on [left_slope, right_slope]."""
+    xs = [f.left_slope, f.right_slope]
+    for i in range(len(f.breakpoints) - 1):
+        xs.append(
+            (f.values[i + 1] - f.values[i]) / (f.breakpoints[i + 1] - f.breakpoints[i])
+        )
+    xs = sorted(set(xs))
+    vals = [max(x * y - v for y, v in zip(f.breakpoints, f.values)) for x in xs]
+    return PLConvexFn(tuple(xs), tuple(vals))
+
+
+def hull_hypograph_set(g: PLConvexFn):
+    """`to_hypograph_set` as the 2D hull of the points (y, -g*(y))."""
+    star = conjugate(g)
+    pts = [(y, -v) for y, v in zip(star.breakpoints, star.values)]
+    return from_points(pts, domain_cone(*g.domain))
+
+
+def max_from_set(A, domain) -> PLConvexFn:
+    """`from_set` with each value a max over every chain point."""
+    a, b = Fraction(domain[0]), Fraction(domain[1])
+    if A.cone != domain_cone(a, b):
+        raise GeometryError("cone mismatch with domain")
+    pts = sorted(A.chain)
+    xs = [a]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        xs.append((y0 - y1) / (x1 - x0))
+    xs.append(b)
+    return PLConvexFn(tuple(xs), tuple(max(p * x + q for p, q in pts) for x in xs))

@@ -1,14 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkpair.core import Cone2, GeometryError
 from minkpair.dc import (
     DcPair,
     PLConvexFn,
-    conjugate,
-    conjugate_line,
     domain_cone,
     from_set,
     hartman_minimize,
@@ -16,6 +17,7 @@ from minkpair.dc import (
     to_hypograph_set,
 )
 from minkpair.planar import EdgeMeasure, VPolygon, from_points, is_summand, translate
+from oracles import conjugate, conjugate_line, hull_hypograph_set, max_from_set
 
 F = Fraction
 
@@ -154,6 +156,62 @@ def test_hypograph_support_reproduces_function():
             val, _ = A.support((num, den))
             assert val == den * g(x)
         assert from_set(A, g.domain) == g
+
+
+@st.composite
+def plconvex_fns(draw):
+    """Convex PL functions with 0-7 inner breakpoints (one piece included) on
+    [-1, 1], [-1/2, 3/2] or a drawn rational domain; breakpoints, slopes and
+    values over the denominators 1, 2, 3, 7 and 1,000, equal neighbouring
+    slopes included."""
+    den = draw(st.sampled_from((1, 2, 3, 7, 1000)))
+    rat = st.builds(F, st.integers(-3 * den, 3 * den), st.just(den))
+    pos = st.builds(F, st.integers(1, 3 * den), st.just(den))
+    a, b = draw(st.one_of(
+        st.sampled_from(((F(-1), F(1)), (F(-1, 2), F(3, 2)))), st.tuples(pos.map(lambda x: -x), pos)
+    ))
+    ks = st.integers(math.floor(a * den) + 1, math.ceil(b * den) - 1)
+    inner = draw(st.lists(ks.map(lambda k: F(k, den)), max_size=7, unique=True))
+    xs = [a] + sorted(inner) + [b]
+    slope = draw(rat)
+    vals = [draw(rat)]
+    for x0, x1 in zip(xs, xs[1:]):
+        vals.append(vals[-1] + slope * (x1 - x0))
+        slope += draw(st.builds(F, st.integers(0, 4 * den), st.just(den)))
+    return PLConvexFn(tuple(xs), tuple(vals))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(plconvex_fns())
+def test_set_correspondence_matches_conjugate_oracles(g):
+    """The slope-jump construction equals the hull of the conjugate's points,
+    the adjacent-point values equal a max over every chain point, and the
+    round trip gives g back."""
+    A = to_hypograph_set(g)
+    assert A == hull_hypograph_set(g)
+    assert from_set(A, g.domain) == max_from_set(A, g.domain) == g
+
+
+def test_conversions_do_linear_work(monkeypatch):
+    """On x^2 sampled at n = 401 breakpoints, each direction of the set
+    correspondence makes fewer than 10n `Fraction` products (the conjugate
+    and the max over every point took about n^2)."""
+    xs = tuple(F(k, 200) for k in range(-200, 201))
+    g = PLConvexFn(xs, tuple(x * x for x in xs))
+    mul, calls = F.__mul__, [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(F, "__mul__", counted)
+    A = to_hypograph_set(g)
+    to_set = calls[0]
+    back = from_set(A, g.domain)
+    to_fn = calls[0] - to_set
+    monkeypatch.undo()
+    assert to_set < 10 * len(xs) and to_fn < 10 * len(xs)
+    assert back == g
 
 
 def test_from_set_cone_mismatch():
