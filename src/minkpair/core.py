@@ -6,7 +6,8 @@ floating point enters any decision.  Hot predicates run on an integer
 lattice instead: `lattice` scales a point list by the lcm of its
 denominators, and since a positive scale keeps every sign and the
 lexicographic order, sign tests on the lattice points decide the same as on
-the rationals.  `spatial` builds its hulls and its perp-plane rows on it.
+the rationals.  `spatial` builds its hulls and its perp-plane rows on it,
+and each planar V-polygon keeps its chain as one such lattice.
 The exact decisions here:
 
 - `cone_strictly_feasible` decides homogeneous systems in two variables by
@@ -26,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 INF = float("inf")  # support value outside the polar of the recession cone
@@ -434,8 +436,13 @@ class Cone2:
 
         Trivial cone: (1, 0).  Ray g: -g.  Wedge: -(g1+g2) when that lies in
         the open polar (true for symmetric wedges), else the always-interior
-        positive combination of the two polar boundary rays.
+        positive combination of the two polar boundary rays.  Computed once
+        per cone.
         """
+        return self._u0
+
+    @cached_property
+    def _u0(self):
         if self.is_trivial:
             return (1, 0)
         if len(self.gens) == 1:

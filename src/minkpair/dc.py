@@ -119,17 +119,23 @@ def from_set(A: VPolygon, domain) -> PLConvexFn:
     The breakpoints are where adjacent chain points (sorted by slope) give
     equal support.  The value at a breakpoint, and at b, is the support of
     the chain point whose piece ends there (at a, of the first one); that
-    point attains the maximum, so no other point is consulted.
+    point attains the maximum, so no other point is consulted.  Both are
+    read off the chain's integer lattice: its scale cancels in the
+    breakpoints and divides each value once.
     """
     a, b = Fraction(domain[0]), Fraction(domain[1])
     if A.cone != domain_cone(a, b):
         raise GeometryError("cone mismatch with domain")
-    pts = sorted(A.chain)
+    den, pts = A.lattice
+    pts = sorted(pts)
     xs = [a]
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        xs.append((y0 - y1) / (x1 - x0))
+        xs.append(Fraction(y0 - y1, x1 - x0))
     xs.append(b)
-    vals = [p * x + q for (p, q), x in zip(pts[:1] + pts, xs)]
+    vals = [
+        Fraction(p * x.numerator + q * x.denominator, den * x.denominator)
+        for (p, q), x in zip(pts[:1] + pts, xs)
+    ]
     return PLConvexFn(tuple(xs), tuple(vals))
 
 

@@ -6,13 +6,20 @@ the cone) to the rational multiple lam > 0 such that the boundary edge with
 that normal, traversed counterclockwise, equals lam * rot90(u).  The anchor
 is the midpoint of the support face in the cone's reference direction.
 Two V-polygons are equal as sets iff their canonical forms are equal.
-Point membership is a homogeneous integer ray test (`core.cone_strictly_feasible`)
-on the lattice of the chain and the point: by Farkas' lemma the point lies
-outside exactly when some direction strictly separates it.
+
+Each V-polygon computes its chain once, as an integer lattice (den, ints)
+built from the measure and the anchor, and the hot paths run on it: support
+faces, the reference face midpoint and the 0-minimality test are integer
+comparisons, and point membership is a homogeneous integer ray test
+(`core.cone_strictly_feasible`) on the lattice rescaled to the point's
+denominator: by Farkas' lemma the point lies outside exactly when some
+direction strictly separates it.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -114,10 +121,6 @@ class EdgeMeasure:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def sorted_ccw(self, start):
-        """Directions ordered counterclockwise beginning at `start`."""
-        return sorted(self.directions(), key=cmp_to_key(lambda u, v: ccw_compare(u, v, start)))
-
     def add(self, other: "EdgeMeasure") -> "EdgeMeasure":
         out = self.as_dict()
         for u, lam in other.entries:
@@ -165,6 +168,8 @@ class VPolygon:
     def __post_init__(self):
         object.__setattr__(self, "anchor", as_point(self.anchor))
         for u in self.measure.directions():
+            if len(u) != 2 or type(u[0]) is not int or type(u[1]) is not int or math.gcd(*u) != 1:
+                raise GeometryError(f"measure direction {u} is not a primitive integer pair")
             if not self.cone.polar_interior_contains(u):
                 raise GeometryError(f"measure direction {u} outside the open polar")
         if self.cone.is_trivial and not self.measure.is_empty:
@@ -175,74 +180,112 @@ class VPolygon:
                 raise GeometryError("bounded polygon measure does not close up")
 
     @cached_property
+    def lattice(self):
+        """(den, ints): the chain is ints / den, den the least such scale.
+
+        Built in integers.  At the lcm D of the coefficients' denominators
+        every step lam * rot90(u) is an integer multiple of rot90(u), and the
+        reference face midpoint is a lattice point at scale 2D; the anchor
+        shift then lands on the common denominator of 2D and the anchor.
+        """
+        cone, entries = self.cone, self.measure.entries
+        # the CCW order from the polar arc's start is a rotation of the
+        # measure's canonical CCW order from (1, 0)
+        k = bisect_left(entries, _ccw_key(cone.arc_start()), key=lambda it: _ccw_key(it[0]))
+        steps = entries[k:] + entries[:k]
+        scale = math.lcm(*(lam.denominator for _, lam in steps))
+        x = y = 0
+        pts = [(0, 0)]
+        for (a, b), lam in steps:
+            t = lam.numerator * (scale // lam.denominator)
+            x, y = x - t * b, y + t * a
+            pts.append((x, y))
+        if cone.is_trivial and len(pts) > 1:
+            pts.pop()
+        i, j = _argmax(pts, cone.u0())
+        ax, ay = self.anchor
+        den = math.lcm(2 * scale, ax.denominator, ay.denominator)
+        f = den // (2 * scale)  # at scale 2D the midpoint is pts[i] + pts[j], and p is 2p
+        cx = ax.numerator * (den // ax.denominator) - (pts[i][0] + pts[j][0]) * f
+        cy = ay.numerator * (den // ay.denominator) - (pts[i][1] + pts[j][1]) * f
+        f *= 2
+        ints = [(x * f + cx, y * f + cy) for x, y in pts]
+        g = math.gcd(den, *(c for p in ints for c in p))
+        if g > 1:
+            den //= g
+            ints = [(x // g, y // g) for x, y in ints]
+        return den, tuple(ints)
+
+    @cached_property
     def chain(self):
         """Vertices of the minimal boundary part, CCW (a cycle when bounded)."""
-        coeffs = self.measure.as_dict()
-        pts = [ORIGIN]
-        for u in self.measure.sorted_ccw(self.cone.arc_start()):
-            pts.append(vadd(pts[-1], vscale(coeffs[u], rot90(u))))
-        if self.cone.is_trivial and len(pts) > 1:
-            pts = pts[:-1]
-        shift = vsub(self.anchor, _face_midpoint(pts, self.cone.u0()))
-        return tuple(vadd(p, shift) for p in pts)
+        den, ints = self.lattice
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in ints)
 
     def support(self, u):
         """(h(u), face): face is None, ('point',p), ('segment',p,q) or ('ray',p,d).
 
         Evaluated at u as given (h is positively homogeneous, so scaling u
-        scales the value); the face depends only on the direction.
+        scales the value); the face depends only on the direction, and its
+        points are found on the chain's lattice.
         """
         prim = normalize_direction(u)
         if not self.cone.polar_contains(prim):
             return INF, None
-        ch = self.chain
+        den, ints = self.lattice
         if not self.cone.is_trivial and not self.cone.polar_interior_contains(prim):
             start_ray, end_ray = self.cone.polar_boundary_rays()
             if len(self.cone.gens) == 1:
                 ray_dir = self.cone.gens[0]
-                base = ch[0] if prim == start_ray else ch[-1]
+                base = ints[0] if prim == start_ray else ints[-1]
             elif prim == start_ray:
-                ray_dir, base = self.cone.gens[1], ch[0]
+                ray_dir, base = self.cone.gens[1], ints[0]
             else:
-                ray_dir, base = self.cone.gens[0], ch[-1]
-            return dot(base, u), ("ray", base, ray_dir)
-        vals = [dot(p, u) for p in ch]
-        m = max(vals)
-        maxima = [p for p, v in zip(ch, vals) if v == m]
-        if len(maxima) == 1:
-            return m, ("point", maxima[0])
-        p, q = maxima[0], maxima[-1]
-        if _ratio_sign(vsub(q, p), rot90(prim)) < 0:
-            p, q = q, p
-        return m, ("segment", p, q)
+                ray_dir, base = self.cone.gens[0], ints[-1]
+            return Fraction(dot(base, u), den), ("ray", _point(base, den), ray_dir)
+        i, j = _argmax(ints, prim)
+        value = Fraction(dot(ints[i], u), den)
+        if i == j:
+            return value, ("point", _point(ints[i], den))
+        if dot(vsub(ints[j], ints[i]), rot90(prim)) < 0:
+            i, j = j, i
+        return value, ("segment", _point(ints[i], den), _point(ints[j], den))
 
     def contains(self, point) -> bool:
         """Exact membership test, by Farkas: the point lies outside iff some u
         has <v - point, u> < 0 for every chain vertex v and <g, u> <= 0 for
-        every cone generator g.  Decided on the lattice of the chain and the
-        point."""
-        lat = lattice(self.chain + (as_point(point),))[1]
-        x, y = lat.pop()
-        rows = [((a - x, b - y), "<") for a, b in lat]
+        every cone generator g.  Decided on the chain's lattice, rescaled to
+        a common denominator with the point."""
+        den, ints = self.lattice
+        xden, ((x, y),) = lattice([as_point(point)])
+        common = math.lcm(den, xden)
+        f, k = common // den, common // xden
+        x, y = x * k, y * k
+        rows = [((a * f - x, b * f - y), "<") for a, b in ints]
         rows += [(g, "<=") for g in self.cone.gens]
         return not cone_strictly_feasible(rows)
 
 
-def _ratio_sign(d, w):
-    for i in (0, 1):
-        if w[i] != 0:
-            return 1 if d[i] / w[i] > 0 else -1
-    raise GeometryError("zero direction")
+def _point(p, den):
+    """The rational point of the lattice point p at scale den."""
+    return Fraction(p[0], den), Fraction(p[1], den)
+
+
+def _argmax(pts, u):
+    """First and last index of the points maximizing <p, u>."""
+    a, b = u
+    vals = [a * x + b * y for x, y in pts]
+    m = max(vals)
+    return vals.index(m), len(vals) - 1 - vals[::-1].index(m)
 
 
 def _face_midpoint(pts, u):
-    vals = [dot(p, u) for p in pts]
-    m = max(vals)
-    maxima = [p for p, v in zip(pts, vals) if v == m]
-    if len(maxima) == 1:
-        return maxima[0]
-    p, q = maxima[0], maxima[-1]
-    return vscale(Fraction(1, 2), vadd(p, q))
+    """Midpoint of the first and last of the points maximizing <p, u>,
+    found on the points' lattice."""
+    i, j = _argmax(lattice(pts)[1], u)
+    if i == j:
+        return pts[i]
+    return vscale(Fraction(1, 2), vadd(pts[i], pts[j]))
 
 
 def _poly_halfplanes(points):
@@ -350,10 +393,11 @@ def is_zero_minimal(a: VPolygon, b: VPolygon) -> bool:
         raise GeometryError("use bounded-pair tools")
     if not measure_inf(a.measure, b.measure).is_empty:
         return False
-    return _on_chain(b.chain, ORIGIN)
+    return _on_chain(b.lattice[1], (0, 0))  # the origin at every scale
 
 
 def _on_chain(chain, point) -> bool:
+    """The point lies on the polyline `chain` (exact scalars, one scale)."""
     if len(chain) == 1:
         return chain[0] == point
     for p, q in zip(chain, chain[1:]):

@@ -33,28 +33,37 @@
   library ran before it read the edge measure off the slope jumps and the
   values off adjacent chain points: the conjugate's points through
   `from_points`, and a max over every chain point for each value.
+- `fraction_chain`, `fraction_support`, `fraction_face_midpoint` and
+  `fraction_is_zero_minimal`: the planar chain, support, reference face
+  midpoint and 0-minimality test as the library computed them before it moved
+  them to the chain's integer lattice, with every vertex a `Fraction` partial
+  sum and every comparison a `Fraction` dot product.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 from minkpair.core import (
+    INF,
     GeometryError,
     as_point,
+    ccw_compare,
     cross3,
     dot,
     is_zero,
     lattice,
     linear_feasible,
     normalize_direction,
+    rot90,
     vadd,
     vneg,
     vscale,
     vsub,
 )
 from minkpair.dc import PLConvexFn, _interpolate, domain_cone
-from minkpair.planar import _poly_halfplanes, convex_hull_2d, from_points
+from minkpair.planar import _on_chain, _poly_halfplanes, convex_hull_2d, from_points, measure_inf
 from minkpair.spatial import (
     Facet,
     Polytope3,
@@ -535,3 +544,70 @@ def max_from_set(A, domain) -> PLConvexFn:
         xs.append((y0 - y1) / (x1 - x0))
     xs.append(b)
     return PLConvexFn(tuple(xs), tuple(max(p * x + q for p, q in pts) for x in xs))
+
+
+def fraction_face_midpoint(pts, u):
+    vals = [dot(p, u) for p in pts]
+    m = max(vals)
+    maxima = [p for p, v in zip(pts, vals) if v == m]
+    if len(maxima) == 1:
+        return maxima[0]
+    p, q = maxima[0], maxima[-1]
+    return vscale(Fraction(1, 2), vadd(p, q))
+
+
+def fraction_chain(poly):
+    """`VPolygon.chain` as partial sums of lam * rot90(u) in CCW order from
+    the polar arc's start, shifted so the reference face midpoint lands on
+    the anchor."""
+    start = poly.cone.arc_start()
+    coeffs = poly.measure.as_dict()
+    pts = [(Fraction(0), Fraction(0))]
+    for u in sorted(coeffs, key=cmp_to_key(lambda u, v: ccw_compare(u, v, start))):
+        pts.append(vadd(pts[-1], vscale(coeffs[u], rot90(u))))
+    if poly.cone.is_trivial and len(pts) > 1:
+        pts = pts[:-1]
+    shift = vsub(poly.anchor, fraction_face_midpoint(pts, poly.cone.u0()))
+    return tuple(vadd(p, shift) for p in pts)
+
+
+def _ratio_sign(d, w):
+    for i in (0, 1):
+        if w[i] != 0:
+            return 1 if d[i] / w[i] > 0 else -1
+    raise GeometryError("zero direction")
+
+
+def fraction_support(poly, u):
+    """`VPolygon.support` by a `Fraction` dot product at every chain vertex."""
+    cone = poly.cone
+    prim = normalize_direction(u)
+    if not cone.polar_contains(prim):
+        return INF, None
+    ch = fraction_chain(poly)
+    if not cone.is_trivial and not cone.polar_interior_contains(prim):
+        start_ray, end_ray = cone.polar_boundary_rays()
+        if len(cone.gens) == 1:
+            ray_dir = cone.gens[0]
+            base = ch[0] if prim == start_ray else ch[-1]
+        elif prim == start_ray:
+            ray_dir, base = cone.gens[1], ch[0]
+        else:
+            ray_dir, base = cone.gens[0], ch[-1]
+        return dot(base, u), ("ray", base, ray_dir)
+    vals = [dot(p, u) for p in ch]
+    m = max(vals)
+    maxima = [p for p, v in zip(ch, vals) if v == m]
+    if len(maxima) == 1:
+        return m, ("point", maxima[0])
+    p, q = maxima[0], maxima[-1]
+    if _ratio_sign(vsub(q, p), rot90(prim)) < 0:
+        p, q = q, p
+    return m, ("segment", p, q)
+
+
+def fraction_is_zero_minimal(a, b) -> bool:
+    """`is_zero_minimal` with the origin tested on the `Fraction` chain of b."""
+    if not measure_inf(a.measure, b.measure).is_empty:
+        return False
+    return _on_chain(fraction_chain(b), (Fraction(0), Fraction(0)))

@@ -11,6 +11,7 @@ from minkpair.core import (
     GeometryError,
     cross2,
     dot,
+    lattice,
     normalize_direction,
     linear_feasible,
     rot90,
@@ -22,6 +23,7 @@ from minkpair.planar import (
     ORIGIN,
     EdgeMeasure,
     VPolygon,
+    _face_midpoint,
     are_equivalent,
     convex_hull_2d,
     from_points,
@@ -47,7 +49,13 @@ from conftest import (
     rand_vpolygon,
     rand_wedge,
 )
-from oracles import fm_contains
+from oracles import (
+    fm_contains,
+    fraction_chain,
+    fraction_face_midpoint,
+    fraction_is_zero_minimal,
+    fraction_support,
+)
 
 TRIV = Cone2(())
 WEDGE = Cone2.from_generators([(-1, -1), (-1, 1)])
@@ -623,3 +631,97 @@ def test_contains_degenerate_examples():
     assert R.contains((1, 2**70)) and not R.contains((-F(1, 97), 5))
     W = from_points([(0, 0)], WEDGE)
     assert W.contains((-3, 2)) and W.contains((-3, -3)) and not W.contains((-3, F(301, 100)))
+
+
+# ---------------------------------------------------------------------------
+# the chain's integer lattice against the `Fraction` bodies it replaced
+
+
+@st.composite
+def lattice_cases(draw):
+    """A V-polygon over one point, a collinear or a general set, or a sum of
+    two, under any cone kind; the raw points; directions as ints, Fractions
+    and scaled vectors, the polar boundary rays and the edge normals among
+    them; and membership queries."""
+    scalar = draw(st.sampled_from(SCALARS))
+    point = st.tuples(scalar, scalar)
+    cone = draw(cones2())
+    shape = draw(st.sampled_from(["point", "collinear", "general", "general", "sum"]))
+    if shape == "point":
+        pts = [draw(point)]
+    elif shape == "collinear":
+        base, axis = draw(point), draw(point.filter(any))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+        pts = [vadd(base, tuple(t * c for c in axis)) for t in steps]
+    else:
+        pts = draw(st.lists(point, min_size=1, max_size=7))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    A = from_points(pts, cone)
+    if shape == "sum":
+        A = minkowski_sum(A, from_points(draw(st.lists(point, min_size=1, max_size=4)), cone))
+    prims = draw(st.lists(DIR2, min_size=1, max_size=4)) + A.measure.directions()
+    if not cone.is_trivial:
+        prims += list(cone.polar_boundary_rays())
+    factor = st.sampled_from([1, 3, 2**64 + 1]) | st.builds(
+        Fraction, st.integers(1, 2**70), st.sampled_from(DENOMINATORS))
+    dirs = list(prims) + [tuple(draw(factor) * Fraction(c) for c in u) for u in prims]
+    queries = list(A.chain) + draw(st.lists(point, max_size=3))
+    for g in cone.gens:
+        queries.append(vadd(draw(st.sampled_from(A.chain)), tuple(draw(factor) * c for c in g)))
+    return A, pts, dirs, queries
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+def test_lattice_paths_match_fraction_oracles(case):
+    A, pts, dirs, queries = case
+    assert A.chain == fraction_chain(A)
+    den, ints = lattice(A.chain)
+    assert A.lattice == (den, tuple(ints))
+    for u in dirs:
+        assert A.support(u) == fraction_support(A, u)
+    for u in {normalize_direction(u) for u in dirs}:
+        assert _face_midpoint(pts, u) == fraction_face_midpoint(pts, u)
+    for x in queries:
+        assert A.contains(x) == fm_contains(A, x)
+    if not A.cone.is_trivial:
+        for x in queries:
+            B = translate(A, vneg(x))
+            for C in (A, from_points([x], A.cone), from_points(pts[:2], A.cone)):
+                assert is_zero_minimal(C, B) == fraction_is_zero_minimal(C, B)
+
+
+def test_measure_directions_must_be_primitive():
+    # equal sets, but a non-primitive direction would give a second canonical form
+    half = EdgeMeasure.from_entries({(4, -2): F(1, 2)})
+    with pytest.raises(GeometryError, match="primitive"):
+        VPolygon(UP, (0, 0), half)
+    for u in [(0, 0), (F(2), F(-1)), (2, -1, 0)]:
+        with pytest.raises(GeometryError, match="primitive"):
+            VPolygon(UP, (0, 0), EdgeMeasure.from_entries({u: 1}))
+    whole = VPolygon(UP, (0, 0), EdgeMeasure.from_entries({(2, -1): 1}))
+    assert whole.chain == ((0, 0), (1, 2))
+
+
+def test_support_does_constant_fraction_work(monkeypatch):
+    """On the lifted parabola (k/3, k^2/9), |k| <= 200 (401 vertices), a
+    support query makes a few `Fraction` products (the dot product at every
+    vertex took two per vertex)."""
+    P = from_points([(F(k, 3), F(k * k, 9)) for k in range(-200, 201)], TRIV)
+    assert len(P.chain) == 401
+    dirs = [(1, -3), (0, -1), (F(-7, 2), F(1, 5)), (2, 9)]
+    expected = [fraction_support(P, u) for u in dirs]
+    calls = [0]
+
+    def counting(op):
+        def counted(self, other):
+            calls[0] += 1
+            return op(self, other)
+        return counted
+
+    monkeypatch.setattr(F, "__mul__", counting(F.__mul__))
+    monkeypatch.setattr(F, "__rmul__", counting(F.__rmul__))
+    got = [P.support(u) for u in dirs]
+    monkeypatch.undo()
+    assert calls[0] <= 2 * len(dirs)
+    assert got == expected
