@@ -10,11 +10,11 @@ the rationals.  `spatial` builds its hulls and its perp-plane rows on it,
 and each planar V-polygon keeps its chain as one such lattice.
 The exact decisions here:
 
-- `cone_strictly_feasible` decides homogeneous systems in two variables by
-  integer sign tests on a few candidate rays; the perp-plane tests of the 3D
-  criteria and `VPolygon.contains` run on it.  `cone_strictly_feasible3`,
-  its sibling in three variables with strict and weak rows, decides vertex
-  survival in `spatial`, `Cone3` pointedness and membership, and
+- `cone_strictly_feasible` decides homogeneous systems of strict and weak
+  rows in two or three variables by integer sign tests on one point of the
+  closed cone's relative interior, built from a few candidate rays.  It
+  runs the perp-plane tests of the 3D criteria, vertex survival in
+  `spatial`, `Cone3` pointedness and membership, `VPolygon.contains` and
   `contains3`: by Farkas' lemma a point lies outside conv(V) + cone(G)
   exactly when some u strictly separates it.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
@@ -241,123 +241,63 @@ def linear_feasible(constraints, nvars) -> bool:
     return True
 
 
-def cone_strictly_feasible(rows) -> bool:
-    """True iff a NONZERO u in R^2 satisfies every homogeneous row.
-
-    Each row is (a, rel): an integer pair a and rel one of '<', '<=', '=',
-    meaning <a, u> rel 0.  A zero row with '<' fails; other zero rows hold.
-    Decided in integers by testing candidate rays.  An equality row leaves
-    only u = +-rot90(a).  Otherwise the closed cone C = {u : <a_i, u> <= 0}
-    is a half-plane, a line, a pointed wedge, a ray or {0}, and the strict
-    rows only remove boundary rays of C; so if any u works, one of these
-    does: -a_0 (inside a half-plane), a boundary ray +-rot90(a_i) lying in C,
-    or the sum of two such rays (inside a wedge).
-    """
-    strict, weak, equal = [], [], []
-    first = None
-    for a, rel in rows:
-        if rel == "<":
-            bucket = strict
-        elif rel == "<=":
-            bucket = weak
-        elif rel == "=":
-            bucket = equal
-        else:
-            raise GeometryError(f"unknown relation {rel!r}")
-        if a[0] or a[1]:
-            bucket.append(a)
-            if first is None:
-                first = a
-        elif bucket is strict:
-            return False
-
-    def solves(x, y):
-        for a, b in strict:
-            if a * x + b * y >= 0:
-                return False
-        for a, b in weak:
-            if a * x + b * y > 0:
-                return False
-        for a, b in equal:
-            if a * x + b * y:
-                return False
-        return True
-
-    if equal:
-        a, b = equal[0]
-        return solves(-b, a) or solves(b, -a)
-    if first is None:
-        return True
-    if solves(-first[0], -first[1]):
-        return True
-    bounding = strict + weak
-    rays = []  # closed-feasible boundary rays, one per direction: at most two
-    for a, b in bounding:
-        # <(c, d), rot90(a, b)> = ad - bc: rot90 lies in C iff no such cross
-        # is positive, -rot90 iff none is negative
-        pos = neg = False
-        for c, d in bounding:
-            t = a * d - b * c
-            if t > 0:
-                pos = True
-            elif t < 0:
-                neg = True
-            if pos and neg:
-                break
-        else:
-            for x, y, closed in ((-b, a, not pos), (b, -a, not neg)):
-                if not closed or any(x * ry == y * rx and x * rx + y * ry > 0 for rx, ry in rays):
-                    continue
-                if solves(x, y):
-                    return True
-                rays.append((x, y))
-    for (x1, y1), (x2, y2) in combinations(rays, 2):
-        x, y = x1 + x2, y1 + y2
-        if (x or y) and solves(x, y):
-            return True
-    return False
-
-
-def cone_strictly_feasible3(strict, weak=()) -> bool:
-    """True iff some u in R^3 has <a, u> < 0 for every row a of `strict` and
+def cone_strictly_feasible(strict, weak=()) -> bool:
+    """True iff some u has <a, u> < 0 for every row a of `strict` and
     <b, u> <= 0 for every row b of `weak`.
 
-    Rows are integer triples.  With no strict row u = 0 works; otherwise a
-    zero strict row fails every candidate below and a zero weak row passes
-    it.  With weak rows only generators, this is "some u strictly separates"
-    in Farkas' lemma; with none, by Gordan's theorem, "cone(strict) is
-    pointed".  Decided in integers by the rank of the rows, a_0 being the
-    first strict row.  Rank 1: every row is a multiple of a_0, so u = -a_0
-    works if any u does.  Rank 2: the rows span the plane normal to
-    n = a_0 x a_j, so the question moves, each row keeping its relation, to
-    the basis (a_0, n x a_0) of that plane and `cone_strictly_feasible`.
-    Rank 3: the closed cone C = {u : <a_i, u> <= 0} is pointed, so its
-    extreme rays are among the +-(a_i x a_j), and the sum of those lying in
-    C is in its relative interior; a strict row negative anywhere on C is
-    negative there.
+    Rows are integer pairs or integer triples, all of one length; pairs are
+    lifted to (x, y, 0), which changes no answer.  With no strict row u = 0
+    works; otherwise a zero strict row fails every candidate below and a zero
+    weak row passes it.  With weak rows only generators, this is "some u
+    strictly separates" in Farkas' lemma; with none, by Gordan's theorem,
+    "cone(strict) is pointed".
+
+    Decided in integers on one point of the relative interior of the closed
+    cone C = {u : <a_i, u> <= 0}: a strict row negative anywhere on C is
+    negative there.  a_0 is the first strict row, and u = -a_0 is tried
+    first; if every row is a multiple of a_0 (rank 1), it works if any u
+    does.  Otherwise n = a_0 x a_j is nonzero for some row.  If every row is
+    normal to n (rank 2), C is the line of n plus a pointed cone in the plane
+    normal to n, whose extreme rays are among the +-(n x a_i); else (rank 3)
+    C is pointed and its extreme rays are among the +-(a_i x a_j).  The sum
+    of the candidates lying in C is in its relative interior.
     """
     if not strict:
         return True
+    if len(strict[0]) == 2:
+        strict = [(x, y, 0) for x, y in strict]
+        weak = [(x, y, 0) for x, y in weak]
     rows = [*strict, *weak]
 
     def solves(ux, uy, uz):
-        return all(x * ux + y * uy + z * uz < 0 for x, y, z in strict) and all(
-            x * ux + y * uy + z * uz <= 0 for x, y, z in weak
-        )
+        for x, y, z in strict:
+            if x * ux + y * uy + z * uz >= 0:
+                return False
+        for x, y, z in weak:
+            if x * ux + y * uy + z * uz > 0:
+                return False
+        return True
 
-    a0 = rows[0]
-    n = next((c for c in (cross3(a0, a) for a in rows) if not is_zero(c)), None)
-    if n is None:
-        return solves(*vneg(a0))
-    if all(dot(n, a) == 0 for a in rows):
-        b = cross3(n, a0)
-        return cone_strictly_feasible(
-            [((dot(a, a0), dot(a, b)), "<") for a in strict]
-            + [((dot(a, a0), dot(a, b)), "<=") for a in weak]
-        )
+    ax, ay, az = rows[0]
+    if solves(-ax, -ay, -az):
+        return True
+    for x, y, z in rows:
+        nx, ny, nz = ay * z - az * y, az * x - ax * z, ax * y - ay * x
+        if nx or ny or nz:
+            break
+    else:
+        return False  # rank 1
+    # the candidate rays are the p x q over these pairs (p, q)
+    for x, y, z in rows:
+        if nx * x + ny * y + nz * z:
+            pairs = combinations(rows, 2)  # rank 3
+            break
+    else:
+        n = nx, ny, nz
+        pairs = [(n, a) for a in rows]  # rank 2
     sx = sy = sz = 0
-    for a, b in combinations(rows, 2):
-        cx, cy, cz = cross3(a, b)
+    for (px, py, pz), (qx, qy, qz) in pairs:
+        cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
         # c or -c lies in C unless the rows take both signs on c
         pos = neg = False
         for x, y, z in rows:
@@ -502,13 +442,16 @@ class Cone2:
 class Cone3:
     """Pointed cone in R^3 given by a minimal set of primitive generators.
 
-    An empty generator tuple encodes the trivial cone {0}.
+    An empty generator tuple encodes the trivial cone {0}.  cone(gens) holds
+    a line iff some nontrivial nonnegative combination of the generators
+    vanishes, which by Gordan's theorem fails iff some u has <g, u> < 0 for
+    every generator.
     """
 
     gens: tuple
 
     def __post_init__(self):
-        if not _pointed(self.gens):
+        if not cone_strictly_feasible(self.gens):
             raise GeometryError("cone is not pointed")
 
     @staticmethod
@@ -518,7 +461,7 @@ class Cone3:
             d = normalize_direction(g)
             if d not in dirs:
                 dirs.append(d)
-        if not _pointed(dirs):
+        if not cone_strictly_feasible(dirs):
             raise GeometryError("cone is not pointed")
         kept = [g for i, g in enumerate(dirs) if not _in_cone_span(g, dirs[:i] + dirs[i + 1 :])]
         return Cone3(tuple(sorted(kept)))
@@ -539,20 +482,10 @@ class Cone3:
         return _in_cone_span(v, self.gens)
 
 
-def _pointed(gens) -> bool:
-    """cone(gens) holds no line.
-
-    It holds one iff some nontrivial nonnegative combination of the
-    generators vanishes, which by Gordan's theorem fails iff some u has
-    <g, u> < 0 for every generator.
-    """
-    return cone_strictly_feasible3(gens)
-
-
 def _in_cone_span(v, gens) -> bool:
     """v = sum(lam_i * g_i) with lam_i >= 0, decided in integers.
 
     By Farkas' lemma v lies outside cone(gens) iff some u has <v, u> > 0 and
     <g, u> <= 0 for every generator.
     """
-    return not cone_strictly_feasible3([vneg(v)], gens)
+    return not cone_strictly_feasible([vneg(v)], gens)

@@ -10,10 +10,11 @@ Two V-polygons are equal as sets iff their canonical forms are equal.
 Each V-polygon computes its chain once, as an integer lattice (den, ints)
 built from the measure and the anchor, and the hot paths run on it: support
 faces, the reference face midpoint and the 0-minimality test are integer
-comparisons, and point membership is a homogeneous integer ray test
-(`core.cone_strictly_feasible`) on the lattice rescaled to the point's
-denominator: by Farkas' lemma the point lies outside exactly when some
-direction strictly separates it.
+comparisons, and point membership is one homogeneous integer ray test
+(`core.cone_strictly_feasible`) with the lattice, rescaled to the point's
+denominator, as strict rows and the cone generators as weak rows: by
+Farkas' lemma the point lies outside exactly when some direction strictly
+separates it.
 """
 
 from __future__ import annotations
@@ -261,9 +262,7 @@ class VPolygon:
         common = math.lcm(den, xden)
         f, k = common // den, common // xden
         x, y = x * k, y * k
-        rows = [((a * f - x, b * f - y), "<") for a, b in ints]
-        rows += [(g, "<=") for g in self.cone.gens]
-        return not cone_strictly_feasible(rows)
+        return not cone_strictly_feasible([(a * f - x, b * f - y) for a, b in ints], self.cone.gens)
 
 
 def _point(p, den):
@@ -471,9 +470,3 @@ def kernel_of_minimality(a: VPolygon, b: VPolygon) -> BoundaryChain:
         raise GeometryError("kernel defined only relative to 0-minimal pairs")
     return BoundaryChain(b.chain)
 
-
-def subset(a: VPolygon, c: VPolygon) -> bool:
-    """a subseteq c: chain vertices inside c and cone contained in c's cone."""
-    if not all(c.cone.contains_vector(g) for g in a.cone.gens):
-        return False
-    return all(c.contains(p) for p in a.chain)

@@ -13,13 +13,15 @@ depends on the input only through its vertices, so `hull3(q.vertices) == q`.
 Lower-dimensional hulls (point, segment, flat polygon) are first-class
 citizens because several fixtures are flat.  The summand and reduced-pair
 criteria run on each polytope's vertex lattice too, with no `Fraction` solver:
-one perp-plane frame per exposed edge.  The summand criterion then walks the
+one perp-plane frame per exposed edge, whose strict rows in two variables go
+to `core.cone_strictly_feasible`.  The summand criterion then walks the
 vertices of the 2D hull of K's projection onto that plane; above each lies a
 vertex of K or an edge parallel to P's edge, whose length is compared in
 integers.
-Vertex survival in `from_points3` is one strict integer system in three
-variables over the same lattice, and `contains3` one strict-and-weak system
-over the lattice of the vertices and the point (Farkas separation).
+Vertex survival in `from_points3` is one call of that same ray test with
+strict rows in three variables over the same lattice, and `contains3` one
+call with strict and weak rows over the lattice of the vertices and the point
+(Farkas separation).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (
     GeometryError,
     as_point,
     cone_strictly_feasible,
-    cone_strictly_feasible3,
     cross3,
     dot,
     is_zero,
@@ -256,7 +257,7 @@ def _vertex_survives(q: Polytope3, lat, i, cone: Cone3) -> bool:
     the question is one strict system in three variables.
     """
     rows = [vsub(lat[b if a == i else a], lat[i]) for a, b in q.edges if i in (a, b)]
-    return cone_strictly_feasible3(rows + list(cone.gens))
+    return cone_strictly_feasible(rows + list(cone.gens))
 
 
 def support3(p: VPolytope3, u):
@@ -277,7 +278,7 @@ def contains3(p: VPolytope3, x) -> bool:
     for every cone generator g.  Decided on the lattice of the vertices and x."""
     lat = lattice(p.bounded.vertices + (as_point(x),))[1]
     x = lat.pop()
-    return not cone_strictly_feasible3([vsub(v, x) for v in lat], p.cone.gens)
+    return not cone_strictly_feasible([vsub(v, x) for v in lat], p.cone.gens)
 
 
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
@@ -326,14 +327,11 @@ def _project(points, w1, w2):
 
 
 def _face_rows(proj, ids):
-    """Rows for relint of the normal cone of the face with vertex ids `ids`,
-    projected; in the frame of a parallel edge an edge's `=` row is zero."""
+    """Strict rows for relint of the normal cone of the vertex or edge with
+    vertex ids `ids`, projected to the perp plane of an edge parallel to it:
+    the differences to every other vertex (the edge itself projects to 0)."""
     bx, by = proj[ids[0]]
-    return [
-        ((x - bx, y - by), "=" if k in ids else "<")
-        for k, (x, y) in enumerate(proj)
-        if k != ids[0]
-    ]
+    return [(x - bx, y - by) for k, (x, y) in enumerate(proj) if k not in ids]
 
 
 def _edge_frame(p: VPolytope3, lat, i, j):
@@ -349,13 +347,13 @@ def _edge_frame(p: VPolytope3, lat, i, j):
     d = normalize_direction(vsub(lat[j], lat[i]))
     w1, w2 = _perp_basis(d)
     rows = _face_rows(_project(lat, w1, w2), (i, j))
-    rows += [(g, "<") for g in _project(p.cone.gens, w1, w2)]
+    rows += _project(p.cone.gens, w1, w2)
     return d, (w1, w2), rows
 
 
 def _feasible_in_perp_plane(rows) -> bool:
-    """Nonzero u = alpha*w1 + beta*w2 satisfying all rows, given projected to
-    (<a, w1>, <a, w2>) as integer pairs?"""
+    """Some u = alpha*w1 + beta*w2 with <a, u> < 0 for every row a, the rows
+    given projected to (<a, w1>, <a, w2>) as integer pairs?"""
     return cone_strictly_feasible(rows)
 
 
@@ -419,7 +417,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
         for t, q in enumerate(hull):
             if _face_contains_translate(kden, klat, over[q], pden, elat):
                 continue
-            wedge = [(vsub(r, q), "<") for r in (hull[t - 1], hull[(t + 1) % len(hull)]) if r != q]
+            wedge = [vsub(r, q) for r in (hull[t - 1], hull[(t + 1) % len(hull)]) if r != q]
             if _feasible_in_perp_plane(edge_rows + wedge):
                 return False
     return True

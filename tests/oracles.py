@@ -10,7 +10,9 @@
 - `face_sweep_summand_criterion3`: the summand sweep the library ran before
   its walk over the hull of K's projection: every vertex, edge and facet of
   K against every exposed edge of P, with exposure decided by
-  `fm_cone_strictly_feasible` and containment by `fm_face_contains_translate`.
+  `fm_cone_strictly_feasible` on `_tagged_edge_frame`'s rows (a row for
+  every vertex of both polytopes, with a facet's own rows as equalities) and
+  containment by `fm_face_contains_translate`.
 - `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
   library used before it moved its predicates to an integer lattice, with
   every predicate a `Fraction` dot product; the lattice hull must return
@@ -68,10 +70,7 @@ from minkpair.spatial import (
     Facet,
     Polytope3,
     VPolytope3,
-    _edge_frame,
-    _face_rows,
     _perp_basis,
-    _project,
     from_points3,
 )
 
@@ -195,6 +194,29 @@ def fm_face_contains_translate(q: Polytope3, kind, ids, facet, vec) -> bool:
     return linear_feasible(cons, 2)
 
 
+def _tagged_face_rows(proj, ids):
+    """Tagged rows (a, rel) for relint of the normal cone of the face with
+    vertex ids `ids`, projected: `=` for the face's own vertices, `<` for the
+    others.  A facet's `=` rows are nonzero in the frame of a parallel edge."""
+    bx, by = proj[ids[0]]
+    return [
+        ((x - bx, y - by), "=" if k in ids else "<")
+        for k, (x, y) in enumerate(proj)
+        if k != ids[0]
+    ]
+
+
+def _tagged_edge_frame(p: VPolytope3, lat, i, j):
+    """((w1, w2), rows): a basis of the plane normal to the edge (i, j) of p's
+    lattice points `lat`, and the tagged rows, projected to it, of the
+    directions that expose exactly this edge inside the open polar of p's cone."""
+    w1, w2 = _perp_basis(vsub(lat[j], lat[i]))
+    proj = [(dot(v, w1), dot(v, w2)) for v in lat]
+    rows = _tagged_face_rows(proj, (i, j))
+    rows += [((dot(g, w1), dot(g, w2)), "<") for g in p.cone.gens]
+    return (w1, w2), rows
+
+
 def face_sweep_summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
     """Every face of k's bounded hull whose relint normal cone meets the open
     polar directions exposing a bounded edge of p holds a translate of it."""
@@ -209,14 +231,14 @@ def face_sweep_summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
             faces.append(("facet", ids, f))
     plat, klat = lattice(p.bounded.vertices)[1], lattice(kb.vertices)[1]
     for i, j in p.bounded.edges:
-        _, (w1, w2), edge_rows = _edge_frame(p, plat, i, j)
+        (w1, w2), edge_rows = _tagged_edge_frame(p, plat, i, j)
         if not fm_cone_strictly_feasible(edge_rows):
             continue
         e = vsub(p.bounded.vertices[j], p.bounded.vertices[i])
-        kproj = _project(klat, w1, w2)
+        kproj = [(dot(v, w1), dot(v, w2)) for v in klat]
         for kind, ids, facet in faces:
             if (not fm_face_contains_translate(kb, kind, ids, facet, e)
-                    and fm_cone_strictly_feasible(edge_rows + _face_rows(kproj, ids))):
+                    and fm_cone_strictly_feasible(edge_rows + _tagged_face_rows(kproj, ids))):
                 return False
     return True
 

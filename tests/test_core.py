@@ -14,7 +14,6 @@ from minkpair.core import (
     ccw_compare,
     _in_cone_span,
     cone_strictly_feasible,
-    cone_strictly_feasible3,
     dot,
     linear_feasible,
     normalize_direction,
@@ -90,24 +89,25 @@ def test_polar_interior_implies_negative_pairing():
 
 def test_cone_strictly_feasible_examples():
     # x > 0 and -x > 0 simultaneously: impossible
-    assert not cone_strictly_feasible([((-1, 0), "<"), ((1, 0), "<")])
+    assert not cone_strictly_feasible([(-1, 0), (1, 0)])
     # x > 0 alone in two variables
-    assert cone_strictly_feasible([((-1, 0), "<")])
+    assert cone_strictly_feasible([(-1, 0)])
     # x+y > 0, x-y > 0, -x >= 0: adding the first two forces x > 0
-    assert not cone_strictly_feasible([((-1, -1), "<"), ((-1, 1), "<"), ((1, 0), "<=")])
+    assert not cone_strictly_feasible([(-1, -1), (-1, 1)], [(1, 0)])
     assert cone_strictly_feasible([])
-    assert not cone_strictly_feasible([((0, 0), "<")])
-    assert cone_strictly_feasible([((0, 0), "<="), ((0, 0), "=")])
-    # an equality leaves one line: u = (0, -1) satisfies y < 0
-    assert cone_strictly_feasible([((1, 0), "="), ((0, 1), "<")])
-    assert not cone_strictly_feasible([((1, 0), "="), ((0, 1), "<"), ((0, -1), "<")])
+    assert not cone_strictly_feasible([(0, 0)])
+    assert cone_strictly_feasible([(1, 0)], [(0, 0)])
+    # a weak pair a, -a leaves one line: u = (0, -1) satisfies y < 0
+    assert cone_strictly_feasible([(0, 1)], [(1, 0), (-1, 0)])
+    assert not cone_strictly_feasible([(0, 1), (0, -1)], [(1, 0), (-1, 0)])
     # closed half-plane pair meeting in a line, with the line excluded
-    assert cone_strictly_feasible([((1, 1), "<="), ((-1, -1), "<=")])
-    assert not cone_strictly_feasible([((1, 1), "<"), ((-1, -1), "<=")])
+    assert cone_strictly_feasible([(1, -1)], [(1, 1), (-1, -1)])
+    assert not cone_strictly_feasible([(1, 1)], [(-1, -1)])
     big = 2**64 + 1
-    assert cone_strictly_feasible([((big, -1), "<"), ((-big, -1), "<")])
-    with pytest.raises(GeometryError):
-        cone_strictly_feasible([((1, 0), ">")])
+    assert cone_strictly_feasible([(big, -1), (-big, -1)])
+    # a pair decides as its lift (x, y, 0)
+    assert cone_strictly_feasible([(0, 1, 0)], [(1, 0, 0), (-1, 0, 0)])
+    assert not cone_strictly_feasible([(1, 1, 0)], [(-1, -1, 0)])
 
 
 def test_linear_feasible_affine():
@@ -163,27 +163,43 @@ def test_cone3_pointedness_and_membership():
 SMALL = st.integers(-3, 3)
 HUGE = st.one_of(st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64)))
 COEFF = st.one_of(SMALL, SMALL, HUGE)
-REL = st.sampled_from(["<", "<=", "="])
 
 
 @st.composite
 def homogeneous_systems(draw):
-    """Rows in two variables, with zero, repeated, scaled and antiparallel rows mixed in."""
-    rows = draw(st.lists(st.tuples(st.tuples(COEFF, COEFF), REL), max_size=6))
-    for (a, b), _ in list(rows):
+    """(strict, weak) rows in two or three variables, at least one strict.
+
+    The rows are integer combinations of one, two or three basis vectors, so
+    rank 1 and rank 2 come up often; zero, repeated, scaled and antiparallel
+    rows, and entries beyond 2**64, are mixed in.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    basis = [draw(st.tuples(*[COEFF] * dim)) for _ in range(draw(st.integers(1, dim)))]
+    weights = st.tuples(*(st.integers(-3, 3) for _ in basis))
+    rows = basis + [tuple(sum(t * b[c] for t, b in zip(ts, basis)) for c in range(dim))
+                    for ts in draw(st.lists(weights, max_size=5))]
+    rows = draw(st.permutations(rows))
+    for r in list(rows):
         kind = draw(st.sampled_from(["none", "none", "repeat", "scaled", "antiparallel", "zero"]))
-        k = draw(st.integers(1, 2**65))
-        extra = {"none": None, "repeat": (a, b), "scaled": (k * a, k * b),
-                 "antiparallel": (-k * a, -k * b), "zero": (0, 0)}[kind]
+        k = draw(st.integers(1, 3) | st.integers(2**64, 2**65))
+        extra = {"none": None, "repeat": r, "scaled": vscale(k, r), "antiparallel": vscale(-k, r),
+                 "zero": (0,) * dim}[kind]
         if extra is not None:
-            rows.insert(draw(st.integers(0, len(rows))), (extra, draw(REL)))
-    return rows
+            rows.insert(draw(st.integers(0, len(rows))), extra)
+    weak_mask = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    if all(weak_mask):
+        weak_mask[draw(st.integers(0, len(rows) - 1))] = False
+    strict = [a for a, w in zip(rows, weak_mask) if not w]
+    weak = [a for a, w in zip(rows, weak_mask) if w]
+    return strict, weak
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
 @given(homogeneous_systems())
-def test_cone_strictly_feasible_matches_fourier_motzkin(rows):
-    assert cone_strictly_feasible(rows) == fm_cone_strictly_feasible(rows)
+def test_cone_strictly_feasible_matches_fourier_motzkin(system):
+    strict, weak = system
+    want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
+    assert cone_strictly_feasible(strict, weak) == want
 
 
 GEN = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(any)
@@ -205,7 +221,7 @@ def generator_sets(draw):
     return gens + [tuple(-k * x for x in g)]
 
 
-def _pointed(gens):
+def _constructs(gens):
     try:
         Cone3.from_generators(gens)
     except GeometryError:
@@ -216,79 +232,40 @@ def _pointed(gens):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(generator_sets())
 def test_cone3_pointedness_matches_fourier_motzkin(gens):
-    assert _pointed(gens) == fm_cone_strictly_feasible([(g, "<") for g in gens])
-
-
-VEC3 = (st.tuples(SMALL, SMALL, SMALL) | st.tuples(COEFF, COEFF, COEFF)).filter(any)
-
-
-@st.composite
-def strict_systems3(draw):
-    """Nonzero rows of rank 1, 2 or 3, with repeated, scaled and antiparallel rows mixed in."""
-    basis = [draw(VEC3) for _ in range(draw(st.sampled_from([1, 2, 3])))]
-    weights = st.tuples(*(st.integers(-3, 3) for _ in basis))
-    rows = basis + [tuple(sum(t * b[c] for t, b in zip(ts, basis)) for c in range(3))
-                    for ts in draw(st.lists(weights, max_size=5))]
-    rows = draw(st.permutations([r for r in rows if any(r)]))
-    for r in list(rows):
-        kind = draw(st.sampled_from(["none", "none", "repeat", "scaled", "antiparallel"]))
-        k = draw(st.integers(1, 3) | st.integers(2**64, 2**65))
-        extra = {"none": None, "repeat": r, "scaled": vscale(k, r), "antiparallel": vscale(-k, r)}[kind]
-        if extra is not None:
-            rows.insert(draw(st.integers(0, len(rows))), extra)
-    return rows
-
-
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(strict_systems3())
-def test_cone_strictly_feasible3_matches_fourier_motzkin(rows):
-    assert cone_strictly_feasible3(rows) == fm_cone_strictly_feasible([(a, "<") for a in rows])
-
-
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(strict_systems3(), st.data())
-def test_mixed_cone_strictly_feasible3_matches_fourier_motzkin(rows, data):
-    """Rows split into strict and weak ones, with zero rows of either kind mixed in."""
-    weak_mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    strict = [a for a, w in zip(rows, weak_mask) if not w] or rows[:1]
-    weak = [a for a, w in zip(rows, weak_mask) if w]
-    zeros = data.draw(st.sampled_from(["none", "none", "none", "weak", "strict"]))
-    if zeros == "weak":
-        weak.insert(data.draw(st.integers(0, len(weak))), (0, 0, 0))
-    elif zeros == "strict":
-        strict.insert(data.draw(st.integers(0, len(strict))), (0, 0, 0))
-    want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
-    assert cone_strictly_feasible3(strict, weak) == want
+    want = fm_cone_strictly_feasible([(g, "<") for g in gens])
+    assert cone_strictly_feasible(gens) == want
+    assert _constructs(gens) == want
 
 
 def test_cone_strictly_feasible3_by_rank():
-    assert cone_strictly_feasible3([])
-    assert cone_strictly_feasible3([(1, 2, 3), (2, 4, 6)])
-    assert not cone_strictly_feasible3([(1, 2, 3), (-1, -2, -3)])
-    assert cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    assert not cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
-    assert cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    assert not cone_strictly_feasible3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    """Systems in three variables, one or more of each rank."""
+    assert cone_strictly_feasible([])
+    assert cone_strictly_feasible([(1, 2, 3), (2, 4, 6)])
+    assert not cone_strictly_feasible([(1, 2, 3), (-1, -2, -3)])
+    assert cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert not cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
+    assert cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert not cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     # rank 3 whose closed cone is a single ray: no interior
-    assert not cone_strictly_feasible3([(1, 1, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1)])
-    assert cone_strictly_feasible3([(1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 1)])
+    assert not cone_strictly_feasible([(1, 1, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1)])
+    assert cone_strictly_feasible([(1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 1)])
     # strict and weak rows, rank 1
-    assert cone_strictly_feasible3([(-1, -2, -3)], [(-2, -4, -6)])
-    assert cone_strictly_feasible3([(1, 2, 3)], [(2, 4, 6)])
-    assert not cone_strictly_feasible3([(1, 2, 3)], [(-1, -2, -3)])
+    assert cone_strictly_feasible([(-1, -2, -3)], [(-2, -4, -6)])
+    assert cone_strictly_feasible([(1, 2, 3)], [(2, 4, 6)])
+    assert not cone_strictly_feasible([(1, 2, 3)], [(-1, -2, -3)])
     # rank 2: x > 0 strictly, y >= 0 and x + y <= 0 leave nothing
-    assert not cone_strictly_feasible3([(-1, 0, 0)], [(0, -1, 0), (1, 1, 0)])
-    assert cone_strictly_feasible3([(-1, 0, 0)], [(0, -1, 0), (-1, 1, 0)])
+    assert not cone_strictly_feasible([(-1, 0, 0)], [(0, -1, 0), (1, 1, 0)])
+    assert cone_strictly_feasible([(-1, 0, 0)], [(0, -1, 0), (-1, 1, 0)])
     # rank 3: the weak rows pin u to the ray of (1, 1, 1), which the strict row must see
     weak = [(-1, 1, 0), (0, -1, 1), (1, 0, -1), (-1, -1, -1)]
-    assert cone_strictly_feasible3([(-1, 0, 0)], weak)
-    assert not cone_strictly_feasible3([(1, 0, 0)], weak)
+    assert cone_strictly_feasible([(-1, 0, 0)], weak)
+    assert not cone_strictly_feasible([(1, 0, 0)], weak)
     # weak rows whose closed cone is {0}
-    assert not cone_strictly_feasible3([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    assert not cone_strictly_feasible([(1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     # zero rows: a strict one fails, a weak one holds, no strict row is feasible
-    assert not cone_strictly_feasible3([(0, 0, 0)], [])
-    assert cone_strictly_feasible3([(1, 0, 0)], [(0, 0, 0)])
-    assert cone_strictly_feasible3([], [(1, 0, 0), (-1, 0, 0)])
+    assert not cone_strictly_feasible([(0, 0, 0)], [])
+    assert cone_strictly_feasible([(1, 0, 0)], [(0, 0, 0)])
+    assert cone_strictly_feasible([], [(1, 0, 0), (-1, 0, 0)])
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)

@@ -37,7 +37,6 @@ from minkpair.planar import (
     reduce_pair,
     scale,
     shared_normals,
-    subset,
     translate,
 )
 from conftest import (
@@ -505,6 +504,13 @@ def test_support_infinite_exactly_off_polar():
         u = rand_direction(rng, 6)
         val, _ = A.support(u)
         assert (val == float("inf")) == (not cone.polar_contains(u))
+
+
+def subset(a: VPolygon, c: VPolygon) -> bool:
+    """a subseteq c: chain vertices inside c and cone contained in c's cone."""
+    if not all(c.cone.contains_vector(g) for g in a.cone.gens):
+        return False
+    return all(c.contains(p) for p in a.chain)
 
 
 def test_order_cancellation():
