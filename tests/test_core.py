@@ -237,6 +237,49 @@ def test_cone3_pointedness_matches_fourier_motzkin(gens):
     assert _constructs(gens) == want
 
 
+VEC3 = (st.tuples(SMALL, SMALL, SMALL) | st.tuples(COEFF, COEFF, COEFF)).filter(any)
+
+
+@st.composite
+def strict_systems3(draw):
+    """Nonzero rows in three variables of rank 1, 2 or 3, with repeated, scaled and antiparallel rows mixed in."""
+    basis = [draw(VEC3) for _ in range(draw(st.sampled_from([1, 2, 3])))]
+    weights = st.tuples(*(st.integers(-3, 3) for _ in basis))
+    rows = basis + [tuple(sum(t * b[c] for t, b in zip(ts, basis)) for c in range(3))
+                    for ts in draw(st.lists(weights, max_size=5))]
+    rows = draw(st.permutations([r for r in rows if any(r)]))
+    for r in list(rows):
+        kind = draw(st.sampled_from(["none", "none", "repeat", "scaled", "antiparallel"]))
+        k = draw(st.integers(1, 3) | st.integers(2**64, 2**65))
+        extra = {"none": None, "repeat": r, "scaled": vscale(k, r), "antiparallel": vscale(-k, r)}[kind]
+        if extra is not None:
+            rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(strict_systems3())
+def test_cone_strictly_feasible3_matches_fourier_motzkin(rows):
+    """Strict rows only, in three variables."""
+    assert cone_strictly_feasible(rows) == fm_cone_strictly_feasible([(a, "<") for a in rows])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(strict_systems3(), st.data())
+def test_mixed_cone_strictly_feasible3_matches_fourier_motzkin(rows, data):
+    """Rows in three variables split into strict and weak ones, with zero rows of either kind mixed in."""
+    weak_mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    strict = [a for a, w in zip(rows, weak_mask) if not w] or rows[:1]
+    weak = [a for a, w in zip(rows, weak_mask) if w]
+    zeros = data.draw(st.sampled_from(["none", "none", "none", "weak", "strict"]))
+    if zeros == "weak":
+        weak.insert(data.draw(st.integers(0, len(weak))), (0, 0, 0))
+    elif zeros == "strict":
+        strict.insert(data.draw(st.integers(0, len(strict))), (0, 0, 0))
+    want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
+    assert cone_strictly_feasible(strict, weak) == want
+
+
 def test_cone_strictly_feasible3_by_rank():
     """Systems in three variables, one or more of each rank."""
     assert cone_strictly_feasible([])
