@@ -32,7 +32,7 @@ from .spatial import (
     summand_criterion3,
 )
 from .dc import DcPair, hartman_minimize, is_hartman_minimal, to_hypograph_set
-from .scene import SceneError, dump_scene, function_json, load_scene, set_json
+from .scene import SceneError, dump_scene, function_json, load_scene, point_json, set_json
 from . import svg as svgmod
 
 
@@ -53,7 +53,12 @@ def _pair(scene, text):
 
 
 def _emit(args, payload):
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        raise GeometryError(
+            f"number too long to print: over {sys.get_int_max_str_digits()} digits"
+        ) from None
     _write_out(getattr(args, "out", None) or "-", text)
 
 
@@ -63,12 +68,6 @@ def _write_out(target, text):
     else:
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _fmt_point(p):
-    from .core import format_rational
-
-    return [format_rational(c) for c in p]
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +142,8 @@ def _cmd_reduced(scene, args):
         out["certificate"] = {
             "equiparallel_edges": [
                 {
-                    "first": [_fmt_point(p) for p in ea.endpoints],
-                    "second": [_fmt_point(p) for p in eb.endpoints],
+                    "first": [point_json(p) for p in ea.endpoints],
+                    "second": [point_json(p) for p in eb.endpoints],
                 }
                 for ea, eb in pairs
             ]
@@ -160,7 +159,7 @@ def _cmd_kernel(scene, args):
     _emit(args, {
         "command": "kernel",
         "names": _names(args.pair, 2),
-        "kernel": [_fmt_point(p) for p in chain.points],
+        "kernel": [point_json(p) for p in chain.points],
     })
 
 

@@ -14,9 +14,11 @@ The exact decisions here:
   rows in two or three variables by integer sign tests on one point of the
   closed cone's relative interior, built from a few candidate rays.  It
   runs the perp-plane tests of the 3D criteria, vertex survival in
-  `spatial`, `Cone3` pointedness and membership, `VPolygon.contains` and
-  `contains3`: by Farkas' lemma a point lies outside conv(V) + cone(G)
-  exactly when some u strictly separates it.
+  `spatial`, `VPolygon.contains` and `contains3` (by Farkas' lemma a point
+  lies outside conv(V) + cone(G) exactly when some u strictly separates
+  it), and every cone question in both dimensions: `Cone2` and `Cone3`
+  share one base whose pointedness, extreme rays (`_extreme_rays`) and
+  membership (`_in_cone_span`) are ray tests on pairs or triples.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
   systems.  No library code calls it; the benchmark harness still times it.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,9 +67,14 @@ def parse_rational(text):
 
 def format_rational(q) -> str:
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise GeometryError(
+            f"number too long to print: over {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +327,16 @@ def cone_strictly_feasible(strict, weak=()) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# planar cones
+# cones
 
 @dataclass(frozen=True)
-class Cone2:
-    """Pointed planar recession cone: trivial, a ray, or a wedge.
+class _Cone:
+    """Pointed cone of primitive integer generators; empty gens: {0}.
 
-    Wedge generators are stored in counterclockwise order
-    (cross(gens[0], gens[1]) > 0); half-planes and lines are rejected.
+    The ray test decides every question about it: cone(gens) holds a line
+    iff some nontrivial nonnegative combination of the generators vanishes,
+    which by Gordan's theorem fails iff some u has <g, u> < 0 for every
+    generator, and membership is `_in_cone_span`.
     """
 
     gens: tuple
@@ -335,6 +345,57 @@ class Cone2:
         for g in self.gens:
             if normalize_direction(g) != tuple(g):
                 raise GeometryError("cone generators must be primitive")
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.gens
+
+    def polar_contains(self, u) -> bool:
+        return all(dot(u, g) <= 0 for g in self.gens)
+
+    def polar_interior_contains(self, u) -> bool:
+        """Membership in the open polar (every nonzero u when trivial)."""
+        if self.is_trivial:
+            return not is_zero(u)
+        return all(dot(u, g) < 0 for g in self.gens)
+
+    def contains_vector(self, v) -> bool:
+        """Exact membership of a vector in the cone itself."""
+        return _in_cone_span(v, self.gens)
+
+
+def _extreme_rays(raw):
+    """Extreme rays of cone(raw), as distinct primitive directions in input
+    order; a cone that holds a line is refused."""
+    dirs = []
+    for g in raw:
+        d = normalize_direction(g)
+        if d not in dirs:
+            dirs.append(d)
+    if not cone_strictly_feasible(dirs):
+        raise GeometryError("cone is not pointed")
+    return [g for i, g in enumerate(dirs) if not _in_cone_span(g, dirs[:i] + dirs[i + 1 :])]
+
+
+def _in_cone_span(v, gens) -> bool:
+    """v = sum(lam_i * g_i) with lam_i >= 0, decided in integers.
+
+    By Farkas' lemma v lies outside cone(gens) iff some u has <v, u> > 0 and
+    <g, u> <= 0 for every generator.
+    """
+    return not cone_strictly_feasible([vneg(v)], gens)
+
+
+@dataclass(frozen=True)
+class Cone2(_Cone):
+    """Pointed planar recession cone: trivial, a ray, or a wedge.
+
+    Wedge generators are stored in counterclockwise order
+    (cross(gens[0], gens[1]) > 0); half-planes and lines are rejected.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
         if len(self.gens) == 2 and cross2(self.gens[0], self.gens[1]) <= 0:
             raise GeometryError("wedge generators must be independent and CCW")
         if len(self.gens) > 2:
@@ -343,33 +404,14 @@ class Cone2:
     @staticmethod
     def from_generators(raw):
         """Canonicalize arbitrary generating rays; rejects non-pointed cones."""
-        dirs = []
-        for g in raw:
-            d = normalize_direction(g)
-            if d not in dirs:
-                dirs.append(d)
-        if not dirs:
-            return Cone2(())
-        if len(dirs) == 1:
-            return Cone2((dirs[0],))
-        for a, b in combinations(dirs, 2):
-            if cross2(a, b) == 0:
-                raise GeometryError("cone contains a line (not pointed)")
-        # extreme pair: every other generator inside the CCW wedge (a, b)
-        for a, b in ((x, y) for x in dirs for y in dirs if x != y):
-            if cross2(a, b) <= 0:
-                continue
-            if all(cross2(a, d) >= 0 and cross2(d, b) >= 0 for d in dirs):
-                return Cone2((a, b))
-        raise GeometryError("generators do not span a pointed cone")
+        gens = _extreme_rays(raw)
+        if len(gens) == 2 and cross2(gens[0], gens[1]) < 0:
+            gens.reverse()
+        return Cone2(tuple(gens))
 
     @property
     def kind(self) -> str:
         return ("trivial", "ray", "wedge")[len(self.gens)]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.gens
 
     def u0(self):
         """Reference direction: an exact interior polar direction.
@@ -413,79 +455,16 @@ class Cone2:
         a, b = self.gens
         return rot90(b), vneg(rot90(a))
 
-    def polar_contains(self, u) -> bool:
-        return all(dot(u, g) <= 0 for g in self.gens)
-
-    def polar_interior_contains(self, u) -> bool:
-        """Membership in int V° (all of R^2 minus 0 when trivial)."""
-        if self.is_trivial:
-            return not is_zero(u)
-        return all(dot(u, g) < 0 for g in self.gens)
-
-    def contains_vector(self, v) -> bool:
-        """Exact membership of a vector in the cone itself."""
-        if is_zero(v):
-            return True
-        if self.is_trivial:
-            return False
-        if len(self.gens) == 1:
-            g = self.gens[0]
-            return cross2(g, v) == 0 and dot(g, v) > 0
-        a, b = self.gens
-        return cross2(a, v) >= 0 and cross2(v, b) >= 0
-
-
-# ---------------------------------------------------------------------------
-# spatial cones
 
 @dataclass(frozen=True)
-class Cone3:
-    """Pointed cone in R^3 given by a minimal set of primitive generators.
-
-    An empty generator tuple encodes the trivial cone {0}.  cone(gens) holds
-    a line iff some nontrivial nonnegative combination of the generators
-    vanishes, which by Gordan's theorem fails iff some u has <g, u> < 0 for
-    every generator.
-    """
-
-    gens: tuple
+class Cone3(_Cone):
+    """Pointed cone in R^3; `from_generators` stores its extreme rays sorted."""
 
     def __post_init__(self):
+        super().__post_init__()
         if not cone_strictly_feasible(self.gens):
             raise GeometryError("cone is not pointed")
 
     @staticmethod
     def from_generators(raw):
-        dirs = []
-        for g in raw:
-            d = normalize_direction(g)
-            if d not in dirs:
-                dirs.append(d)
-        if not cone_strictly_feasible(dirs):
-            raise GeometryError("cone is not pointed")
-        kept = [g for i, g in enumerate(dirs) if not _in_cone_span(g, dirs[:i] + dirs[i + 1 :])]
-        return Cone3(tuple(sorted(kept)))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.gens
-
-    def polar_contains(self, u) -> bool:
-        return all(dot(u, g) <= 0 for g in self.gens)
-
-    def polar_interior_contains(self, u) -> bool:
-        if self.is_trivial:
-            return not is_zero(u)
-        return all(dot(u, g) < 0 for g in self.gens)
-
-    def contains_vector(self, v) -> bool:
-        return _in_cone_span(v, self.gens)
-
-
-def _in_cone_span(v, gens) -> bool:
-    """v = sum(lam_i * g_i) with lam_i >= 0, decided in integers.
-
-    By Farkas' lemma v lies outside cone(gens) iff some u has <v, u> > 0 and
-    <g, u> <= 0 for every generator.
-    """
-    return not cone_strictly_feasible([vneg(v)], gens)
+        return Cone3(tuple(sorted(_extreme_rays(raw))))

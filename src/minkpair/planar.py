@@ -40,7 +40,6 @@ from .core import (
     normalize_direction,
     rot90,
     vadd,
-    vneg,
     vscale,
     vsub,
 )
@@ -285,29 +284,6 @@ def _face_midpoint(pts, u):
     if i == j:
         return pts[i]
     return vscale(Fraction(1, 2), vadd(pts[i], pts[j]))
-
-
-def _poly_halfplanes(points):
-    """H-description of conv(points) as (normal, rel, offset) rows."""
-    hull = convex_hull_2d(points)
-    if len(hull) == 1:
-        p = hull[0]
-        return [((1, 0), "=", p[0]), ((0, 1), "=", p[1])]
-    if len(hull) == 2:
-        p, q = hull
-        d = vsub(q, p)
-        n = normalize_direction(rot90(d))
-        return [
-            (n, "=", dot(n, p)),
-            (tuple(d), "<=", dot(d, q)),
-            (vneg(d), "<=", dot(vneg(d), p)),
-        ]
-    rows = []
-    for i, p in enumerate(hull):
-        q = hull[(i + 1) % len(hull)]
-        n = normalize_direction((q[1] - p[1], -(q[0] - p[0])))
-        rows.append((n, "<=", dot(n, p)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,9 @@ def _build_function(name, spec):
 def parse_scene(text) -> Scene:
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
+    except SceneError:
+        raise
+    except ValueError as exc:  # bad JSON, or an integer past sys.get_int_max_str_digits()
         raise SceneError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SceneError("invalid JSON: nested too deeply") from exc
@@ -141,7 +143,7 @@ def load_scene(path) -> Scene:
 # ---------------------------------------------------------------------------
 # serialization (scene-file vocabulary)
 
-def _vec_json(v):
+def point_json(v):
     return [format_rational(c) for c in v]
 
 
@@ -149,14 +151,14 @@ def set_json(obj):
     if isinstance(obj, VPolygon):
         return {
             "dim": 2,
-            "points": [_vec_json(p) for p in obj.chain],
-            "cone": [_vec_json(g) for g in obj.cone.gens],
+            "points": [point_json(p) for p in obj.chain],
+            "cone": [point_json(g) for g in obj.cone.gens],
         }
     if isinstance(obj, VPolytope3):
         return {
             "dim": 3,
-            "points": [_vec_json(p) for p in obj.bounded.vertices],
-            "cone": [_vec_json(g) for g in obj.cone.gens],
+            "points": [point_json(p) for p in obj.bounded.vertices],
+            "cone": [point_json(g) for g in obj.cone.gens],
         }
     raise SceneError(f"cannot serialize {type(obj).__name__}")
 

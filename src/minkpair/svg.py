@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import GeometryError, dot, is_zero, normalize_direction, vadd, vneg, vscale, vsub
-from .planar import VPolygon, _poly_halfplanes
-from .spatial import VPolytope3
+from .core import GeometryError, dot, is_zero, normalize_direction, vadd, vscale, vsub
+from .planar import VPolygon, convex_hull_2d
+from .spatial import VPolytope3, _perp_basis
 
 SCALE = 40  # pixels per coordinate unit
 
@@ -52,21 +52,14 @@ def _clip_halfplane(poly, n, off):
 
 
 def _region_halfplanes(vp: VPolygon):
-    rows = []
+    """(n, off) rows of the set: one per edge of the chain, and the two
+    polar boundary rays when the set is unbounded."""
     ch = vp.chain
-    for u, lam in vp.measure.entries:
-        rows.append((u, max(dot(u, p) for p in ch)))
+    rows = [(u, max(dot(u, p) for p in ch)) for u, _ in vp.measure.entries]
     if not vp.cone.is_trivial:
         rb, ra = vp.cone.polar_boundary_rays()
         rows.append((rb, dot(rb, ch[0])))
         rows.append((ra, dot(ra, ch[-1])))
-    else:
-        for n, rel, c in _poly_halfplanes(ch):
-            if rel == "=":
-                rows.append((n, c))
-                rows.append((vneg(n), -c))
-            else:
-                rows.append((n, c))
     return rows
 
 
@@ -133,8 +126,6 @@ class _Canvas:
 
 def _planar_hull_or_none(cycle):
     """Endpoints of a projected cycle that collapsed to a segment or point."""
-    from .planar import convex_hull_2d
-
     hull = convex_hull_2d(cycle)
     return hull if len(hull) <= 2 else None
 
@@ -188,8 +179,6 @@ def _projection_basis(proj):
         if proj[2] > 0:
             b2 = (0, -1, 0)
         return b1, b2
-    from .spatial import _perp_basis
-
     return _perp_basis(proj)
 
 

@@ -27,6 +27,9 @@
   one variable per cone generator over the bounded part's H-description
   (`fm_halfspaces` in 3D), as the library decided it before its separation
   test.
+- `casework_cone2_gens` and `casework_contains_vector2`: the planar cone's
+  canonical generators and membership by cross-product casework, as `Cone2`
+  decided them before it moved onto the ray test shared with `Cone3`.
 - `supporting_plane_normals` and `certified_negative_points`: brute force
   over point triples, independent of the library's hull code.
 - `conjugate`, `conjugate_line` and `PLFnLine`: convex conjugates of
@@ -52,6 +55,7 @@ from minkpair.core import (
     GeometryError,
     as_point,
     ccw_compare,
+    cross2,
     cross3,
     dot,
     is_zero,
@@ -65,7 +69,7 @@ from minkpair.core import (
     vsub,
 )
 from minkpair.dc import PLConvexFn, _interpolate, domain_cone
-from minkpair.planar import _on_chain, _poly_halfplanes, convex_hull_2d, from_points, measure_inf
+from minkpair.planar import _on_chain, convex_hull_2d, from_points, measure_inf
 from minkpair.spatial import (
     Facet,
     Polytope3,
@@ -91,6 +95,29 @@ def _fm_member(rows, gens, x) -> bool:
     for j in range(len(gens)):
         cons.append((tuple(-1 if t == j else 0 for t in range(len(gens))), "<=", 0))
     return linear_feasible(cons, len(gens))
+
+
+def _poly_halfplanes(points):
+    """H-description of conv(points) as (normal, rel, offset) rows."""
+    hull = convex_hull_2d(points)
+    if len(hull) == 1:
+        p = hull[0]
+        return [((1, 0), "=", p[0]), ((0, 1), "=", p[1])]
+    if len(hull) == 2:
+        p, q = hull
+        d = vsub(q, p)
+        n = normalize_direction(rot90(d))
+        return [
+            (n, "=", dot(n, p)),
+            (tuple(d), "<=", dot(d, q)),
+            (vneg(d), "<=", dot(vneg(d), p)),
+        ]
+    rows = []
+    for i, p in enumerate(hull):
+        q = hull[(i + 1) % len(hull)]
+        n = normalize_direction((q[1] - p[1], -(q[0] - p[0])))
+        rows.append((n, "<=", dot(n, p)))
+    return rows
 
 
 def fm_contains(poly, point) -> bool:
@@ -441,6 +468,41 @@ def fm_in_cone_span(v, gens) -> bool:
     for j in range(k):
         cons.append((tuple(-1 if i == j else 0 for i in range(k)), "<=", 0))
     return linear_feasible(cons, k)
+
+
+def casework_cone2_gens(raw):
+    """Canonical `Cone2` generators of cone(raw) by parallel-pair and
+    extreme-pair search over cross products; GeometryError when not pointed."""
+    dirs = []
+    for g in raw:
+        d = normalize_direction(g)
+        if d not in dirs:
+            dirs.append(d)
+    if len(dirs) <= 1:
+        return tuple(dirs)
+    for a, b in combinations(dirs, 2):
+        if cross2(a, b) == 0:
+            raise GeometryError("cone contains a line (not pointed)")
+    # extreme pair: every other generator inside the CCW wedge (a, b)
+    for a, b in ((x, y) for x in dirs for y in dirs if x != y):
+        if cross2(a, b) <= 0:
+            continue
+        if all(cross2(a, d) >= 0 and cross2(d, b) >= 0 for d in dirs):
+            return (a, b)
+    raise GeometryError("generators do not span a pointed cone")
+
+
+def casework_contains_vector2(gens, v) -> bool:
+    """v in the planar cone of canonical `gens`, by cross-product casework."""
+    if is_zero(v):
+        return True
+    if not gens:
+        return False
+    if len(gens) == 1:
+        g = gens[0]
+        return cross2(g, v) == 0 and dot(g, v) > 0
+    a, b = gens
+    return cross2(a, v) >= 0 and cross2(v, b) >= 0
 
 
 def fraction_from_points3(points, cone) -> VPolytope3:

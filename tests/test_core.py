@@ -18,10 +18,17 @@ from minkpair.core import (
     linear_feasible,
     normalize_direction,
     parse_rational,
+    vadd,
+    vneg,
     vscale,
 )
 from conftest import RING, rand_direction, run_capped
-from oracles import fm_cone_strictly_feasible, fm_in_cone_span
+from oracles import (
+    casework_cone2_gens,
+    casework_contains_vector2,
+    fm_cone_strictly_feasible,
+    fm_in_cone_span,
+)
 
 
 def test_normalize_direction_examples():
@@ -155,6 +162,15 @@ def test_cone3_pointedness_and_membership():
     W = Cone3.from_generators([(1, 0, -1), (-1, 0, -1), (0, 0, -1)])
     assert W.gens == tuple(sorted([(1, 0, -1), (-1, 0, -1)]))
     assert Cone3.from_generators([]).is_trivial
+
+
+def test_cones_refuse_generators_that_are_not_primitive():
+    # a second value for the cone that from_generators([(2, 0, 0)]) builds
+    assert Cone3.from_generators([(2, 0, 0)]).gens == ((1, 0, 0),)
+    with pytest.raises(GeometryError, match="primitive"):
+        Cone3(((2, 0, 0),))
+    with pytest.raises(GeometryError, match="primitive"):
+        Cone2(((2, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +339,45 @@ def test_in_cone_span_matches_fourier_motzkin(gens, data):
         weights = data.draw(st.lists(st.integers(-1, 3), min_size=len(gens), max_size=len(gens)))
         v = tuple(sum(t * g[c] for t, g in zip(weights, gens)) for c in range(3))
     assert _in_cone_span(v, gens) == fm_in_cone_span(v, gens)
+
+
+VEC2 = st.tuples(COEFF, COEFF).filter(any)
+
+
+@st.composite
+def planar_generator_sets(draw):
+    """0-5 nonzero integer pairs: random ones, a half-plane (a line and a
+    third ray) or the whole plane (three rays around the origin), with
+    repeated, scaled and antiparallel copies mixed in."""
+    kind = draw(st.sampled_from(["random", "random", "half-plane", "whole-plane"]))
+    if kind == "random":
+        gens = draw(st.lists(VEC2, max_size=5))
+    elif kind == "half-plane":
+        a = draw(VEC2)
+        gens = [a, vscale(-draw(st.integers(1, 3)), a), draw(VEC2)]
+    else:
+        a, b = draw(VEC2), draw(VEC2)
+        gens = [a, b] + ([vneg(vadd(a, b))] if any(vadd(a, b)) else [])
+    for _ in range(draw(st.integers(0, 5 - len(gens))) if gens else 0):
+        r = draw(st.sampled_from(gens))
+        k = draw(st.integers(1, 3) | st.integers(2**64, 2**65))
+        gens.append(draw(st.sampled_from([r, vscale(k, r), vscale(-k, r)])))
+    return draw(st.permutations(gens))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(planar_generator_sets(), st.lists(VEC2, max_size=3))
+def test_cone2_matches_cross_product_casework(raw, probes):
+    try:
+        want = casework_cone2_gens(raw)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            Cone2.from_generators(raw)
+        return
+    cone = Cone2.from_generators(raw)
+    assert cone.gens == want
+    for v in [(0, 0), *cone.gens, *map(vneg, cone.gens), *probes]:
+        assert cone.contains_vector(v) == casework_contains_vector2(want, v)
 
 
 @pytest.mark.parametrize("count", [8, 9, 12])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -273,6 +274,23 @@ def test_render_2d_deterministic_and_wellformed(tmp_path, capsys):
     assert "polygon" in out1 and "dasharray" not in out1
 
 
+def test_render_bounded_polygon_inside_its_viewport_is_its_chain(tmp_path, capsys):
+    """The clipped region of a polygon that the viewport holds is the
+    polygon itself: its chain, in pixel coordinates, up to rotation."""
+    pts = [["0", "0"], ["3", "-1/2"], ["9/2", "1"], ["7/3", "5/2"], ["-1/2", "3/2"]]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sets": {"P": {"dim": 2, "points": pts}}}))
+    code, out, _ = run(capsys, "render", "--scene", str(path), "--sets", "P",
+                       "--viewport=-2,-2,6,4", "--out", "-")
+    assert code == 0
+    chain = load_scene(path).sets["P"].chain
+    assert len(chain) == 5
+    want = [f"{float((x + 2) * 40):.3f},{float((4 - y) * 40):.3f}" for x, y in chain]
+    (poly,) = [el for el in ET.fromstring(out) if el.tag.endswith("polygon")]
+    got = poly.get("points").split()
+    assert len(got) == len(want) and f" {' '.join(got)} " in f" {' '.join(want + want)} "
+
+
 def test_render_unbounded_draws_dashed_rays(tmp_path, capsys):
     scene = {"sets": {"A": {"dim": 2, "points": [["0", "0"], ["2", "0"]], "cone": [["0", "1"]]}}}
     path = tmp_path / "s.json"
@@ -360,10 +378,17 @@ def test_render_refuses_float_overflow_with_one_line(capsys, tmp_path, point, vi
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "float" in err
 
 
+# Python's limit on int/str conversions (0 when switched off)
+MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not MAX_STR_DIGITS, reason="no int/str digit limit")
+
+
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{}",  # not UTF-8
     b"[" * 200000 + b"]" * 200000,  # deeper than the JSON decoder recurses
-], ids=["not-utf8", "nested"])
+    pytest.param(  # an integer literal longer than int() will read
+        b'{"sets": {"A": {"dim": 1' + b"0" * MAX_STR_DIGITS + b"}}}", marks=needs_digit_limit),
+], ids=["not-utf8", "nested", "long-int-literal"])
 def test_cli_refuses_undecodable_and_overnested_scenes_with_one_line(capsys, tmp_path, content):
     path = tmp_path / "s.json"
     path.write_bytes(content)
@@ -389,3 +414,32 @@ def test_cli_summand_under_a_nine_generator_cone(tmp_path):
         raise SystemExit(main(["summand", "--scene", {str(path)!r}, "--pair", "P,K"]))
     """)
     assert json.loads(out)["summand"] is True
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ("sum", "--sets", "P,Q", "--out", "-"),  # vertices over the denominator d1 * d2
+    ("reduced", "--pair", "R,R"),  # integer edge normals of about d1 * d2
+    ("minimal", "--pair", "R,R"),
+], ids=["sum", "reduced", "minimal"])
+def test_cli_refuses_a_result_too_long_to_print_with_one_line(capsys, tmp_path, argv):
+    digits = MAX_STR_DIGITS // 2 + 1
+    d1, d2 = 10 ** (digits - 1) + 1, 10 ** (digits - 1) + 3  # odd, two apart: coprime
+    tri = {d: [["0", "0"], [f"1/{d}", "0"], ["0", f"1/{d}"]] for d in (d1, d2)}
+    pts = {"P": tri[d1], "Q": tri[d2], "R": [["0", "0"], [f"1/{d1}", "0"], [f"-1/{d2}", "1"]]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sets": {n: {"dim": 2, "points": p} for n, p in pts.items()}}))
+    code, out, err = run(capsys, argv[0], "--scene", str(path), *argv[1:])
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "too long" in err
+
+
+@pytest.mark.parametrize("cone", [
+    [["1", "0"], ["-1", "0"]],  # a line
+    [["1", "0"], ["0", "1"], ["-1", "-1"]],  # the whole plane
+], ids=["line", "plane"])
+def test_cli_refuses_non_pointed_planar_cones_with_one_line(capsys, tmp_path, cone):
+    scene = {"sets": {n: {"dim": 2, "points": [["0", "0"]], "cone": cone} for n in "AB"}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    code, out, err = run(capsys, "summand", "--scene", str(path), "--pair", "A,B")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "not pointed" in err
