@@ -52,14 +52,24 @@ def _pair(scene, text):
     return a, b
 
 
-def _emit(args, payload):
+def _emit(payload):
     try:
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     except ValueError:  # an integer past sys.get_int_max_str_digits()
         raise GeometryError(
             f"number too long to print: over {sys.get_int_max_str_digits()} digits"
         ) from None
-    _write_out(getattr(args, "out", None) or "-", text)
+    sys.stdout.write(text)
+
+
+def _rationals(text, count, message):
+    """The `count` comma-separated rationals of an option, or None if unset."""
+    if not text:
+        return None
+    parts = text.split(",")
+    if len(parts) != count:
+        raise SceneError(message)
+    return tuple(parse_rational(p) for p in parts)
 
 
 def _write_out(target, text):
@@ -85,7 +95,7 @@ def _cmd_reduce(scene, args):
     if not isinstance(a, VPolygon):
         raise SceneError("reduce works on 2D pairs")
     a1, b1 = reduce_pair(a, b)
-    _emit(args, {
+    _emit({
         "command": "reduce",
         "names": _names(args.pair, 2),
         "zero_minimal": True,
@@ -109,7 +119,7 @@ def _cmd_minimal(scene, args):
     out = {"command": "minimal", "names": _names(args.pair, 2), "minimal": verdict, "note": note}
     if cert is not None:
         out["certificate"] = cert
-    _emit(args, out)
+    _emit(out)
 
 
 def _cmd_summand(scene, args):
@@ -126,7 +136,7 @@ def _cmd_summand(scene, args):
             out["certificate"] = {"complement": set_json(comp)}
     else:
         out["summand"] = summand_criterion3(p, k)
-    _emit(args, out)
+    _emit(out)
 
 
 def _cmd_reduced(scene, args):
@@ -148,7 +158,7 @@ def _cmd_reduced(scene, args):
                 for ea, eb in pairs
             ]
         }
-    _emit(args, out)
+    _emit(out)
 
 
 def _cmd_kernel(scene, args):
@@ -156,7 +166,7 @@ def _cmd_kernel(scene, args):
     if not isinstance(a, VPolygon):
         raise SceneError("kernel works on 2D pairs")
     chain = kernel_of_minimality(a, b)
-    _emit(args, {
+    _emit({
         "command": "kernel",
         "names": _names(args.pair, 2),
         "kernel": [point_json(p) for p in chain.points],
@@ -172,7 +182,7 @@ def _cmd_equiv(scene, args):
         verdict = are_equivalent(*sets)
     else:
         verdict = are_equivalent3(*sets)
-    _emit(args, {"command": "equiv", "names": names, "equivalent": verdict})
+    _emit({"command": "equiv", "names": names, "equivalent": verdict})
 
 
 def _cmd_dcmin(scene, args):
@@ -182,7 +192,7 @@ def _cmd_dcmin(scene, args):
     except GeometryError as exc:
         raise SceneError(str(exc)) from exc
     out = hartman_minimize(pair)
-    _emit(args, {
+    _emit({
         "command": "dcmin",
         "names": _names(args.pair, 2),
         "hartman_minimal": is_hartman_minimal(to_hypograph_set(out.g), to_hypograph_set(out.h)),
@@ -193,18 +203,8 @@ def _cmd_dcmin(scene, args):
 def _cmd_render(scene, args):
     names = _names(args.sets)
     objects = {n: scene.lookup_set(n) for n in names}
-    viewport = None
-    if args.viewport:
-        parts = args.viewport.split(",")
-        if len(parts) != 4:
-            raise SceneError("viewport must be xmin,ymin,xmax,ymax")
-        viewport = tuple(parse_rational(p) for p in parts)
-    project = None
-    if args.project:
-        parts = args.project.split(",")
-        if len(parts) != 3:
-            raise SceneError("projection must be dx,dy,dz")
-        project = tuple(parse_rational(p) for p in parts)
+    viewport = _rationals(args.viewport, 4, "viewport must be xmin,ymin,xmax,ymax")
+    project = _rationals(args.project, 3, "projection must be dx,dy,dz")
     document = svgmod.render(objects, viewport=viewport, project=project)
     _write_out(args.out or "-", document)
 

@@ -437,23 +437,12 @@ class Cone2(_Cone):
                 return cand
         return normalize_direction(rot90(vsub(b, a)))
 
-    def arc_start(self):
-        """First boundary ray of the polar, going counterclockwise."""
-        if self.is_trivial:
-            return (1, 0)
-        if len(self.gens) == 1:
-            return rot90(self.gens[0])
-        return rot90(self.gens[1])
-
     def polar_boundary_rays(self):
-        """(start, end) rays of the closed polar arc, CCW order."""
+        """(start, end) rays of the closed polar arc, CCW order: the start
+        ray is normal to the last generator, the end ray to the first."""
         if self.is_trivial:
             raise GeometryError("trivial cone has a full polar")
-        if len(self.gens) == 1:
-            g = self.gens[0]
-            return rot90(g), vneg(rot90(g))
-        a, b = self.gens
-        return rot90(b), vneg(rot90(a))
+        return rot90(self.gens[-1]), vneg(rot90(self.gens[0]))
 
 
 @dataclass(frozen=True)

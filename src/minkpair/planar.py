@@ -7,6 +7,12 @@ that normal, traversed counterclockwise, equals lam * rot90(u).  The anchor
 is the midpoint of the support face in the cone's reference direction.
 Two V-polygons are equal as sets iff their canonical forms are equal.
 
+The boundary of a set is one bounded chain between two recession rays.  The
+polar arc's start ray (`Cone2.polar_boundary_rays`) exposes the chain's first
+point, moving along the cone's last generator; its end ray exposes the last
+point, moving along the first generator (a ray cone's one generator is both).
+`VPolygon.support` reads its ray faces off this rule, and `svg` off `support`.
+
 Each V-polygon computes its chain once, as an integer lattice (den, ints)
 built from the measure and the anchor, and the hot paths run on it: support
 faces, the reference face midpoint and the 0-minimality test are integer
@@ -191,7 +197,8 @@ class VPolygon:
         cone, entries = self.cone, self.measure.entries
         # the CCW order from the polar arc's start is a rotation of the
         # measure's canonical CCW order from (1, 0)
-        k = bisect_left(entries, _ccw_key(cone.arc_start()), key=lambda it: _ccw_key(it[0]))
+        start = cone.polar_boundary_rays()[0] if cone.gens else (1, 0)
+        k = bisect_left(entries, _ccw_key(start), key=lambda it: _ccw_key(it[0]))
         steps = entries[k:] + entries[:k]
         scale = math.lcm(*(lam.denominator for _, lam in steps))
         x = y = 0
@@ -233,15 +240,12 @@ class VPolygon:
         if not self.cone.polar_contains(prim):
             return INF, None
         den, ints = self.lattice
-        if not self.cone.is_trivial and not self.cone.polar_interior_contains(prim):
-            start_ray, end_ray = self.cone.polar_boundary_rays()
-            if len(self.cone.gens) == 1:
-                ray_dir = self.cone.gens[0]
-                base = ints[0] if prim == start_ray else ints[-1]
-            elif prim == start_ray:
-                ray_dir, base = self.cone.gens[1], ints[0]
+        gens = self.cone.gens
+        if gens and not self.cone.polar_interior_contains(prim):
+            if prim == self.cone.polar_boundary_rays()[0]:
+                ray_dir, base = gens[-1], ints[0]
             else:
-                ray_dir, base = self.cone.gens[0], ints[-1]
+                ray_dir, base = gens[0], ints[-1]
             return Fraction(dot(base, u), den), ("ray", _point(base, den), ray_dir)
         i, j = _argmax(ints, prim)
         value = Fraction(dot(ints[i], u), den)
@@ -295,12 +299,8 @@ def from_points(points, cone: Cone2) -> VPolygon:
         raise GeometryError("need at least one point")
     hull = convex_hull_2d(points)
     entries = {}
-    if len(hull) >= 2:
-        if len(hull) == 2:
-            edges = [(hull[0], hull[1]), (hull[1], hull[0])]
-        else:
-            edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-        for p, q in edges:
+    if len(hull) >= 2:  # two points give the edge in both orientations
+        for p, q in zip(hull, hull[1:] + hull[:1]):
             d = vsub(q, p)
             u = normalize_direction((d[1], -d[0]))
             if cone.polar_interior_contains(u):

@@ -307,13 +307,9 @@ def are_translates3(p: VPolytope3, q: VPolytope3) -> bool:
 
 @dataclass(frozen=True)
 class EdgeWithNormalCone:
-    """Bounded edge exposed by a direction in the open polar of the cone.
-
-    `ids` are the endpoints' indices in the bounded hull's vertex tuple.
-    """
+    """Bounded edge exposed by a direction in the open polar of the cone."""
 
     endpoints: tuple
-    ids: tuple
 
     @property
     def vector(self):
@@ -367,7 +363,7 @@ def _exposed_edges(p: VPolytope3, lat):
 
 
 def _edge(q: Polytope3, i, j):
-    return EdgeWithNormalCone((q.vertices[i], q.vertices[j]), (i, j))
+    return EdgeWithNormalCone((q.vertices[i], q.vertices[j]))
 
 
 def bounded_edges(p: VPolytope3):

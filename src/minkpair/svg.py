@@ -2,6 +2,9 @@
 
 All clipping decisions are exact; floats appear only in the emitted
 coordinate strings, so identical inputs give byte-identical documents.
+A 2D set is clipped by rows read off `VPolygon.support` (the measure
+directions, then the polar boundary rays), whose ray faces are its dashed
+rays; a projected 3D facet is a dot, line or polygon by the size of its hull.
 """
 
 from __future__ import annotations
@@ -53,14 +56,11 @@ def _clip_halfplane(poly, n, off):
 
 def _region_halfplanes(vp: VPolygon):
     """(n, off) rows of the set: one per edge of the chain, and the two
-    polar boundary rays when the set is unbounded."""
-    ch = vp.chain
-    rows = [(u, max(dot(u, p) for p in ch)) for u, _ in vp.measure.entries]
+    polar boundary rays when the set is unbounded; off is the support."""
+    dirs = vp.measure.directions()
     if not vp.cone.is_trivial:
-        rb, ra = vp.cone.polar_boundary_rays()
-        rows.append((rb, dot(rb, ch[0])))
-        rows.append((ra, dot(ra, ch[-1])))
-    return rows
+        dirs += vp.cone.polar_boundary_rays()
+    return [(u, vp.support(u)[0]) for u in dirs]
 
 
 def _ray_exit(base, direction, rect):
@@ -124,12 +124,6 @@ class _Canvas:
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _planar_hull_or_none(cycle):
-    """Endpoints of a projected cycle that collapsed to a segment or point."""
-    hull = convex_hull_2d(cycle)
-    return hull if len(hull) <= 2 else None
-
-
 def _rect_polygon(rect):
     xmin, ymin, xmax, ymax = rect
     return [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
@@ -165,8 +159,8 @@ def _draw_vpolygon(canvas, vp, color):
     if len(region) >= 3:
         canvas.polygon(region, color)
     if not vp.cone.is_trivial:
-        ends = [(ch[0], vp.cone.gens[-1]), (ch[-1], vp.cone.gens[0])]
-        for base, g in ends:
+        for r in vp.cone.polar_boundary_rays():
+            _, (_, base, g) = vp.support(r)
             t = _ray_exit(base, g, rect)
             if t is not None and t > 0:
                 canvas.line(base, vadd(base, vscale(t, g)), color, dashed=True)
@@ -196,12 +190,8 @@ def project_upper_faces(vp: VPolytope3, proj):
         # plane contains the view direction: draw the edge-on silhouette
         cyc = [q.vertices[i] for i in q.facets[0].cycle]
         out.append([(dot(p, b1), dot(p, b2)) for p in cyc])
-    if q.dim == 1:
-        p0, p1 = q.vertices
-        out.append([(dot(p, b1), dot(p, b2)) for p in (p0, p1)])
-    if q.dim == 0:
-        p = q.vertices[0]
-        out.append([(dot(p, b1), dot(p, b2))])
+    if q.dim < 2:
+        out.append([(dot(p, b1), dot(p, b2)) for p in q.vertices])
     return out
 
 
@@ -237,21 +227,15 @@ def render(objects, viewport=None, project=None) -> str:
     canvas = _Canvas(rect)
     for idx, (name, (kind, data)) in enumerate(sorted(flats.items())):
         color = _PALETTE[idx % len(_PALETTE)]
-        anchor_pt = None
         if kind == "3d":
             for cyc in data:
-                flat = _planar_hull_or_none(cyc)
-                if flat is not None:
-                    if len(flat) == 1:
-                        canvas.dot(flat[0], color)
-                    else:
-                        canvas.line(flat[0], flat[1], color)
-                elif len(cyc) >= 3:
-                    canvas.polygon(cyc, color)
-                elif len(cyc) == 2:
-                    canvas.line(cyc[0], cyc[1], color)
+                hull = convex_hull_2d(cyc)
+                if len(hull) == 1:
+                    canvas.dot(hull[0], color)
+                elif len(hull) == 2:
+                    canvas.line(hull[0], hull[1], color)
                 else:
-                    canvas.dot(cyc[0], color)
+                    canvas.polygon(cyc, color)
             anchor_pt = data[0][0]
         else:
             _draw_vpolygon(canvas, data, color)

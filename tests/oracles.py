@@ -644,7 +644,8 @@ def fraction_chain(poly):
     """`VPolygon.chain` as partial sums of lam * rot90(u) in CCW order from
     the polar arc's start, shifted so the reference face midpoint lands on
     the anchor."""
-    start = poly.cone.arc_start()
+    gens = poly.cone.gens
+    start = (-gens[-1][1], gens[-1][0]) if gens else (1, 0)  # normal to the last generator
     coeffs = poly.measure.as_dict()
     pts = [(Fraction(0), Fraction(0))]
     for u in sorted(coeffs, key=cmp_to_key(lambda u, v: ccw_compare(u, v, start))):
@@ -670,7 +671,7 @@ def fraction_support(poly, u):
         return INF, None
     ch = fraction_chain(poly)
     if not cone.is_trivial and not cone.polar_interior_contains(prim):
-        start_ray, end_ray = cone.polar_boundary_rays()
+        start_ray = (-cone.gens[-1][1], cone.gens[-1][0])
         if len(cone.gens) == 1:
             ray_dir = cone.gens[0]
             base = ch[0] if prim == start_ray else ch[-1]
@@ -688,6 +689,18 @@ def fraction_support(poly, u):
     if _ratio_sign(vsub(q, p), rot90(prim)) < 0:
         p, q = q, p
     return m, ("segment", p, q)
+
+
+def chain_max_halfplanes(poly):
+    """`svg._region_halfplanes` as a `Fraction` max over the chain for each
+    measure direction, then the polar boundary rows at the chain's ends."""
+    ch = fraction_chain(poly)
+    rows = [(u, max(dot(u, p) for p in ch)) for u in poly.measure.directions()]
+    gens = poly.cone.gens
+    if gens:
+        start, end = rot90(gens[-1]), vneg(rot90(gens[0]))
+        rows += [(start, dot(start, ch[0])), (end, dot(end, ch[-1]))]
+    return rows
 
 
 def fraction_is_zero_minimal(a, b) -> bool:

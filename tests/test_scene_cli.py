@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 from minkpair.cli import main
 from minkpair.scene import SceneError, dump_scene, load_scene, parse_scene
-from minkpair.svg import project_upper_faces
-from conftest import SCENES, run_capped
+from minkpair.svg import _region_halfplanes, project_upper_faces
+from conftest import SCENES, rand_cone2, rand_vpolygon, run_capped
+from oracles import chain_max_halfplanes
 
 F = Fraction
 
@@ -346,6 +349,53 @@ def test_render_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "render", "--scene", str(path), "--sets", "P",
                      "--viewport", "0,0,0,5", "--out", "-")
     assert code == 2
+
+
+# SHA-256 of the README's render command and of ex210's first pair, as
+# rendered before the region rows and dashed rays were read off `support`
+SHIPPED_RENDERS = [
+    (("ex29.json", "A,B,E,F", "--project", "0,0,-1"),
+     "251a70296012cfb2c3d73ad0e0e51df6a891910479b60150e60986df031390d3"),
+    (("ex210.json", "A,B"),
+     "da93e4c2532675ed2c3a4b9da3385f6191eced12b9c11825784be93b029f2d24"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SHIPPED_RENDERS, ids=["ex29", "ex210"])
+def test_render_shipped_scenes_golden(capsys, argv, digest):
+    scene, sets, *extra = argv
+    code, out, _ = run(capsys, "render", "--scene", str(SCENES / scene), "--sets", sets, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TRIANGLE3 = [["0", "0", "0"], ["2", "0", "0"], ["0", "3", "0"]]
+
+
+@pytest.mark.parametrize("points, project, circles, lines, polygons", [
+    ([["1", "2", "3"]], "0,0,-1", 2, 0, 0),  # a point: its dot and the origin's
+    ([["1", "2", "3"], ["3", "-1", "0"]], "0,0,-1", 1, 1, 0),  # a segment
+    (TRIANGLE3, "1,0,0", 1, 1, 0),  # a flat set edge-on
+    (TRIANGLE3, "0,0,-1", 1, 0, 1),  # the same set face-on
+], ids=["point", "segment", "edge-on", "face-on"])
+def test_render_low_dimensional_3d_sets(capsys, tmp_path, points, project, circles, lines, polygons):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sets": {"P": {"dim": 3, "points": points}}}))
+    code, out, _ = run(capsys, "render", "--scene", str(path), "--sets", "P", "--project", project)
+    assert code == 0
+    ET.fromstring(out)
+    assert (out.count("<circle"), out.count("<line"), out.count("<polygon")) == (circles, lines, polygons)
+
+
+def test_region_halfplanes_match_chain_max_rows():
+    rng = random.Random(0x5EED)
+    kinds = set()
+    for _ in range(400):
+        cone = rand_cone2(rng)
+        poly = rand_vpolygon(rng, cone)
+        kinds.add(cone.kind)
+        assert _region_halfplanes(poly) == chain_max_halfplanes(poly)
+    assert kinds == {"trivial", "ray", "wedge"}
 
 
 def test_cli_refuses_exponent_notation_with_one_line(capsys, tmp_path):
