@@ -2,41 +2,37 @@
 
 A convex part g on [a, b] corresponds to an unbounded planar set A whose
 support in direction (x, 1) is g(x): the hypograph of the negated conjugate,
-with the recession cone spanned by (-1, a) and (1, -b).  Both directions of
-the correspondence take linear time.  A's chain points are (s, -g*(s)) for
-g's slopes s, and its edge measure is read off g's slope jumps (the
-conjugate's breakpoints are g's slopes); g's value at each breakpoint is the
-support of the adjacent chain point.  Minimizing the representation is
-delegated to the planar pair reduction, then normalized so the second part
-is nonnegative and vanishes at 0.
+with the recession cone spanned by (-1, a) and (1, -b), one shared `Cone2`
+per domain.  Both directions of the correspondence take linear time on
+integer ratios (`PLConvexFn` keeps its breakpoints and values as integers
+over their lcm denominators): A's chain points are (s, -g*(s)) for g's
+slopes s, its edge measure is read off g's slope jumps over one common
+denominator, and g's value at each breakpoint is the support of the
+adjacent chain point.  Minimizing the representation is delegated to the
+planar pair reduction, then normalized so the second part is nonnegative
+and vanishes at 0.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .core import INF, Cone2, GeometryError, vneg
+from .core import INF, Cone2, GeometryError, lattice, vadd, vneg, vscale
 from .planar import (
     ORIGIN,
     EdgeMeasure,
     VPolygon,
-    _face_midpoint,
     is_zero_minimal,
     reduce_pair,
     translate,
 )
 
 def _frac_seq(xs):
-    return tuple(Fraction(x) for x in xs)
-
-
-def _interpolate(xs, ys, x):
-    """Value at x, xs[0] <= x <= xs[-1], of the broken line through the (xs[i], ys[i])."""
-    i = max(bisect_left(xs, x), 1)
-    t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-    return ys[i - 1] + t * (ys[i] - ys[i - 1])
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -54,45 +50,46 @@ class PLConvexFn:
         xs, ys = _frac_seq(self.breakpoints), _frac_seq(self.values)
         if len(xs) != len(ys) or len(xs) < 2:
             raise GeometryError("need matching breakpoints and values, >= 2 points")
-        if any(q <= p for p, q in zip(xs, xs[1:])):
+        (dx, (X,)), (dy, (Y,)) = lattice([xs]), lattice([ys])
+        if any(q <= p for p, q in zip(X, X[1:])):
             raise GeometryError("breakpoints must be strictly increasing")
-        if not (xs[0] < 0 < xs[-1]):
+        if not (X[0] < 0 < X[-1]):
             raise GeometryError("domain must contain 0 in its interior")
-        slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
-        if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
+        # slope i is (Y[i+1] - Y[i]) / (X[i+1] - X[i]) times dx / dy > 0
+        runs = [q - p for p, q in zip(X, X[1:])]
+        rises = [q - p for p, q in zip(Y, Y[1:])]
+        bends = [r1 * d0 - r0 * d1 for d0, d1, r0, r1 in zip(runs, runs[1:], rises, rises[1:])]
+        if any(b < 0 for b in bends):
             raise GeometryError("function is not convex")
-        keep_x, keep_y = [xs[0]], [ys[0]]
-        for i in range(1, len(xs) - 1):
-            if slopes[i] != slopes[i - 1]:
-                keep_x.append(xs[i])
-                keep_y.append(ys[i])
-        keep_x.append(xs[-1])
-        keep_y.append(ys[-1])
-        object.__setattr__(self, "breakpoints", tuple(keep_x))
-        object.__setattr__(self, "values", tuple(keep_y))
+        keep = [0, *(i + 1 for i, b in enumerate(bends) if b), len(xs) - 1]
+        object.__setattr__(self, "breakpoints", tuple(xs[i] for i in keep))
+        object.__setattr__(self, "values", tuple(ys[i] for i in keep))
+        object.__setattr__(self, "_lattice", (dx, [X[i] for i in keep], dy, [Y[i] for i in keep]))
 
     @property
     def domain(self):
         return self.breakpoints[0], self.breakpoints[-1]
-
-    def slopes(self):
-        xs, ys = self.breakpoints, self.values
-        return [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
 
     def __call__(self, x):
         x = Fraction(x)
         xs, ys = self.breakpoints, self.values
         if not xs[0] <= x <= xs[-1]:
             raise GeometryError("evaluation outside the domain")
-        return _interpolate(xs, ys, x)
+        i = max(bisect_left(xs, x), 1)  # x on the piece from xs[i - 1] to xs[i]
+        return ys[i - 1] + (x - xs[i - 1]) / (xs[i] - xs[i - 1]) * (ys[i] - ys[i - 1])
 
 
 def domain_cone(a, b) -> Cone2:
-    """Recession cone shared by all hypograph sets over the domain [a, b]."""
-    a, b = Fraction(a), Fraction(b)
-    if not a < 0 < b:
+    """Recession cone of the hypograph sets over [a, b]: one shared instance."""
+    a, b = _frac_seq((a, b))
+    return _domain_cone(a.numerator, a.denominator, b.numerator, b.denominator)
+
+
+@lru_cache(maxsize=256)
+def _domain_cone(p, q, r, s) -> Cone2:
+    if not p < 0 < r:
         raise GeometryError("domain must contain 0 in its interior")
-    return Cone2(((-a.denominator, a.numerator), (b.denominator, -b.numerator)))
+    return Cone2(((-q, p), (s, -r)))
 
 
 def to_hypograph_set(g: PLConvexFn) -> VPolygon:
@@ -100,43 +97,46 @@ def to_hypograph_set(g: PLConvexFn) -> VPolygon:
 
     Segment i of g (slope s_i, through (x_i, y_i)) gives the chain point
     (s_i, y_i - x_i*s_i); the slope jump at an inner breakpoint x = p/q gives
-    the edge with outer normal (p, q) and coefficient (s_{i+1} - s_i)/q.
+    the edge with outer normal (p, q) and coefficient (s_{i+1} - s_i)/q, in
+    CCW order from the last breakpoint.  Worked on g's lattice X/dx, Y/dy,
+    where s_i = rise_i*dx / (run_i*dy); the anchor is the chain point (or
+    the midpoint of two) of the segments at x = p0/q0 for u0 = (p0, q0).
     """
-    xs, ys = g.breakpoints, g.values
-    slopes = g.slopes()
-    cone = domain_cone(xs[0], xs[-1])
-    pts = [(s, y - x * s) for x, y, s in zip(xs, ys, slopes)]
-    jumps = {
-        (x.numerator, x.denominator): (s1 - s0) / x.denominator
-        for x, s0, s1 in zip(xs[1:], slopes, slopes[1:])
-    }
-    return VPolygon(cone, _face_midpoint(pts, cone.u0()), EdgeMeasure.from_entries(jumps))
+    dx, X, dy, Y = g._lattice
+    cone = domain_cone(*g.domain)
+    runs = [q - p for p, q in zip(X, X[1:])]
+    rises = [q - p for p, q in zip(Y, Y[1:])]
+    jumps = [(dx * (r1 * d0 - r0 * d1), dy * d0 * d1 * x.denominator, (x.numerator, x.denominator))
+             for d0, d1, r0, r1, x in zip(runs, runs[1:], rises, rises[1:], g.breakpoints[1:])][::-1]
+    den = math.lcm(*(d for _, d, _ in jumps))
+
+    def chain_point(i):
+        return (Fraction(rises[i] * dx, runs[i] * dy),
+                Fraction(Y[i] * runs[i] - X[i] * rises[i], dy * runs[i]))
+
+    p0, q0 = cone.u0()
+    i = bisect_left(X, p0 * dx, key=lambda x: x * q0)  # X[i - 1] < x0 * dx <= X[i]
+    anchor = chain_point(i - 1)
+    if X[i] * q0 == p0 * dx:
+        anchor = vscale(Fraction(1, 2), vadd(anchor, chain_point(i)))
+    return VPolygon(cone, anchor, EdgeMeasure._of(den, [(u, n * (den // d)) for n, d, u in jumps]))
 
 
 def from_set(A: VPolygon, domain) -> PLConvexFn:
     """Support function along the line (x, 1); inverse of to_hypograph_set.
 
     The breakpoints are where adjacent chain points (sorted by slope) give
-    equal support.  The value at a breakpoint, and at b, is the support of
-    the chain point whose piece ends there (at a, of the first one); that
-    point attains the maximum, so no other point is consulted.  Both are
-    read off the chain's integer lattice: its scale cancels in the
-    breakpoints and divides each value once.
+    equal support; the value at a breakpoint, and at b, is the support of
+    the chain point whose piece ends there (at a, of the first one).  Both
+    are read off the chain's lattice, whose scale cancels in the breakpoints.
     """
     a, b = Fraction(domain[0]), Fraction(domain[1])
     if A.cone != domain_cone(a, b):
         raise GeometryError("cone mismatch with domain")
-    den, pts = A.lattice
-    pts = sorted(pts)
-    xs = [a]
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        xs.append(Fraction(y0 - y1, x1 - x0))
-    xs.append(b)
-    vals = [
-        Fraction(p * x.numerator + q * x.denominator, den * x.denominator)
-        for (p, q), x in zip(pts[:1] + pts, xs)
-    ]
-    return PLConvexFn(tuple(xs), tuple(vals))
+    den, pts = A.lattice[0], sorted(A.lattice[1])
+    xs = (a, *(Fraction(y0 - y1, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])), b)
+    return PLConvexFn(xs, tuple(Fraction(p * x.numerator + q * x.denominator, den * x.denominator)
+                                for (p, q), x in zip(pts[:1] + pts, xs)))
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,10 @@ def hartman_minimize(p: DcPair) -> DcPair:
     both sets by the top support point of the second one (ties broken by the
     lexicographically smallest point of that face).
     """
-    a, b = p.g.domain
-    A = to_hypograph_set(p.g)
-    B = to_hypograph_set(p.h)
-    A1, B1 = reduce_pair(A, B)
+    A1, B1 = reduce_pair(to_hypograph_set(p.g), to_hypograph_set(p.h))
     _, face = B1.support((0, 1))
-    x = face[1] if face[0] == "point" else min(face[1], face[2])
-    A2 = translate(A1, vneg(x))
-    B2 = translate(B1, vneg(x))
-    return DcPair(from_set(A2, (a, b)), from_set(B2, (a, b)))
+    x = vneg(face[1] if face[0] == "point" else min(face[1], face[2]))
+    return DcPair(from_set(translate(A1, x), p.g.domain), from_set(translate(B1, x), p.g.domain))
 
 
 def is_hartman_minimal(A: VPolygon, B: VPolygon) -> bool:

@@ -3,9 +3,12 @@
 A set is stored canonically as (cone, anchor, edge measure).  The measure
 maps each outer normal u (a primitive integer vector in the open polar of
 the cone) to the rational multiple lam > 0 such that the boundary edge with
-that normal, traversed counterclockwise, equals lam * rot90(u).  The anchor
-is the midpoint of the support face in the cone's reference direction.
-Two V-polygons are equal as sets iff their canonical forms are equal.
+that normal, traversed counterclockwise, equals lam * rot90(u); it is kept
+on one integer scale (lam = n / den, den least) in CCW order from (1, 0),
+which an integer angle key decides and every operation keeps (`add`
+merges).  The anchor is the midpoint of the support face in the cone's
+reference direction.  Two V-polygons are equal as sets iff their canonical
+forms are equal.
 
 The boundary of a set is one bounded chain between two recession rays.  The
 polar arc's start ray (`Cone2.polar_boundary_rays`) exposes the chain's first
@@ -17,10 +20,7 @@ Each V-polygon computes its chain once, as an integer lattice (den, ints)
 built from the measure and the anchor, and the hot paths run on it: support
 faces, the reference face midpoint and the 0-minimality test are integer
 comparisons, and point membership is one homogeneous integer ray test
-(`core.cone_strictly_feasible`) with the lattice, rescaled to the point's
-denominator, as strict rows and the cone generators as weak rows: by
-Farkas' lemma the point lies outside exactly when some direction strictly
-separates it.
+(`core.cone_strictly_feasible`, by Farkas' lemma).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 from .core import (
     INF,
@@ -37,11 +37,9 @@ from .core import (
     ConeMismatchError,
     GeometryError,
     as_point,
-    ccw_compare,
     cone_strictly_feasible,
     cross2,
     dot,
-    is_zero,
     lattice,
     normalize_direction,
     rot90,
@@ -51,14 +49,6 @@ from .core import (
 )
 
 ORIGIN = (Fraction(0), Fraction(0))
-
-
-def _ratio(d, w):
-    """Positive rational t with d == t*w (w a primitive direction)."""
-    t = d[0] / w[0] if w[0] != 0 else d[1] / w[1]
-    if (t * w[0], t * w[1]) != tuple(d):
-        raise GeometryError("vectors not parallel")
-    return t
 
 
 def convex_hull_2d(points):
@@ -86,80 +76,114 @@ def hull_chain(pts):
 # ---------------------------------------------------------------------------
 # edge measures
 
-_ccw_key = cmp_to_key(lambda u, v: ccw_compare(u, v, (1, 0)))
+def _angle_keys(dirs):
+    """Integer keys ordering directions counterclockwise from (1, 0) as
+    `ccw_compare` does: the half-turn rank, then floor(-k*x/y) for k the
+    square of the largest |y|, as two slopes x/y with |y|^2 <= k differ by
+    at least 1/k."""
+    k = max((abs(u[1]) for u in dirs), default=0) ** 2
+    return [((0 if u[0] > 0 else 2, 0) if u[1] == 0 else (2 - u[1] // abs(u[1]), -k * u[0] // u[1]))
+            for u in dirs]
 
 
-@dataclass(frozen=True)
+def _ccw_sorted(items):
+    """(direction, coefficient) pairs in canonical CCW order; sorting merges
+    presorted runs (a rotated hull, two measures) in linear time."""
+    keys = _angle_keys([u for u, _ in items])
+    return [it for _, it in sorted(zip(keys, items))]
+
+
+@dataclass(frozen=True, init=False)
 class EdgeMeasure:
-    """Per-direction positive edge coefficients (a discrete boundary measure)."""
+    """Per-direction positive edge coefficients (a discrete boundary measure),
+    on one integer scale: direction u of (u, n) in `items` has coefficient
+    n / den, den the least such scale, in canonical CCW order from (1, 0).
+    `entries` holds the same as ((u, Fraction), ...)."""
 
-    entries: tuple  # ((direction, coefficient), ...) in canonical CCW order
+    den: int
+    items: tuple
+
+    def __init__(self, entries):
+        """From `entries` in canonical order; anything else is refused."""
+        entries = tuple((tuple(u), lam) for u, lam in entries)
+        if not all(isinstance(lam, (int, Fraction)) and lam > 0 for _, lam in entries):
+            raise GeometryError("edge coefficients must be positive")
+        keys = _angle_keys([u for u, _ in entries])
+        if any(k0 >= k1 for k0, k1 in zip(keys, keys[1:])):
+            raise GeometryError("measure directions must be distinct and in CCW order from (1, 0)")
+        den = math.lcm(*(lam.denominator for _, lam in entries))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "items", tuple((u, lam.numerator * (den // lam.denominator))
+                                                for u, lam in entries))
+
+    @staticmethod
+    def _of(den, items):
+        """The measure of the positive items[i][1] / den, in canonical order."""
+        g, m = math.gcd(den, *(n for _, n in items)), object.__new__(EdgeMeasure)
+        object.__setattr__(m, "den", den // g)
+        object.__setattr__(m, "items", tuple((u, n // g) for u, n in items))
+        return m
 
     @staticmethod
     def from_entries(mapping):
-        items = []
-        for u, lam in dict(mapping).items():
-            lam = Fraction(lam)
-            if lam < 0:
-                raise GeometryError("edge coefficients must be positive")
-            if lam > 0:
-                items.append((tuple(u), lam))
-        items.sort(key=lambda it: _ccw_key(it[0]))
-        return EdgeMeasure(tuple(items))
+        """From a mapping direction -> coefficient >= 0 in any order."""
+        items = [(tuple(u), Fraction(lam)) for u, lam in dict(mapping).items()]
+        return EdgeMeasure(_ccw_sorted([(u, lam) for u, lam in items if lam]))
 
     @staticmethod
     def empty():
-        return EdgeMeasure(())
+        return EdgeMeasure._of(1, ())
+
+    @cached_property
+    def entries(self):
+        return tuple((u, Fraction(n, self.den)) for u, n in self.items)
 
     def as_dict(self):
         return dict(self.entries)
 
-    def coeff(self, u) -> Fraction:
-        for d, lam in self.entries:
-            if d == tuple(u):
-                return lam
-        return Fraction(0)
-
     def directions(self):
-        return [d for d, _ in self.entries]
+        return [d for d, _ in self.items]
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.items
+
+    def _common(self, other):
+        """(den, own items, other's items) on the common scale, as dicts in order."""
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return den, {u: n * f for u, n in self.items}, {u: n * g for u, n in other.items}
 
     def add(self, other: "EdgeMeasure") -> "EdgeMeasure":
-        out = self.as_dict()
-        for u, lam in other.entries:
-            out[u] = out.get(u, Fraction(0)) + lam
-        return EdgeMeasure.from_entries(out)
+        den, mine, theirs = self._common(other)
+        for u, n in theirs.items():  # other's new directions come last: two sorted runs
+            mine[u] = mine.get(u, 0) + n
+        return EdgeMeasure._of(den, _ccw_sorted(list(mine.items())))
 
     def sub(self, other: "EdgeMeasure") -> "EdgeMeasure":
-        out = self.as_dict()
-        for u, lam in other.entries:
-            new = out.get(u, Fraction(0)) - lam
-            if new < 0:
-                raise GeometryError("measure difference would be negative")
-            out[u] = new
-        return EdgeMeasure.from_entries(out)
+        den, mine, theirs = self._common(other)
+        out = [(u, n - theirs.pop(u, 0)) for u, n in mine.items()]
+        if theirs or any(n < 0 for _, n in out):
+            raise GeometryError("measure difference would be negative")
+        return EdgeMeasure._of(den, [(u, n) for u, n in out if n])
 
     def scale(self, t) -> "EdgeMeasure":
         t = Fraction(t)
-        return EdgeMeasure.from_entries({u: t * lam for u, lam in self.entries})
+        if t < 0 and self.items:
+            raise GeometryError("edge coefficients must be positive")
+        return EdgeMeasure._of(self.den * t.denominator,
+                               [(u, n * t.numerator) for u, n in self.items if t])
 
 
 def measure_inf(ma: EdgeMeasure, mb: EdgeMeasure) -> EdgeMeasure:
     """Directionwise minimum of jump coefficients (lattice infimum)."""
-    b = mb.as_dict()
-    out = {}
-    for u, lam in ma.entries:
-        if u in b:
-            out[u] = min(lam, b[u])
-    return EdgeMeasure.from_entries(out)
+    den, mine, theirs = ma._common(mb)
+    return EdgeMeasure._of(den, [(u, min(n, theirs[u])) for u, n in mine.items() if u in theirs])
 
 
 def shared_normals(a: "VPolygon", b: "VPolygon"):
-    coeffs = b.measure.as_dict()
-    return [u for u in a.measure.directions() if coeffs.get(u, 0) > 0]
+    dirs = set(b.measure.directions())
+    return [u for u in a.measure.directions() if u in dirs]
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +196,32 @@ class VPolygon:
     measure: EdgeMeasure
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", as_point(self.anchor))
-        for u in self.measure.directions():
+        object.__setattr__(self, "anchor", _exact(self.anchor))
+        gens, items = self.cone.gens, self.measure.items
+        for u, _ in items:
             if len(u) != 2 or type(u[0]) is not int or type(u[1]) is not int or math.gcd(*u) != 1:
                 raise GeometryError(f"measure direction {u} is not a primitive integer pair")
-            if not self.cone.polar_interior_contains(u):
+            if any(u[0] * x + u[1] * y >= 0 for x, y in gens):
                 raise GeometryError(f"measure direction {u} outside the open polar")
-        if self.cone.is_trivial and not self.measure.is_empty:
-            total = (Fraction(0), Fraction(0))
-            for u, lam in self.measure.entries:
-                total = vadd(total, vscale(lam, rot90(u)))
-            if not is_zero(total):
-                raise GeometryError("bounded polygon measure does not close up")
+        # the steps n * rot90(u) of the chain at the measure's scale sum to zero
+        if not gens and (sum(n * a for (a, _), n in items) or sum(n * b for (_, b), n in items)):
+            raise GeometryError("bounded polygon measure does not close up")
 
     @cached_property
     def lattice(self):
         """(den, ints): the chain is ints / den, den the least such scale.
 
-        Built in integers.  At the lcm D of the coefficients' denominators
-        every step lam * rot90(u) is an integer multiple of rot90(u), and the
-        reference face midpoint is a lattice point at scale 2D; the anchor
-        shift then lands on the common denominator of 2D and the anchor.
-        """
-        cone, entries = self.cone, self.measure.entries
-        # the CCW order from the polar arc's start is a rotation of the
-        # measure's canonical CCW order from (1, 0)
-        start = cone.polar_boundary_rays()[0] if cone.gens else (1, 0)
-        k = bisect_left(entries, _ccw_key(start), key=lambda it: _ccw_key(it[0]))
-        steps = entries[k:] + entries[:k]
-        scale = math.lcm(*(lam.denominator for _, lam in steps))
+        At the measure's scale D every step n * rot90(u) is integer, the
+        reference face midpoint is a lattice point at scale 2D, and the
+        anchor shift lands on the common denominator of 2D and the anchor."""
+        cone, scale, steps = self.cone, self.measure.den, self.measure.items
+        if cone.gens:  # the CCW order from the polar arc's start is a rotation
+            keys = _angle_keys([cone.polar_boundary_rays()[0], *self.measure.directions()])
+            k = bisect_left(keys, keys[0], 1) - 1
+            steps = steps[k:] + steps[:k]
         x = y = 0
         pts = [(0, 0)]
-        for (a, b), lam in steps:
-            t = lam.numerator * (scale // lam.denominator)
+        for (a, b), t in steps:
             x, y = x - t * b, y + t * a
             pts.append((x, y))
         if cone.is_trivial and len(pts) > 1:
@@ -218,10 +235,7 @@ class VPolygon:
         f *= 2
         ints = [(x * f + cx, y * f + cy) for x, y in pts]
         g = math.gcd(den, *(c for p in ints for c in p))
-        if g > 1:
-            den //= g
-            ints = [(x // g, y // g) for x, y in ints]
-        return den, tuple(ints)
+        return den // g, tuple((x // g, y // g) for x, y in ints)
 
     @cached_property
     def chain(self):
@@ -232,28 +246,24 @@ class VPolygon:
     def support(self, u):
         """(h(u), face): face is None, ('point',p), ('segment',p,q) or ('ray',p,d).
 
-        Evaluated at u as given (h is positively homogeneous, so scaling u
-        scales the value); the face depends only on the direction, and its
-        points are found on the chain's lattice.
-        """
+        Evaluated at u as given (h is positively homogeneous); the face
+        depends only on the direction and is found on the chain's lattice."""
         prim = normalize_direction(u)
-        if not self.cone.polar_contains(prim):
-            return INF, None
-        den, ints = self.lattice
         gens = self.cone.gens
-        if gens and not self.cone.polar_interior_contains(prim):
-            if prim == self.cone.polar_boundary_rays()[0]:
-                ray_dir, base = gens[-1], ints[0]
-            else:
-                ray_dir, base = gens[0], ints[-1]
-            return Fraction(dot(base, u), den), ("ray", _point(base, den), ray_dir)
+        signs = [prim[0] * x + prim[1] * y for x, y in gens]
+        if any(s > 0 for s in signs):
+            return INF, None
+        (den, ints), chain = self.lattice, self.chain
+        if 0 in signs:  # the polar arc's start ray, or its end ray
+            ray_dir, i = (gens[-1], 0) if prim == rot90(gens[-1]) else (gens[0], -1)
+            return Fraction(dot(ints[i], u), den), ("ray", chain[i], ray_dir)
         i, j = _argmax(ints, prim)
         value = Fraction(dot(ints[i], u), den)
         if i == j:
-            return value, ("point", _point(ints[i], den))
+            return value, ("point", chain[i])
         if dot(vsub(ints[j], ints[i]), rot90(prim)) < 0:
             i, j = j, i
-        return value, ("segment", _point(ints[i], den), _point(ints[j], den))
+        return value, ("segment", chain[i], chain[j])
 
     def contains(self, point) -> bool:
         """Exact membership test, by Farkas: the point lies outside iff some u
@@ -261,16 +271,16 @@ class VPolygon:
         every cone generator g.  Decided on the chain's lattice, rescaled to
         a common denominator with the point."""
         den, ints = self.lattice
-        xden, ((x, y),) = lattice([as_point(point)])
+        xden, ((x, y),) = lattice([_exact(point)])
         common = math.lcm(den, xden)
         f, k = common // den, common // xden
-        x, y = x * k, y * k
-        return not cone_strictly_feasible([(a * f - x, b * f - y) for a, b in ints], self.cone.gens)
+        rows = [(a * f - x * k, b * f - y * k) for a, b in ints]
+        return not cone_strictly_feasible(rows, self.cone.gens)
 
 
-def _point(p, den):
-    """The rational point of the lattice point p at scale den."""
-    return Fraction(p[0], den), Fraction(p[1], den)
+def _exact(p):
+    """`as_point`, keeping a tuple of `Fraction`s as it is."""
+    return p if type(p) is tuple and all(type(c) is Fraction for c in p) else as_point(p)
 
 
 def _argmax(pts, u):
@@ -281,13 +291,11 @@ def _argmax(pts, u):
     return vals.index(m), len(vals) - 1 - vals[::-1].index(m)
 
 
-def _face_midpoint(pts, u):
-    """Midpoint of the first and last of the points maximizing <p, u>,
-    found on the points' lattice."""
-    i, j = _argmax(lattice(pts)[1], u)
-    if i == j:
-        return pts[i]
-    return vscale(Fraction(1, 2), vadd(pts[i], pts[j]))
+def _face_midpoint(den, ints, u):
+    """Midpoint of the first and last of the points ints / den maximizing <p, u>."""
+    i, j = _argmax(ints, u)
+    (x0, y0), (x1, y1) = ints[i], ints[j]
+    return Fraction(x0 + x1, 2 * den), Fraction(y0 + y1, 2 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +305,17 @@ def from_points(points, cone: Cone2) -> VPolygon:
     """Smallest convex set with recession cone `cone` containing the points."""
     if not points:
         raise GeometryError("need at least one point")
-    hull = convex_hull_2d(points)
-    entries = {}
+    den, ints = lattice([as_point(p) for p in points])
+    hull = hull_chain(sorted(set(ints)))
+    items = []
     if len(hull) >= 2:  # two points give the edge in both orientations
-        for p, q in zip(hull, hull[1:] + hull[:1]):
-            d = vsub(q, p)
-            u = normalize_direction((d[1], -d[0]))
-            if cone.polar_interior_contains(u):
-                entries[u] = _ratio(d, rot90(u))
-    anchor = _face_midpoint(hull, cone.u0())
-    return VPolygon(cone, anchor, EdgeMeasure.from_entries(entries))
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+            g = math.gcd(x1 - x0, y1 - y0)  # the edge is g / den times rot90(u)
+            u = ((y1 - y0) // g, (x0 - x1) // g)
+            if all(u[0] * x + u[1] * y < 0 for x, y in cone.gens):
+                items.append((u, g))
+    measure = EdgeMeasure._of(den, _ccw_sorted(items))
+    return VPolygon(cone, _face_midpoint(den, hull, cone.u0()), measure)
 
 
 def minkowski_sum(a: VPolygon, b: VPolygon) -> VPolygon:
@@ -319,13 +328,11 @@ def scale(a: VPolygon, t) -> VPolygon:
     t = Fraction(t)
     if t < 0:
         raise GeometryError("scale factor must be nonnegative")
-    if t == 0:
-        return VPolygon(a.cone, ORIGIN, EdgeMeasure.empty())
     return VPolygon(a.cone, vscale(t, a.anchor), a.measure.scale(t))
 
 
 def translate(a: VPolygon, v) -> VPolygon:
-    return VPolygon(a.cone, vadd(a.anchor, as_point(v)), a.measure)
+    return VPolygon(a.cone, vadd(a.anchor, _exact(v)), a.measure)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +373,7 @@ def is_zero_minimal(a: VPolygon, b: VPolygon) -> bool:
         raise ConeMismatchError("incompatible recession cones")
     if a.cone.is_trivial:
         raise GeometryError("use bounded-pair tools")
-    if not measure_inf(a.measure, b.measure).is_empty:
+    if shared_normals(a, b):
         return False
     return _on_chain(b.lattice[1], (0, 0))  # the origin at every scale
 
@@ -393,11 +400,11 @@ def is_summand(a: VPolygon, k: VPolygon):
     """(True, complement) when a + complement == k, else (False, None)."""
     if a.cone != k.cone:
         raise ConeMismatchError("incompatible recession cones")
-    coeffs = k.measure.as_dict()
-    for u, lam in a.measure.entries:
-        if lam > coeffs.get(u, 0):
-            return False, None
-    comp = VPolygon(k.cone, vsub(k.anchor, a.anchor), k.measure.sub(a.measure))
+    try:
+        rest = k.measure.sub(a.measure)
+    except GeometryError:  # some coefficient of a exceeds k's
+        return False, None
+    comp = VPolygon(k.cone, vsub(k.anchor, a.anchor), rest)
     if minkowski_sum(a, comp) != k:
         raise GeometryError("summand complement failed to reconstruct the set")
     return True, comp
@@ -415,10 +422,8 @@ def polygon_summand_check(p: VPolygon, k: VPolygon) -> bool:
         _, face = k.support(u)
         if face is None or face[0] == "ray":
             continue
-        if face[0] == "point":
-            return False
-        _, q0, q1 = face
-        if _ratio(vsub(q1, q0), rot90(u)) < lam:
+        # a segment face is t * rot90(u) for some t > 0, and t < lam fails
+        if face[0] == "point" or dot(vsub(face[2], face[1]), rot90(u)) < lam * dot(u, u):
             return False
     return True
 

@@ -43,8 +43,20 @@
   midpoint and 0-minimality test as the library computed them before it moved
   them to the chain's integer lattice, with every vertex a `Fraction` partial
   sum and every comparison a `Fraction` dot product.
+- `dict_add`, `dict_sub`, `dict_scale` and `dict_measure_inf`: the edge
+  measure operations as the library ran them before it kept measures on one
+  integer scale: `Fraction` coefficients in a dict, re-sorted by
+  `ccw_compare` after every operation (`dict_from_entries`).
+  `fraction_closes` is the bounded-polygon closure check as a `Fraction`
+  sum.
+- `fraction_plconvex`, `fraction_to_hypograph_set` and `fraction_from_set`:
+  the canonical `PLConvexFn` (slopes in `Fraction`, equal neighbours
+  merged) and the dc set correspondence with `Fraction` slopes, jumps and
+  chain points, as the library ran them before it moved them onto integer
+  ratios.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -68,8 +80,8 @@ from minkpair.core import (
     vscale,
     vsub,
 )
-from minkpair.dc import PLConvexFn, _interpolate, domain_cone
-from minkpair.planar import _on_chain, convex_hull_2d, from_points, measure_inf
+from minkpair.dc import PLConvexFn, domain_cone
+from minkpair.planar import EdgeMeasure, VPolygon, _on_chain, convex_hull_2d, from_points, measure_inf
 from minkpair.spatial import (
     Facet,
     Polytope3,
@@ -590,10 +602,22 @@ class PLFnLine:
         return _interpolate(xs, ys, y)
 
 
+def _interpolate(xs, ys, x):
+    """Value at x, xs[0] <= x <= xs[-1], of the broken line through the (xs[i], ys[i])."""
+    i = max(bisect_left(xs, x), 1)
+    t = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+    return ys[i - 1] + t * (ys[i] - ys[i - 1])
+
+
+def fraction_slopes(g: PLConvexFn):
+    xs, ys = g.breakpoints, g.values
+    return [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+
+
 def conjugate(g: PLConvexFn) -> PLFnLine:
     """Convex conjugate g*(y) = max_x (x*y - g(x)); finite everywhere."""
     a, b = g.domain
-    slopes = sorted(set(g.slopes()))
+    slopes = sorted(set(fraction_slopes(g)))
     values = [max(x * y - v for x, v in zip(g.breakpoints, g.values)) for y in slopes]
     return PLFnLine(tuple(slopes), tuple(values), Fraction(a), Fraction(b))
 
@@ -708,3 +732,104 @@ def fraction_is_zero_minimal(a, b) -> bool:
     if not measure_inf(a.measure, b.measure).is_empty:
         return False
     return _on_chain(fraction_chain(b), (Fraction(0), Fraction(0)))
+
+
+# ---------------------------------------------------------------------------
+# edge measures and dc conversions in `Fraction`, as dicts re-sorted by
+# `ccw_compare`
+
+_ccw_key = cmp_to_key(lambda u, v: ccw_compare(u, v, (1, 0)))
+
+
+def dict_from_entries(mapping):
+    """`EdgeMeasure.from_entries(mapping).entries`: zero coefficients
+    dropped, the rest sorted counterclockwise from (1, 0)."""
+    items = []
+    for u, lam in dict(mapping).items():
+        lam = Fraction(lam)
+        if lam < 0:
+            raise GeometryError("edge coefficients must be positive")
+        if lam > 0:
+            items.append((tuple(u), lam))
+    items.sort(key=lambda it: _ccw_key(it[0]))
+    return tuple(items)
+
+
+def dict_add(ma, mb):
+    out = ma.as_dict()
+    for u, lam in mb.entries:
+        out[u] = out.get(u, Fraction(0)) + lam
+    return dict_from_entries(out)
+
+
+def dict_sub(ma, mb):
+    out = ma.as_dict()
+    for u, lam in mb.entries:
+        new = out.get(u, Fraction(0)) - lam
+        if new < 0:
+            raise GeometryError("measure difference would be negative")
+        out[u] = new
+    return dict_from_entries(out)
+
+
+def dict_scale(m, t):
+    t = Fraction(t)
+    return dict_from_entries({u: t * lam for u, lam in m.entries})
+
+
+def dict_measure_inf(ma, mb):
+    b = mb.as_dict()
+    return dict_from_entries({u: min(lam, b[u]) for u, lam in ma.entries if u in b})
+
+
+def fraction_closes(m) -> bool:
+    """A bounded polygon's measure closes up: the sum of lam * rot90(u) is 0."""
+    total = (Fraction(0), Fraction(0))
+    for u, lam in m.entries:
+        total = vadd(total, vscale(lam, rot90(u)))
+    return is_zero(total)
+
+
+def fraction_plconvex(breakpoints, values):
+    """`PLConvexFn(breakpoints, values)` as (breakpoints, values), with the
+    slopes in `Fraction` and equal neighbours merged."""
+    xs, ys = tuple(map(Fraction, breakpoints)), tuple(map(Fraction, values))
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise GeometryError("need matching breakpoints and values, >= 2 points")
+    if any(q <= p for p, q in zip(xs, xs[1:])):
+        raise GeometryError("breakpoints must be strictly increasing")
+    if not (xs[0] < 0 < xs[-1]):
+        raise GeometryError("domain must contain 0 in its interior")
+    slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
+        raise GeometryError("function is not convex")
+    keep = [0] + [i for i in range(1, len(xs) - 1) if slopes[i] != slopes[i - 1]] + [len(xs) - 1]
+    return tuple(xs[i] for i in keep), tuple(ys[i] for i in keep)
+
+
+def fraction_to_hypograph_set(g: PLConvexFn):
+    """`to_hypograph_set` with `Fraction` slopes: the chain points
+    (s_i, y_i - x_i*s_i), the jumps (s_{i+1} - s_i)/q at x = p/q through
+    `dict_from_entries`, and the anchor at `fraction_face_midpoint`."""
+    xs, ys = g.breakpoints, g.values
+    slopes = fraction_slopes(g)
+    cone = domain_cone(xs[0], xs[-1])
+    pts = [(s, y - x * s) for x, y, s in zip(xs, ys, slopes)]
+    jumps = {
+        (x.numerator, x.denominator): (s1 - s0) / x.denominator
+        for x, s0, s1 in zip(xs[1:], slopes, slopes[1:])
+    }
+    measure = EdgeMeasure(dict_from_entries(jumps))
+    return VPolygon(cone, fraction_face_midpoint(pts, cone.u0()), measure)
+
+
+def fraction_from_set(A, domain):
+    """`from_set` as (breakpoints, values) in `Fraction`: each breakpoint
+    where adjacent chain points give equal support, each value the support
+    of the chain point whose piece ends there."""
+    a, b = Fraction(domain[0]), Fraction(domain[1])
+    if A.cone != domain_cone(a, b):
+        raise GeometryError("cone mismatch with domain")
+    pts = sorted(A.chain)
+    xs = [a] + [(y0 - y1) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])] + [b]
+    return fraction_plconvex(xs, [p * x + q for (p, q), x in zip(pts[:1] + pts, xs)])

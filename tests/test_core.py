@@ -1,9 +1,12 @@
+import ast
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+import minkpair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -413,3 +416,36 @@ def test_parse_rational_refuses_huge_exponents_unevaluated():
         with pytest.raises(GeometryError, match="bad rational"):
             parse_rational(text)
     assert time.perf_counter() - start < 0.05
+
+
+# ---------------------------------------------------------------------------
+# no float in any predicate (ROADMAP aim 3)
+
+EXACT_MODULES = ("core.py", "planar.py", "dc.py", "spatial.py")
+
+
+def _float_uses(tree):
+    """Line numbers where the module names `float` (as a name or an
+    attribute) or writes a float literal, outside the assignment to INF."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "INF" for t in node.targets):
+            exempt |= {id(n) for n in ast.walk(node.value)}
+    return sorted(
+        node.lineno for node in ast.walk(tree) if id(node) not in exempt and (
+            isinstance(node, ast.Name) and node.id == "float"
+            or isinstance(node, ast.Attribute) and node.attr == "float"
+            or isinstance(node, ast.Constant) and type(node.value) is float)
+    )
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_never_name_float(module):
+    source = (Path(minkpair.__file__).parent / module).read_text(encoding="utf-8")
+    assert _float_uses(ast.parse(source)) == []
+
+
+def test_float_scan_sees_names_attributes_and_literals():
+    tree = ast.parse("INF = float('inf')\nx = float(1)\ny = 0.5\nz = builtins.float\n")
+    assert _float_uses(tree) == [2, 3, 4]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,15 @@ from minkpair.dc import (
     to_hypograph_set,
 )
 from minkpair.planar import EdgeMeasure, VPolygon, from_points, is_summand, translate
-from oracles import conjugate, conjugate_line, hull_hypograph_set, max_from_set
+from oracles import (
+    conjugate,
+    conjugate_line,
+    fraction_from_set,
+    fraction_plconvex,
+    fraction_to_hypograph_set,
+    hull_hypograph_set,
+    max_from_set,
+)
 
 F = Fraction
 
@@ -192,26 +201,94 @@ def test_set_correspondence_matches_conjugate_oracles(g):
     assert from_set(A, g.domain) == max_from_set(A, g.domain) == g
 
 
-def test_conversions_do_linear_work(monkeypatch):
-    """On x^2 sampled at n = 401 breakpoints, each direction of the set
-    correspondence makes fewer than 10n `Fraction` products (the conjugate
-    and the max over every point took about n^2)."""
-    xs = tuple(F(k, 200) for k in range(-200, 201))
-    g = PLConvexFn(xs, tuple(x * x for x in xs))
-    mul, calls = F.__mul__, [0]
+@st.composite
+def raw_pl_data(draw):
+    """Breakpoints and values for `PLConvexFn`, mostly convex with equal
+    neighbouring slopes, sometimes not convex, not increasing or with 0
+    outside the domain; denominators up to 2^70, and [-1, 1] as the domain
+    of about half of them."""
+    den = draw(st.sampled_from((1, 3, 7, 1000, 2**64 + 13, 3**41)))
+    rat = st.builds(F, st.integers(-3 * den, 3 * den), st.just(den))
+    pos = st.builds(F, st.integers(1, 3 * den), st.just(den))
+    a, b = draw(st.just((F(-1), F(1))) | st.tuples(pos.map(lambda x: -x), pos))
+    inner = draw(st.lists(st.integers(1, 2**72).map(lambda k: a + (b - a) * F(k, 2**72 + 1)),
+                          max_size=7, unique=True))
+    xs = [a] + sorted(inner) + [b]
+    slope, vals = draw(rat), [draw(rat)]
+    for x0, x1 in zip(xs, xs[1:]):
+        vals.append(vals[-1] + slope * (x1 - x0))
+        slope += draw(st.sampled_from((0, 0, 1, 2)) | pos | rat)
+    flaw = draw(st.sampled_from(("none", "none", "none", "order", "domain", "length")))
+    if flaw == "order" and len(xs) > 2:
+        xs[1], xs[2] = xs[2], xs[1]
+    elif flaw == "domain":
+        xs = [x - a + 1 for x in xs]
+    elif flaw == "length":
+        vals = vals[:-1]
+    return xs, vals
 
-    def counted(self, other):
-        calls[0] += 1
-        return mul(self, other)
 
-    monkeypatch.setattr(F, "__mul__", counted)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(raw_pl_data(), raw_pl_data())
+def test_integer_dc_paths_match_fraction_oracles(data, other):
+    """Construction, merging and refusals of `PLConvexFn`, the hypograph
+    set and the function read back from it, and the minimal pair, against
+    the `Fraction` bodies they replaced."""
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except GeometryError as exc:
+            return "refused", str(exc)
+
+    want = outcome(fraction_plconvex, *data)
+    g = outcome(PLConvexFn, *data)
+    if want[0] == "refused":
+        assert g == want
+        return
+    assert (g.breakpoints, g.values) == want
     A = to_hypograph_set(g)
-    to_set = calls[0]
+    assert A == fraction_to_hypograph_set(g)
     back = from_set(A, g.domain)
-    to_fn = calls[0] - to_set
-    monkeypatch.undo()
-    assert to_set < 10 * len(xs) and to_fn < 10 * len(xs)
-    assert back == g
+    assert (back.breakpoints, back.values) == fraction_from_set(A, g.domain) == want
+    assert outcome(from_set, A, (g.domain[0], g.domain[1] + 1)) == outcome(
+        fraction_from_set, A, (g.domain[0], g.domain[1] + 1))
+    h = outcome(PLConvexFn, *other)
+    if isinstance(h, PLConvexFn) and h.domain == g.domain:
+        out = hartman_minimize(DcPair(g, h))
+        assert is_hartman_minimal(to_hypograph_set(out.g), to_hypograph_set(out.h))
+        assert out.g == PLConvexFn(*fraction_from_set(fraction_to_hypograph_set(out.g), g.domain))
+
+
+def _calls(f, *args):
+    """f(*args) and the number of Python and C function calls it made."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            count[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = f(*args)
+    finally:
+        sys.setprofile(None)
+    return out, count[0]
+
+
+def test_conversions_do_linear_work():
+    """On x^2 sampled at n = 401 and n = 1,601 breakpoints, the function
+    calls each direction of the set correspondence makes grow about 4-fold
+    with n (the conjugate and the max over every point grew 16-fold)."""
+    counts = []
+    for k in (200, 800):
+        xs = tuple(F(i, k) for i in range(-k, k + 1))
+        g = PLConvexFn(xs, tuple(x * x for x in xs))
+        A, to_set = _calls(to_hypograph_set, g)
+        back, to_fn = _calls(from_set, A, g.domain)
+        assert back == g
+        counts.append((to_set, to_fn))
+    for small, large in zip(*counts):
+        assert 3 * small < large < 5 * small
 
 
 def test_from_set_cone_mismatch():

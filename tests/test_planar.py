@@ -49,7 +49,13 @@ from conftest import (
     rand_wedge,
 )
 from oracles import (
+    dict_add,
+    dict_from_entries,
+    dict_measure_inf,
+    dict_scale,
+    dict_sub,
     fm_contains,
+    fraction_closes,
     fraction_chain,
     fraction_face_midpoint,
     fraction_is_zero_minimal,
@@ -242,7 +248,7 @@ def test_reduce_pair_disjoint_support_recovers_translate():
     for _ in range(50):
         cone = rand_wedge(rng)
         ma = rand_measure(rng, cone)
-        dirs_b = {u for u in rand_measure(rng, cone).directions() if ma.coeff(u) == 0}
+        dirs_b = {u for u in rand_measure(rng, cone).directions() if u not in ma.as_dict()}
         mb = EdgeMeasure.from_entries({u: F(rng.randint(1, 4)) for u in dirs_b})
         A0 = VPolygon(cone, rand_point(rng, 4), ma)
         B0 = VPolygon(cone, rand_point(rng, 4), mb)
@@ -427,7 +433,7 @@ def test_kernel_chain_is_union_of_complete_faces():
         for p, q in zip(chain, chain[1:]):
             u = None
             for d in B.measure.directions():
-                lam = B.measure.coeff(d)
+                lam = B.measure.as_dict().get(d, 0)
                 if vsub(q, p) == tuple(lam * c for c in rot90(d)):
                     u = d
             assert u is not None
@@ -458,7 +464,7 @@ def test_kernel_directionality_on_two_sided_minimal_pairs():
         ma = rand_measure(rng, cone)
         mb = EdgeMeasure.from_entries(
             {u: F(rng.randint(1, 4)) for u in rand_measure(rng, cone).directions()
-             if ma.coeff(u) == 0})
+             if u not in ma.as_dict()})
         A = poly_with_origin_on_chain(rng, cone, ma)
         B = poly_with_origin_on_chain(rng, cone, mb)
         if not (is_zero_minimal(A, B) and is_zero_minimal(B, A)):
@@ -687,7 +693,7 @@ def test_lattice_paths_match_fraction_oracles(case):
     for u in dirs:
         assert A.support(u) == fraction_support(A, u)
     for u in {normalize_direction(u) for u in dirs}:
-        assert _face_midpoint(pts, u) == fraction_face_midpoint(pts, u)
+        assert _face_midpoint(*lattice(pts), u) == fraction_face_midpoint(pts, u)
     for x in queries:
         assert A.contains(x) == fm_contains(A, x)
     if not A.cone.is_trivial:
@@ -707,6 +713,96 @@ def test_measure_directions_must_be_primitive():
             VPolygon(UP, (0, 0), EdgeMeasure.from_entries({u: 1}))
     whole = VPolygon(UP, (0, 0), EdgeMeasure.from_entries({(2, -1): 1}))
     assert whole.chain == ((0, 0), (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# canonical edge measures: refused when built out of order or non-positive,
+# and the integer operations against the dict-and-re-sort `Fraction` bodies
+
+def _one_line_refusal(entries, match):
+    with pytest.raises(GeometryError, match=match) as info:
+        EdgeMeasure(entries)
+    assert "\n" not in str(info.value)
+
+
+def test_measure_refuses_reversed_entries():
+    # a square's entries reversed would be a second canonical form with a
+    # clockwise chain
+    square = from_points([(0, 0), (1, 0), (1, 1), (0, 1)], TRIV)
+    _one_line_refusal(tuple(reversed(square.measure.entries)), "CCW order")
+    _one_line_refusal(square.measure.entries[:1] * 2, "CCW order")  # a repeated direction
+    assert EdgeMeasure(square.measure.entries) == square.measure
+
+
+def test_measure_refuses_negated_coefficients():
+    negated = tuple((u, -lam) for u, lam in tri_A().measure.entries)
+    _one_line_refusal(negated, "positive")
+    with pytest.raises(GeometryError, match="positive"):
+        VPolygon(TRIV, ORIGIN, EdgeMeasure.from_entries(dict(negated)))
+
+
+def test_measure_refuses_zero_coefficients():
+    # a zero entry on a ray-cone set would repeat a chain point and make the
+    # set unequal to itself with the entry left out
+    ray = from_points([(0, 0), (2, -1)], UP)
+    (u, lam), = ray.measure.entries
+    _one_line_refusal(((u, lam), ((1, -1), F(0))), "positive")
+    _one_line_refusal((((0, -1), F(0)),), "positive")
+    assert EdgeMeasure.from_entries({u: lam, (1, -1): 0}) == ray.measure
+
+
+HUGE_DENS = (2**64 + 13, 3**41, 2**70 - 1)
+COEFFS = st.builds(
+    Fraction,
+    st.integers(1, 40) | st.integers(2**64, 2**72),
+    st.sampled_from(DENOMINATORS + HUGE_DENS),
+)
+
+
+@st.composite
+def measure_cases(draw):
+    """Two measures on shared and private primitive directions (some from a
+    closing polygon), coefficients with denominators past 2^64, and a
+    scalar of either sign."""
+    shared = draw(st.lists(DIR2, max_size=5, unique=True))
+    def measure():
+        dirs = shared + draw(st.lists(DIR2, max_size=4, unique=True))
+        return EdgeMeasure.from_entries({u: draw(COEFFS) for u in dirs})
+    ma, mb = measure(), measure()
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(SCALARS[2], SCALARS[2]), min_size=1, max_size=6))
+        ma = from_points(pts, TRIV).measure
+        if draw(st.booleans()):
+            mb = ma.scale(draw(COEFFS)).add(mb)
+    t = draw(st.sampled_from([0, 1, -1]) | COEFFS | COEFFS.map(lambda c: -c))
+    return ma, mb, t
+
+
+def _outcome(f, *args):
+    try:
+        out = f(*args)
+    except GeometryError as exc:
+        return "refused", str(exc)
+    return getattr(out, "entries", out)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(measure_cases())
+def test_measure_operations_match_dict_oracles(case):
+    ma, mb, t = case
+    assert EdgeMeasure(ma.entries) == ma and EdgeMeasure.from_entries(ma.as_dict()) == ma
+    assert ma.entries == dict_from_entries(ma.as_dict())
+    for op, oracle in [(EdgeMeasure.add, dict_add), (EdgeMeasure.sub, dict_sub),
+                       (measure_inf, dict_measure_inf)]:
+        for x, y in [(ma, mb), (mb, ma), (ma, ma)]:
+            got = _outcome(op, x, y)
+            assert got == _outcome(oracle, x, y)
+            if got[:1] != ("refused",):
+                assert op(x, y) == EdgeMeasure(got)  # one canonical form
+    assert _outcome(EdgeMeasure.scale, ma, t) == _outcome(dict_scale, ma, t)
+    open_chain = ("refused", "bounded polygon measure does not close up")
+    for m in (ma, mb, ma.add(mb)):
+        assert (_outcome(VPolygon, TRIV, ORIGIN, m) == open_chain) is not fraction_closes(m)
 
 
 def test_support_does_constant_fraction_work(monkeypatch):

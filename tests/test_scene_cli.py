@@ -369,6 +369,42 @@ def test_render_shipped_scenes_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# an unbounded 2D pair (A, B) under a wedge, and its 0-minimal reduction
+# (A1, B1); no shipped scene has one
+WEDGE_SETS = {
+    name: {"dim": 2, "cone": [["-1", "-1"], ["1", "-2"]], "points": points}
+    for name, points in {
+        "A": [["0", "0"], ["2", "1/2"], ["3", "3"], ["1/3", "4"], ["-5/2", "2"]],
+        "B": [["1", "1"], ["-2", "5/2"], ["4", "0"], ["2", "3"], ["7/3", "-1/5"]],
+        "A1": [["1", "0"], ["-5/3", "1"], ["-9/2", "-1"]],
+        "B1": [["2", "-3"], ["0", "0"], ["-4", "-1/2"]],
+    }.items()
+}
+
+# SHA-256 of the output, recorded before the planar and dc canonical forms
+# moved onto one integer scale
+CLI_GOLDEN = [
+    (("dcmin", None, "g0,h0"), "e655562e1a42f56e174737b895997710b031f9a5912535201237fb8897cb890e"),
+    (("reduce", "wedge", "A,B"), "f71317d31a286dc04ffec9a3779385dc0a10820520663bda04dbe7d309ae7973"),
+    (("reduce", "wedge", "A1,B1"), "e475569772d314aedcefea75541eeb8e9f4cc205abfe71b914b2cf663293c16b"),
+    (("minimal", "wedge", "A,B"), "51695a4c46a99a7b662f879e64cf0ba73b0b2bfade46b180bea28554b18fcd2f"),
+    (("minimal", "wedge", "A1,B1"), "d0e5c791cdd242dfc540fbe445761e5ab9c0f09a6816a3848fb751bc5a1ae3ce"),
+    (("kernel", "wedge", "A1,B1"), "2be90d96a3655dece9b25db44462e77085af65b5d78998f9a2198837d4cde838"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CLI_GOLDEN, ids=[" ".join(a[::2]) for a, _ in CLI_GOLDEN])
+def test_pair_commands_golden(capsys, tmp_path, argv, digest):
+    command, scene, pair = argv
+    path = SCENES / "dc_examples.json"
+    if scene == "wedge":
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps({"sets": WEDGE_SETS}))
+    code, out, _ = run(capsys, command, "--scene", str(path), "--pair", pair)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 TRIANGLE3 = [["0", "0", "0"], ["2", "0", "0"], ["0", "3", "0"]]
 
 
