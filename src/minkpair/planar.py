@@ -93,7 +93,7 @@ def _ccw_sorted(items):
     return [it for _, it in sorted(zip(keys, items))]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class EdgeMeasure:
     """Per-direction positive edge coefficients (a discrete boundary measure),
     on one integer scale: direction u of (u, n) in `items` has coefficient
@@ -134,7 +134,7 @@ class EdgeMeasure:
     def empty():
         return EdgeMeasure._of(1, ())
 
-    @cached_property
+    @property
     def entries(self):
         return tuple((u, Fraction(n, self.den)) for u, n in self.items)
 
