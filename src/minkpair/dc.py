@@ -2,15 +2,14 @@
 
 A convex part g on [a, b] corresponds to an unbounded planar set A whose
 support in direction (x, 1) is g(x): the hypograph of the negated conjugate,
-with the recession cone spanned by (-1, a) and (1, -b), one shared `Cone2`
-per domain.  Both directions of the correspondence take linear time on
-integer ratios (`PLConvexFn` keeps its breakpoints and values as integers
-over their lcm denominators): A's chain points are (s, -g*(s)) for g's
-slopes s, its edge measure is read off g's slope jumps over one common
-denominator, and g's value at each breakpoint is the support of the
-adjacent chain point.  Minimizing the representation is delegated to the
-planar pair reduction, then normalized so the second part is nonnegative
-and vanishes at 0.
+with the recession cone spanned by (-1, a) and (1, -b).  Both directions of
+the correspondence take linear time on integer ratios (breakpoints and
+values as integers over their lcm denominators): A's chain points are
+(s, -g*(s)) for g's slopes s, its edge measure is read off g's slope jumps
+over one common denominator, and g's value at each breakpoint is the
+support of the adjacent chain point.  Minimizing the representation is
+delegated to the planar pair reduction, then normalized so the second part
+is nonnegative and vanishes at 0.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import INF, Cone2, GeometryError, lattice, vadd, vneg, vscale
 from .planar import (
@@ -64,7 +62,6 @@ class PLConvexFn:
         keep = [0, *(i + 1 for i, b in enumerate(bends) if b), len(xs) - 1]
         object.__setattr__(self, "breakpoints", tuple(xs[i] for i in keep))
         object.__setattr__(self, "values", tuple(ys[i] for i in keep))
-        object.__setattr__(self, "_lattice", (dx, [X[i] for i in keep], dy, [Y[i] for i in keep]))
 
     @property
     def domain(self):
@@ -79,17 +76,16 @@ class PLConvexFn:
         return ys[i - 1] + (x - xs[i - 1]) / (xs[i] - xs[i - 1]) * (ys[i] - ys[i - 1])
 
 
-def domain_cone(a, b) -> Cone2:
-    """Recession cone of the hypograph sets over [a, b]: one shared instance."""
+def _domain_gens(a, b):
     a, b = _frac_seq((a, b))
-    return _domain_cone(a.numerator, a.denominator, b.numerator, b.denominator)
-
-
-@lru_cache(maxsize=256)
-def _domain_cone(p, q, r, s) -> Cone2:
-    if not p < 0 < r:
+    if not a < 0 < b:
         raise GeometryError("domain must contain 0 in its interior")
-    return Cone2(((-q, p), (s, -r)))
+    return (-a.denominator, a.numerator), (b.denominator, -b.numerator)
+
+
+def domain_cone(a, b) -> Cone2:
+    """Recession cone shared by all hypograph sets over the domain [a, b]."""
+    return Cone2(_domain_gens(a, b))
 
 
 def to_hypograph_set(g: PLConvexFn) -> VPolygon:
@@ -102,7 +98,7 @@ def to_hypograph_set(g: PLConvexFn) -> VPolygon:
     where s_i = rise_i*dx / (run_i*dy); the anchor is the chain point (or
     the midpoint of two) of the segments at x = p0/q0 for u0 = (p0, q0).
     """
-    dx, X, dy, Y = g._lattice
+    (dx, (X,)), (dy, (Y,)) = lattice([g.breakpoints]), lattice([g.values])
     cone = domain_cone(*g.domain)
     runs = [q - p for p, q in zip(X, X[1:])]
     rises = [q - p for p, q in zip(Y, Y[1:])]
@@ -131,7 +127,7 @@ def from_set(A: VPolygon, domain) -> PLConvexFn:
     are read off the chain's lattice, whose scale cancels in the breakpoints.
     """
     a, b = Fraction(domain[0]), Fraction(domain[1])
-    if A.cone != domain_cone(a, b):
+    if A.cone.gens != _domain_gens(a, b):
         raise GeometryError("cone mismatch with domain")
     den, pts = A.lattice[0], sorted(A.lattice[1])
     xs = (a, *(Fraction(y0 - y1, x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])), b)

@@ -253,17 +253,17 @@ class VPolygon:
         signs = [prim[0] * x + prim[1] * y for x, y in gens]
         if any(s > 0 for s in signs):
             return INF, None
-        (den, ints), chain = self.lattice, self.chain
+        den, ints = self.lattice
         if 0 in signs:  # the polar arc's start ray, or its end ray
             ray_dir, i = (gens[-1], 0) if prim == rot90(gens[-1]) else (gens[0], -1)
-            return Fraction(dot(ints[i], u), den), ("ray", chain[i], ray_dir)
+            return Fraction(dot(ints[i], u), den), ("ray", _point(ints[i], den), ray_dir)
         i, j = _argmax(ints, prim)
         value = Fraction(dot(ints[i], u), den)
         if i == j:
-            return value, ("point", chain[i])
+            return value, ("point", _point(ints[i], den))
         if dot(vsub(ints[j], ints[i]), rot90(prim)) < 0:
             i, j = j, i
-        return value, ("segment", chain[i], chain[j])
+        return value, ("segment", _point(ints[i], den), _point(ints[j], den))
 
     def contains(self, point) -> bool:
         """Exact membership test, by Farkas: the point lies outside iff some u
@@ -276,6 +276,11 @@ class VPolygon:
         f, k = common // den, common // xden
         rows = [(a * f - x * k, b * f - y * k) for a, b in ints]
         return not cone_strictly_feasible(rows, self.cone.gens)
+
+
+def _point(p, den):
+    """The rational point of the lattice point p at scale den."""
+    return Fraction(p[0], den), Fraction(p[1], den)
 
 
 def _exact(p):
@@ -294,8 +299,7 @@ def _argmax(pts, u):
 def _face_midpoint(den, ints, u):
     """Midpoint of the first and last of the points ints / den maximizing <p, u>."""
     i, j = _argmax(ints, u)
-    (x0, y0), (x1, y1) = ints[i], ints[j]
-    return Fraction(x0 + x1, 2 * den), Fraction(y0 + y1, 2 * den)
+    return _point(vadd(ints[i], ints[j]), 2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,28 @@ def test_from_set_cone_mismatch():
     A = to_hypograph_set(PLConvexFn((-1, 1), (0, 0)))
     with pytest.raises(GeometryError, match="cone mismatch"):
         from_set(A, (-2, 1))
+    with pytest.raises(GeometryError, match="domain must contain 0"):
+        from_set(A, (1, 2))
+
+
+def test_conversions_build_at_most_one_cone(monkeypatch):
+    """Each hypograph set builds its domain's cone once, and `from_set`
+    checks a set's cone against the domain without building one."""
+    p = DcPair(PLConvexFn((-1, F(1, 3), 1), (2, 0, 1)), PLConvexFn((-1, 0, 1), (1, 0, 1)))
+    built = [0]
+    post_init = Cone2.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Cone2, "__post_init__", counted)
+    out = hartman_minimize(p)
+    assert built[0] == 2
+    A = to_hypograph_set(out.g)
+    assert built[0] == 3
+    assert from_set(A, out.g.domain) == out.g
+    assert built[0] == 3
 
 
 def test_domain_cone_rational_endpoints():

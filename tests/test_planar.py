@@ -806,24 +806,28 @@ def test_measure_operations_match_dict_oracles(case):
 
 
 def test_support_does_constant_fraction_work(monkeypatch):
-    """On the lifted parabola (k/3, k^2/9), |k| <= 200 (401 vertices), a
-    support query makes a few `Fraction` products (the dot product at every
-    vertex took two per vertex)."""
-    P = from_points([(F(k, 3), F(k * k, 9)) for k in range(-200, 201)], TRIV)
-    assert len(P.chain) == 401
+    """On a fresh lifted parabola (k/3, k^2/9), |k| <= 200 (401 vertices),
+    support queries build the integer lattice and then a few `Fraction`s
+    each, the value and the face points, never the `Fraction` chain (the dot
+    product at every vertex took two products per vertex)."""
+    pts = [(F(k, 3), F(k * k, 9)) for k in range(-200, 201)]
     dirs = [(1, -3), (0, -1), (F(-7, 2), F(1, 5)), (2, 9)]
-    expected = [fraction_support(P, u) for u in dirs]
-    calls = [0]
+    expected = [fraction_support(from_points(pts, TRIV), u) for u in dirs]
+    P = from_points(pts, TRIV)
+    built, products = [0], [0]
 
-    def counting(op):
-        def counted(self, other):
+    def counting(op, calls):
+        def counted(*args, **kwargs):
             calls[0] += 1
-            return op(self, other)
+            return op(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(F, "__mul__", counting(F.__mul__))
-    monkeypatch.setattr(F, "__rmul__", counting(F.__rmul__))
+    monkeypatch.setattr(F, "__new__", staticmethod(counting(F.__new__, built)))
+    monkeypatch.setattr(F, "__mul__", counting(F.__mul__, products))
+    monkeypatch.setattr(F, "__rmul__", counting(F.__rmul__, products))
     got = [P.support(u) for u in dirs]
     monkeypatch.undo()
-    assert calls[0] <= 2 * len(dirs)
+    assert "chain" not in vars(P)
+    assert products[0] <= 2 * len(dirs)
+    assert built[0] <= 8 * len(dirs)
     assert got == expected
