@@ -5,7 +5,6 @@ from .core import (
     Cone3,
     ConeMismatchError,
     GeometryError,
-    ccw_compare,
     cone_strictly_feasible,
     normalize_direction,
 )

@@ -149,28 +149,6 @@ def normalize_direction(v):
     return tuple(n // g for n in v)
 
 
-def ccw_compare(u, v, start):
-    """Total counterclockwise order on primitive 2D directions from `start`.
-
-    Returns -1 if u precedes v, 0 iff u == v, +1 if v precedes u.  Only sign
-    tests on cross and dot products are used.
-    """
-    if u == v:
-        return 0
-
-    def rank(d):
-        c = cross2(start, d)
-        if c == 0:
-            return 0 if dot(start, d) > 0 else 2
-        return 1 if c > 0 else 3
-
-    ru, rv = rank(u), rank(v)
-    if ru != rv:
-        return -1 if ru < rv else 1
-    # same open half-turn: direct cross test settles it
-    return -1 if cross2(u, v) > 0 else 1
-
-
 # ---------------------------------------------------------------------------
 # linear feasibility (exact Fourier-Motzkin, dimension <= small)
 

@@ -77,10 +77,10 @@ def hull_chain(pts):
 # edge measures
 
 def _angle_keys(dirs):
-    """Integer keys ordering directions counterclockwise from (1, 0) as
-    `ccw_compare` does: the half-turn rank, then floor(-k*x/y) for k the
-    square of the largest |y|, as two slopes x/y with |y|^2 <= k differ by
-    at least 1/k."""
+    """Integer keys ordering directions counterclockwise from (1, 0), as the
+    test oracle `ccw_compare` does: the half-turn rank, then floor(-k*x/y)
+    for k the square of the largest |y|, as two slopes x/y with |y|^2 <= k
+    differ by at least 1/k."""
     k = max((abs(u[1]) for u in dirs), default=0) ** 2
     return [((0 if u[0] > 0 else 2, 0) if u[1] == 0 else (2 - u[1] // abs(u[1]), -k * u[0] // u[1]))
             for u in dirs]

@@ -1,32 +1,32 @@
 """Exact 3D convex hulls, V-polytopes, and the edge-based summand criteria.
 
-Hulls are computed incrementally on an integer lattice: the input points
-are scaled once by the lcm of their denominators (`core.lattice`), every
-hull predicate is an integer sign test on those points, and only the result
-maps back to the rational points (facet offsets become `Fraction(off, den)`).
-Extreme points go in first: an initial simplex of far-apart points, then the
-rest farthest first, so most later points lie inside and orient no triangle.
-Coplanar triangles are merged into facets afterwards, each facet from the
-corners of its own triangles, so degenerate inputs (repeated, collinear,
-coplanar points) are handled exactly.  The result
-depends on the input only through its vertices, so `hull3(q.vertices) == q`.
-Lower-dimensional hulls (point, segment, flat polygon) are first-class
-citizens because several fixtures are flat.  The summand and reduced-pair
-criteria run on each polytope's vertex lattice too, with no `Fraction` solver:
-one perp-plane frame per exposed edge, whose strict rows in two variables go
-to `core.cone_strictly_feasible`.  The summand criterion then walks the
-vertices of the 2D hull of K's projection onto that plane; above each lies a
-vertex of K or an edge parallel to P's edge, whose length is compared in
-integers.
-Vertex survival in `from_points3` is one call of that same ray test with
-strict rows in three variables over the same lattice, and `contains3` one
-call with strict and weak rows over the lattice of the vertices and the point
-(Farkas separation).
+Every polytope keeps its vertex lattice: `Polytope3.lattice` is (den, ints),
+the vertices scaled by the lcm of their denominators (`core.lattice`).
+`hull3` scales its input once and runs every hull predicate as an integer
+sign test; only the result's vertices and facet offsets become `Fraction`s.
+Pruning by the cone, its re-hull and `minkowski_sum3` (pairwise integer sums
+at lcm(den_P, den_K)) stay on the lattice.  Extreme points go in first: an
+initial simplex of far-apart points, then the rest farthest first, so most
+later points lie inside and orient no triangle.  Coplanar triangles are then
+merged into facets, each from the corners of its own triangles (a lone
+triangle is oriented by one sign), so degenerate inputs (repeated, collinear,
+coplanar points) are handled exactly.  The result depends on the input only
+through its vertices, so `hull3(q.vertices) == q`; points, segments and flat
+polygons are first-class citizens because several fixtures are flat.  The
+summand and reduced-pair criteria read the stored lattices, with no `Fraction`
+solver: one perp-plane frame per exposed edge, whose strict rows in two
+variables go to `core.cone_strictly_feasible`.  The summand criterion then
+walks the vertices of the 2D hull of K's projection onto that plane; above
+each lies a vertex of K or an edge parallel to P's edge, whose length is
+compared in integers.  Vertex survival is one call of that same ray test with
+strict rows in three variables, and `contains3` one call with strict and weak
+rows over the lattice of the vertices and the point (Farkas separation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
@@ -63,18 +63,19 @@ class Polytope3:
     dim: int
     facets: tuple
     edges: tuple
+    lattice: tuple = field(default=None, compare=False, repr=False)  # (den, den * vertices in ints)
+
+    def __post_init__(self):
+        if self.lattice is None:
+            object.__setattr__(self, "lattice", lattice(self.vertices))
 
 
 def _perp_basis(d):
     """Two independent primitive integer vectors spanning the plane normal to d."""
     d = normalize_direction(d)
-    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        w1 = cross3(d, axis)
-        if not is_zero(w1):
-            break
-    w1 = normalize_direction(w1)
-    w2 = normalize_direction(cross3(d, w1))
-    return w1, w2
+    # d x (1, 0, 0) vanishes only on the x axis
+    w1 = normalize_direction(cross3(d, (0, 1, 0) if d[1] == d[2] == 0 else (1, 0, 0)))
+    return w1, normalize_direction(cross3(d, w1))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +85,20 @@ def hull3(points) -> Polytope3:
     """Exact convex hull; coplanar facets merged; degenerate dims flagged.
 
     The distinct points are scaled once to an integer lattice
-    (`core.lattice`).  A positive scale keeps every sign and the
-    lexicographic order, so every predicate runs on those int tuples and
-    only the result maps back to the rational points.
+    (`core.lattice`), and `_hull` builds the hull of those integer triples.
+    """
+    den, lat = lattice(set(map(as_point, points)))
+    if not lat:
+        raise GeometryError("need at least one point")
+    return _hull(den, sorted(lat))
 
-    A full-dimensional hull starts from an extreme simplex: the
+
+def _hull(den, lat) -> Polytope3:
+    """Hull of the points lat[i] / den, `lat` sorted distinct integer triples.
+
+    A positive scale keeps every sign and the lexicographic order, so every
+    predicate is an integer sign test, and only the result's vertices become
+    `Fraction`s.  A full-dimensional hull starts from an extreme simplex: the
     lexicographically first and last points, the point farthest from their
     line and the point farthest from the plane of those three.  The other
     points go in farthest first from the simplex's centroid, each replacing
@@ -97,22 +107,17 @@ def hull3(points) -> Polytope3:
     are grouped by plane, and each facet's cycle is the 2D hull of the
     corners of its own triangles.
     """
-    uniq = list(set(map(as_point, points)))
-    if not uniq:
-        raise GeometryError("need at least one point")
-    den, lat = lattice(uniq)
-    lat, pts = zip(*sorted(zip(lat, uniq)))
     if len(lat) == 1:
-        return Polytope3(pts, 0, (), ())
+        return _polytope(den, lat, 0, ())
     p0 = lat[0]
     d1 = vsub(lat[1], p0)
     n2 = next((c for c in (cross3(d1, vsub(p, p0)) for p in lat) if not is_zero(c)), None)
     if n2 is None:
         # collinear: the lexicographic extremes are the segment's endpoints
-        return Polytope3((pts[0], pts[-1]), 1, (), ((0, 1),))
+        return _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
     if all(dot(n2, vsub(p, p0)) == 0 for p in lat):
-        return _hull_planar(pts, lat, den, n2)
-    return _hull_full(pts, lat, den)
+        return _hull_planar(den, lat, n2)
+    return _hull_full(den, lat)
 
 
 def _planar_cycle(lat, ids, normal):
@@ -135,33 +140,50 @@ def _planar_cycle(lat, ids, normal):
     return cyc if len(cyc) == len(ids) else _planar_cycle(lat, sorted(cyc), normal)
 
 
-def _polytope(pts, den, dim, planes):
-    """Polytope3 from planes (normal, lattice offset, cycle of indices into
-    the sorted points `pts`); vertices are the points the cycles use."""
-    order = sorted({i for *_, cyc in planes for i in cyc})
-    index = {i: r for r, i in enumerate(order)}
+def _triangle_cycle(lat, ids, normal):
+    """`_planar_cycle` of three corners off one line: the sign of o orders them
+    CCW, and the cycle starts at ids[2] if its coordinates (<w, e>, o) there,
+    e and w the edge vectors from the base ids[0], precede the base's (0, 0)."""
+    i, j, k = ids
+    e, w = vsub(lat[j], lat[i]), vsub(lat[k], lat[i])
+    o = dot(normal, cross3(e, w))
+    if (dot(w, e), o) < (0, 0):
+        return (k, i, j) if o > 0 else (k, j, i)
+    return (i, j, k) if o > 0 else (i, k, j)
+
+
+def _polytope(den, lat, dim, planes, edges=()):
+    """Polytope3 with vertices lat[i] / den, the only `Fraction`s built.  With
+    planes (normal, lattice offset, cycle of indices into the sorted `lat`),
+    its facets and edges come from those and its vertices are the points the
+    cycles use."""
     facets = []
-    edges = set()
-    for n, off, cyc in planes:
-        cyc = tuple(index[i] for i in cyc)
-        facets.append(Facet(n, Fraction(off, den), cyc))
-        for t in range(len(cyc)):
-            i, j = cyc[t], cyc[(t + 1) % len(cyc)]
-            edges.add((min(i, j), max(i, j)))
-    return Polytope3(tuple(pts[i] for i in order), dim, tuple(facets), tuple(sorted(edges)))
+    if planes:
+        order = sorted({i for *_, cyc in planes for i in cyc})
+        index = {i: r for r, i in enumerate(order)}
+        edges = set()
+        for n, off, cyc in planes:
+            cyc = tuple(index[i] for i in cyc)
+            facets.append(Facet(n, Fraction(off, den), cyc))
+            for t in range(len(cyc)):
+                i, j = cyc[t], cyc[(t + 1) % len(cyc)]
+                edges.add((min(i, j), max(i, j)))
+        lat, edges = [lat[i] for i in order], tuple(sorted(edges))
+    verts = tuple(tuple(Fraction(x, den) for x in p) for p in lat)
+    return Polytope3(verts, dim, tuple(facets), edges, (den, tuple(lat)))
 
 
-def _hull_planar(pts, lat, den, raw_normal) -> Polytope3:
+def _hull_planar(den, lat, raw_normal) -> Polytope3:
     n = normalize_direction(raw_normal)
     cyc = _planar_cycle(lat, range(len(lat)), n)
     if len(cyc) < len(lat):
         # orient the plane as its vertices alone would
-        return hull3([pts[i] for i in cyc])
+        return _hull(den, sorted(lat[i] for i in cyc))
     b = dot(n, lat[cyc[0]])
-    return _polytope(pts, den, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
+    return _polytope(den, lat, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
 
 
-def _hull_full(pts, lat, den) -> Polytope3:
+def _hull_full(den, lat) -> Polytope3:
     # extreme initial simplex: the lexicographic ends of the sorted distinct
     # points are vertices, c is farthest from their line and d from their
     # plane; `index(max(...))` keeps the first index on ties
@@ -181,10 +203,8 @@ def _hull_full(pts, lat, den) -> Polytope3:
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = lat[i], lat[j], lat[k]
         ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
         vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
-        n = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-        if n == (0, 0, 0):
-            raise GeometryError("degenerate hull facet")
-        u, v, w = normalize_direction(n)
+        # a degenerate triangle has normal 0, which `normalize_direction` refuses
+        u, v, w = normalize_direction((uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx))
         off = u * x0 + v * y0 + w * z0
         side = u * ix + v * iy + w * iz - 4 * off
         if side > 0:
@@ -217,16 +237,14 @@ def _hull_full(pts, lat, den) -> Polytope3:
     corners = {}
     for u, v, w, off, tri in tris:
         corners.setdefault(((u, v, w), off), set()).update(tri)
-    planes = [(n, off, _planar_cycle(lat, sorted(on), n)) for (n, off), on in sorted(corners.items())]
-    return _polytope(pts, den, 3, planes)
+    planes = [(n, off, (_triangle_cycle if len(on) == 3 else _planar_cycle)(lat, sorted(on), n))
+              for (n, off), on in sorted(corners.items())]
+    return _polytope(den, lat, 3, planes)
 
 
 def _tri_edges(tri):
-    return (
-        (min(tri[0], tri[1]), max(tri[0], tri[1])),
-        (min(tri[1], tri[2]), max(tri[1], tri[2])),
-        (min(tri[0], tri[2]), max(tri[0], tri[2])),
-    )
+    i, j, k = sorted(tri)
+    return (i, j), (j, k), (i, k)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +258,16 @@ class VPolytope3:
 
 def from_points3(points, cone: Cone3) -> VPolytope3:
     """Canonical V-polytope: hull plus cone, cone-absorbed vertices pruned."""
-    q = hull3(points)
+    return _pruned(hull3(points), cone)
+
+
+def _pruned(q: Polytope3, cone: Cone3) -> VPolytope3:
     if cone.is_trivial:
         return VPolytope3(q, cone)
-    lat = lattice(q.vertices)[1]
-    keep = [v for i, v in enumerate(q.vertices) if _vertex_survives(q, lat, i, cone)]
+    den, lat = q.lattice
+    keep = [v for i, v in enumerate(lat) if _vertex_survives(q, lat, i, cone)]
     # hull3(q.vertices) == q, so a hull that loses no vertex is its own result
-    return VPolytope3(q if len(keep) == len(q.vertices) else hull3(keep), cone)
+    return VPolytope3(q if len(keep) == len(lat) else _hull(den, sorted(keep)), cone)
 
 
 def _vertex_survives(q: Polytope3, lat, i, cone: Cone3) -> bool:
@@ -282,10 +303,14 @@ def contains3(p: VPolytope3, x) -> bool:
 
 
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
+    """Hull of the pairwise sums, added in integers at lcm(den_p, den_q)."""
     if p.cone != q.cone:
         raise ConeMismatchError("incompatible recession cones")
-    sums = [vadd(a, b) for a in p.bounded.vertices for b in q.bounded.vertices]
-    return from_points3(sums, p.cone)
+    (pden, plat), (qden, qlat) = p.bounded.lattice, q.bounded.lattice
+    den = math.lcm(pden, qden)
+    s, t = den // pden, den // qden
+    sums = {(s * a + t * x, s * b + t * y, s * c + t * z) for a, b, c in plat for x, y, z in qlat}
+    return _pruned(_hull(den, sorted(sums)), p.cone)
 
 
 def are_equivalent3(a, b, c, d) -> bool:
@@ -368,8 +393,7 @@ def _edge(q: Polytope3, i, j):
 
 def bounded_edges(p: VPolytope3):
     """Edges of the bounded hull exposed, bounded, by some open-polar direction."""
-    lat = lattice(p.bounded.vertices)[1]
-    return [_edge(p.bounded, i, j) for i, j, *_ in _exposed_edges(p, lat)]
+    return [_edge(p.bounded, i, j) for i, j, *_ in _exposed_edges(p, p.bounded.lattice[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +426,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
     """
     if p.cone != k.cone:
         raise ConeMismatchError("incompatible recession cones")
-    pden, plat = lattice(p.bounded.vertices)
-    kden, klat = lattice(k.bounded.vertices)
+    (pden, plat), (kden, klat) = p.bounded.lattice, k.bounded.lattice
     for i, j, _, (w1, w2), edge_rows in _exposed_edges(p, plat):
         elat = vsub(plat[j], plat[i])
         over = {}
@@ -423,9 +446,9 @@ def equiparallel_edges(a: VPolytope3, b: VPolytope3):
     """Pairs of bounded parallel edges exposed by one common direction."""
     if a.cone != b.cone:
         raise ConeMismatchError("incompatible recession cones")
-    blat = lattice(b.bounded.vertices)[1]
+    blat = b.bounded.lattice[1]
     pairs = []
-    for i, j, da, (w1, w2), rows_a in _exposed_edges(a, lattice(a.bounded.vertices)[1]):
+    for i, j, da, (w1, w2), rows_a in _exposed_edges(a, a.bounded.lattice[1]):
         bproj = None
         for s, t in b.bounded.edges:
             if not is_zero(cross3(da, vsub(blat[t], blat[s]))):

@@ -47,6 +47,8 @@
   measure operations as the library ran them before it kept measures on one
   integer scale: `Fraction` coefficients in a dict, re-sorted by
   `ccw_compare` after every operation (`dict_from_entries`).
+  `ccw_compare` is the comparator of directions by cross-product casework
+  that the library sorted with before its integer angle key.
   `fraction_closes` is the bounded-polygon closure check as a `Fraction`
   sum.
 - `fraction_plconvex`, `fraction_to_hypograph_set` and `fraction_from_set`:
@@ -66,7 +68,6 @@ from minkpair.core import (
     INF,
     GeometryError,
     as_point,
-    ccw_compare,
     cross2,
     cross3,
     dot,
@@ -737,6 +738,28 @@ def fraction_is_zero_minimal(a, b) -> bool:
 # ---------------------------------------------------------------------------
 # edge measures and dc conversions in `Fraction`, as dicts re-sorted by
 # `ccw_compare`
+
+def ccw_compare(u, v, start):
+    """Total counterclockwise order on primitive 2D directions from `start`.
+
+    Returns -1 if u precedes v, 0 iff u == v, +1 if v precedes u.  Only sign
+    tests on cross and dot products are used.
+    """
+    if u == v:
+        return 0
+
+    def rank(d):
+        c = cross2(start, d)
+        if c == 0:
+            return 0 if dot(start, d) > 0 else 2
+        return 1 if c > 0 else 3
+
+    ru, rv = rank(u), rank(v)
+    if ru != rv:
+        return -1 if ru < rv else 1
+    # same open half-turn: direct cross test settles it
+    return -1 if cross2(u, v) > 0 else 1
+
 
 _ccw_key = cmp_to_key(lambda u, v: ccw_compare(u, v, (1, 0)))
 

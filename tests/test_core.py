@@ -14,7 +14,6 @@ from minkpair.core import (
     Cone2,
     Cone3,
     GeometryError,
-    ccw_compare,
     _in_cone_span,
     cone_strictly_feasible,
     dot,
@@ -29,6 +28,7 @@ from conftest import RING, rand_direction, run_capped
 from oracles import (
     casework_cone2_gens,
     casework_contains_vector2,
+    ccw_compare,
     fm_cone_strictly_feasible,
     fm_in_cone_span,
 )

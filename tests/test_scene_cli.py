@@ -405,6 +405,25 @@ def test_pair_commands_golden(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of 3D sums and an equivalence on the shipped scenes, recorded
+# before 3D sums moved onto the summands' integer lattices
+CLI_GOLDEN3 = [
+    (("sum", "ex73", "--sets", "A,B"), "339fa16ecc968b110c80f207f6caf8e53b0ceebe839b0d9daa1f3fa8cc63a187"),
+    (("sum", "ex73", "--sets", "C,D"), "54e4c27edaadcb2a01d3b390f5d3328431c13f8fd0fc13e96d25e82067251511"),
+    (("sum", "ex29", "--sets", "A,B"), "854af95aac01702f37e8008481ff24ae0ed0c745def425d38e015439721340c2"),
+    (("sum", "ex29", "--sets", "E,F"), "f4d1ab16d733f5c5a7fc88df4391ea0d5b1c62e7b1071838d5d803fbdaf91ff5"),
+    (("equiv", "ex73", "--pairs", "C,D,E,F"), "ff352a76b99493b08e52728a1c8b2cde270aab4a77b7c3eac59b3104661c07be"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CLI_GOLDEN3, ids=[" ".join(a[:2] + a[3:]) for a, _ in CLI_GOLDEN3])
+def test_3d_commands_golden(capsys, argv, digest):
+    command, scene, option, names = argv
+    code, out, _ = run(capsys, command, "--scene", str(SCENES / f"{scene}.json"), option, names)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 TRIANGLE3 = [["0", "0", "0"], ["2", "0", "0"], ["0", "3", "0"]]
 
 

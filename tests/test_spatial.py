@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkpair import core, spatial
@@ -13,6 +13,8 @@ from minkpair.core import (
     Cone3,
     ConeMismatchError,
     GeometryError,
+    cross3,
+    dot,
     lattice,
     normalize_direction,
     vadd,
@@ -168,8 +170,25 @@ def point_sets(draw):
     return draw(st.permutations(pts))
 
 
+# a tetrahedron whose face z = 0 grows in its plane: beyond the corner
+# (0, 0, 0), which then lies inside the merged facet; beyond (4, 0, 0) on an
+# edge's line, which leaves collinear corners; and both on the flat face alone
+FACE_GROWTH = (
+    [(0, 0, 0), (4, 0, 0), (0, 4, 0), (1, 1, 3), (-1, -1, 0)],
+    [(0, 0, 0), (4, 0, 0), (0, 4, 0), (1, 1, 3), (8, 0, 0)],
+    [(0, 0, 0), (4, 0, 0), (0, 4, 0), (-1, -1, 0), (8, 0, 0)],
+)
+
+
+def _with_examples(test):
+    for points in FACE_GROWTH:
+        test = example(points)(test)
+    return test
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(point_sets())
+@_with_examples
 def test_hull3_matches_fraction_oracle(points):
     h = hull3(points)
     assert h == fraction_hull3(points)
@@ -179,6 +198,7 @@ def test_hull3_matches_fraction_oracle(points):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(point_sets())
+@_with_examples
 def test_hull3_of_its_own_vertices_is_itself(points):
     h = hull3(points)
     assert hull3(h.vertices) == h
@@ -216,12 +236,27 @@ def lattice_sum(rng):
     return [vadd(vadd(a, b), c) for a in parts[0] for b in parts[1] for c in parts[2]]
 
 
+def face_growth(rng):
+    """A rational tetrahedron plus points in the plane of its face abc: beyond
+    the corner a, so a lies inside the merged facet, and on the line of the
+    edge ab beyond b, so the facet has collinear corners."""
+    while True:
+        a, b, c, d = (tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(3)) for _ in range(4))
+        if dot(cross3(vsub(b, a), vsub(c, a)), vsub(d, a)) != 0:
+            break
+    s, t, u = (F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(3))
+    beyond_corner = vadd(a, vadd(vscale(s, vsub(a, b)), vscale(t, vsub(a, c))))
+    beyond_edge = vadd(b, vscale(u, vsub(b, a)))
+    return [a, b, c, d] + rng.sample([beyond_corner, beyond_edge], rng.randint(1, 2))
+
+
 def test_hull3_matches_fraction_oracle_on_large_clouds():
     """Clouds far beyond `point_sets`: many interior points, and points on
-    facets and edges, where insertion order and the facet merge matter."""
+    facets and edges, where insertion order and the facet merge matter; and
+    tetrahedra whose faces grow in their planes."""
     rng = random.Random(113)
     full = [lifted_cloud(rng, rng.randint(40, 120), rng.randint(6, 20))[1] for _ in range(16)]
-    full += [lattice_box(rng) for _ in range(16)]
+    full += [lattice_box(rng) for _ in range(16)] + [face_growth(rng) for _ in range(48)]
     for pts in full + [lattice_sum(rng) for _ in range(16)]:
         h = hull3(pts)
         assert h == fraction_hull3(pts)
@@ -366,6 +401,83 @@ def test_equivalence_under_the_trivial_cone_ignores_non_vertex_points():
 def test_sum3_cone_mismatch():
     with pytest.raises(ConeMismatchError):
         minkowski_sum3(from_points3(CUBE, TRIV), from_points3(CUBE, DOWN))
+
+
+# 2**64 + 1 and 2**64 + 3 are coprime
+SUM_DENOMINATORS = (1, 2, 3, 7, 12, 2**64 + 1, 2**64 + 3)
+
+
+@st.composite
+def sum_cases(draw):
+    """Two full, flat, collinear or one-point sets over two different
+    denominators, under a trivial, ray or three-generator cone."""
+    dens = draw(st.lists(st.sampled_from(SUM_DENOMINATORS), min_size=2, max_size=2, unique=True))
+    cone = draw(st.one_of(st.just(TRIV), _cone_with(1), _cone_with(3)))
+    return [from_points3(draw(shaped_points(den, 7)), cone) for den in dens]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sum_cases())
+def test_sum3_matches_fraction_oracle(pair):
+    """Integer sums of the summands' stored lattice points build the
+    polytope that the `Fraction` hull builds from the pairwise `Fraction`
+    sums, and each stored lattice point over its scale is its vertex."""
+    P, K = pair
+    S = minkowski_sum3(P, K)
+    assert S == fraction_from_points3([vadd(a, b) for a in P.bounded.vertices for b in K.bounded.vertices], P.cone)
+    for q in (P.bounded, K.bounded, S.bounded):
+        den, ints = q.lattice
+        assert tuple(tuple(F(x, den) for x in v) for v in ints) == q.vertices
+
+
+def test_directly_built_polytopes_give_the_library_verdicts():
+    """A `Polytope3` built from its four fields, as `fraction_hull3` builds
+    it, fills its lattice from its vertices: sums, both criteria and the
+    exposed edges on it equal those on the library's equal polytope."""
+    rng = random.Random(131)
+    verdicts = set()
+    for kind in ("trivial", "ray", "three"):
+        cone = cone_of_kind(rng, kind)
+        for _ in range(4):
+            clouds = [[tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 7))) for _ in range(3))
+                       for _ in range(rng.randint(1, 8))] for _ in range(2)]
+            lib = [from_points3(pts, cone) for pts in clouds]
+            direct = [fraction_from_points3(pts, cone) for pts in clouds]
+            assert direct == lib
+            S = minkowski_sum3(*lib)
+            sums = [vadd(a, b) for a in lib[0].bounded.vertices for b in lib[1].bounded.vertices]
+            direct_S = fraction_from_points3(sums, cone)
+            assert summand_criterion3(direct[0], direct_S) and summand_criterion3(lib[0], S)
+            for a, b in (direct, (direct[0], lib[1]), (lib[0], direct[1])):
+                assert minkowski_sum3(a, b) == S
+                assert summand_criterion3(a, b) == summand_criterion3(*lib)
+                assert summand_criterion3(b, a) == summand_criterion3(lib[1], lib[0])
+                assert equiparallel_edges(a, b) == equiparallel_edges(*lib)
+            assert [bounded_edges(q) for q in direct] == [bounded_edges(q) for q in lib]
+            verdicts.add(summand_criterion3(*lib))
+    assert verdicts == {True, False}
+
+
+def test_sum3_builds_fractions_only_for_the_result(monkeypatch):
+    """`minkowski_sum3` adds the summands' lattice points as integers, so the
+    only `Fraction`s it builds are the result's vertex coordinates and facet
+    offsets; adding the vertices pairwise as `Fraction`s alone builds
+    3 |P| |K| = 588 here."""
+    rng = random.Random(137)
+    P = from_points3(lifted_cloud(rng, 14, 14)[0], TRIV)
+    K = from_points3([vscale(F(1, 3), v) for v in lifted_cloud(rng, 14, 14)[0]], TRIV)
+    built = [0]
+    new = F.__new__
+
+    def counted(*args, **kwargs):
+        built[0] += 1
+        return new(*args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    S = minkowski_sum3(P, K).bounded
+    monkeypatch.undo()
+    assert len(P.bounded.vertices) * len(K.bounded.vertices) == 196
+    assert built[0] <= 3 * (len(S.vertices) + len(S.facets))
 
 
 def test_example_29_identity():
