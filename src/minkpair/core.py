@@ -14,11 +14,14 @@ The exact decisions here:
   rows in two or three variables by integer sign tests on one point of the
   closed cone's relative interior, built from a few candidate rays.  It
   runs the perp-plane tests of the 3D criteria, vertex survival in
-  `spatial`, `VPolygon.contains` and `contains3` (by Farkas' lemma a point
-  lies outside conv(V) + cone(G) exactly when some u strictly separates
-  it), and every cone question in both dimensions: `Cone2` and `Cone3`
-  share one base whose pointedness, extreme rays (`_extreme_rays`) and
-  membership (`_in_cone_span`) are ray tests on pairs or triples.
+  `spatial`, point membership in both dimensions (`lattice_contains`, which
+  `VPolygon.contains` and `contains3` call: by Farkas' lemma a point lies
+  outside conv(V) + cone(G) exactly when some u strictly separates it), and
+  every cone question in both dimensions: `Cone2` and `Cone3` share one
+  base whose pointedness, extreme rays (`_extreme_rays`) and membership
+  (`_in_cone_span`) are ray tests on pairs or triples.
+- `shared_cone` states once that the operands of a pair operation share
+  their recession cone.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
   systems.  No library code calls it; the benchmark harness still times it.
 """
@@ -304,8 +307,40 @@ def cone_strictly_feasible(strict, weak=()) -> bool:
     return solves(sx, sy, sz)
 
 
+def lattice_contains(den, ints, gens, x) -> bool:
+    """Exact membership of the point x (int or `Fraction` coordinates) in
+    conv(ints / den) + cone(gens), by Farkas: x lies outside iff some u has
+    <v - x, u> < 0 for every point v and <g, u> <= 0 for every generator g.
+    Decided on the common lattice of the points and x.  The rows are spelled
+    out for pairs and for triples, the two lengths `cone_strictly_feasible`
+    takes: a per-coordinate comprehension doubled their cost on `planar`'s
+    hot `VPolygon.contains`."""
+    if len(x) != len(ints[0]):
+        raise GeometryError(f"a point of {len(x)} coordinates in a set of dimension {len(ints[0])}")
+    xden, (p,) = lattice([x])
+    common = math.lcm(den, xden)
+    f, k = common // den, common // xden
+    if len(p) == 2:
+        x0, y0 = p[0] * k, p[1] * k
+        rows = [(a * f - x0, b * f - y0) for a, b in ints]
+    else:
+        x0, y0, z0 = p[0] * k, p[1] * k, p[2] * k
+        rows = [(a * f - x0, b * f - y0, c * f - z0) for a, b, c in ints]
+    return not cone_strictly_feasible(rows, gens)
+
+
 # ---------------------------------------------------------------------------
 # cones
+
+def shared_cone(*sets):
+    """The recession cone every one of `sets` has; sets under different
+    cones are refused."""
+    cone = sets[0].cone
+    for s in sets:
+        if s.cone is not cone and s.cone != cone:
+            raise ConeMismatchError("incompatible recession cones")
+    return cone
+
 
 @dataclass(frozen=True)
 class _Cone:

@@ -33,6 +33,18 @@ def _frac_seq(xs):
     return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
+def _pieces(xs, ys):
+    """(dx, X, dy, Y, runs, rises, bends): the breakpoints xs = X / dx and
+    values ys = Y / dy on their lattices, the run and rise of each piece, and
+    at each inner breakpoint r1*d0 - r0*d1, which has the sign of the slope
+    jump there: slope i is rises[i]*dx / (runs[i]*dy)."""
+    (dx, (X,)), (dy, (Y,)) = lattice([xs]), lattice([ys])
+    runs = [q - p for p, q in zip(X, X[1:])]
+    rises = [q - p for p, q in zip(Y, Y[1:])]
+    bends = [r1 * d0 - r0 * d1 for d0, d1, r0, r1 in zip(runs, runs[1:], rises, rises[1:])]
+    return dx, X, dy, Y, runs, rises, bends
+
+
 @dataclass(frozen=True)
 class PLConvexFn:
     """Convex piecewise-linear function on a closed interval [a, b], a < 0 < b.
@@ -48,15 +60,11 @@ class PLConvexFn:
         xs, ys = _frac_seq(self.breakpoints), _frac_seq(self.values)
         if len(xs) != len(ys) or len(xs) < 2:
             raise GeometryError("need matching breakpoints and values, >= 2 points")
-        (dx, (X,)), (dy, (Y,)) = lattice([xs]), lattice([ys])
-        if any(q <= p for p, q in zip(X, X[1:])):
+        _, X, _, _, runs, _, bends = _pieces(xs, ys)
+        if any(r <= 0 for r in runs):
             raise GeometryError("breakpoints must be strictly increasing")
         if not (X[0] < 0 < X[-1]):
             raise GeometryError("domain must contain 0 in its interior")
-        # slope i is (Y[i+1] - Y[i]) / (X[i+1] - X[i]) times dx / dy > 0
-        runs = [q - p for p, q in zip(X, X[1:])]
-        rises = [q - p for p, q in zip(Y, Y[1:])]
-        bends = [r1 * d0 - r0 * d1 for d0, d1, r0, r1 in zip(runs, runs[1:], rises, rises[1:])]
         if any(b < 0 for b in bends):
             raise GeometryError("function is not convex")
         keep = [0, *(i + 1 for i, b in enumerate(bends) if b), len(xs) - 1]
@@ -98,12 +106,10 @@ def to_hypograph_set(g: PLConvexFn) -> VPolygon:
     where s_i = rise_i*dx / (run_i*dy); the anchor is the chain point (or
     the midpoint of two) of the segments at x = p0/q0 for u0 = (p0, q0).
     """
-    (dx, (X,)), (dy, (Y,)) = lattice([g.breakpoints]), lattice([g.values])
+    dx, X, dy, Y, runs, rises, bends = _pieces(g.breakpoints, g.values)
     cone = domain_cone(*g.domain)
-    runs = [q - p for p, q in zip(X, X[1:])]
-    rises = [q - p for p, q in zip(Y, Y[1:])]
-    jumps = [(dx * (r1 * d0 - r0 * d1), dy * d0 * d1 * x.denominator, (x.numerator, x.denominator))
-             for d0, d1, r0, r1, x in zip(runs, runs[1:], rises, rises[1:], g.breakpoints[1:])][::-1]
+    jumps = [(dx * b, dy * d0 * d1 * x.denominator, (x.numerator, x.denominator))
+             for b, d0, d1, x in zip(bends, runs, runs[1:], g.breakpoints[1:])][::-1]
     den = math.lcm(*(d for _, d, _ in jumps))
 
     def chain_point(i):

@@ -20,7 +20,7 @@ Each V-polygon computes its chain once, as an integer lattice (den, ints)
 built from the measure and the anchor, and the hot paths run on it: support
 faces, the reference face midpoint and the 0-minimality test are integer
 comparisons, and point membership is one homogeneous integer ray test
-(`core.cone_strictly_feasible`, by Farkas' lemma).
+(`core.lattice_contains`, by Farkas' lemma).
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ from functools import cached_property
 from .core import (
     INF,
     Cone2,
-    ConeMismatchError,
     GeometryError,
     as_point,
-    cone_strictly_feasible,
     cross2,
     dot,
     lattice,
+    lattice_contains,
     normalize_direction,
     rot90,
+    shared_cone,
     vadd,
     vscale,
     vsub,
@@ -182,6 +182,8 @@ def measure_inf(ma: EdgeMeasure, mb: EdgeMeasure) -> EdgeMeasure:
 
 
 def shared_normals(a: "VPolygon", b: "VPolygon"):
+    """Outer normals of edges of both sets, which must share their cone."""
+    shared_cone(a, b)
     dirs = set(b.measure.directions())
     return [u for u in a.measure.directions() if u in dirs]
 
@@ -266,16 +268,8 @@ class VPolygon:
         return value, ("segment", _point(ints[i], den), _point(ints[j], den))
 
     def contains(self, point) -> bool:
-        """Exact membership test, by Farkas: the point lies outside iff some u
-        has <v - point, u> < 0 for every chain vertex v and <g, u> <= 0 for
-        every cone generator g.  Decided on the chain's lattice, rescaled to
-        a common denominator with the point."""
-        den, ints = self.lattice
-        xden, ((x, y),) = lattice([_exact(point)])
-        common = math.lcm(den, xden)
-        f, k = common // den, common // xden
-        rows = [(a * f - x * k, b * f - y * k) for a, b in ints]
-        return not cone_strictly_feasible(rows, self.cone.gens)
+        """Exact membership test on the chain's lattice (`core.lattice_contains`)."""
+        return lattice_contains(*self.lattice, self.cone.gens, _exact(point))
 
 
 def _point(p, den):
@@ -323,9 +317,7 @@ def from_points(points, cone: Cone2) -> VPolygon:
 
 
 def minkowski_sum(a: VPolygon, b: VPolygon) -> VPolygon:
-    if a.cone != b.cone:
-        raise ConeMismatchError("incompatible recession cones")
-    return VPolygon(a.cone, vadd(a.anchor, b.anchor), a.measure.add(b.measure))
+    return VPolygon(shared_cone(a, b), vadd(a.anchor, b.anchor), a.measure.add(b.measure))
 
 
 def scale(a: VPolygon, t) -> VPolygon:
@@ -344,8 +336,7 @@ def translate(a: VPolygon, v) -> VPolygon:
 
 def are_equivalent(a: VPolygon, b: VPolygon, c: VPolygon, d: VPolygon) -> bool:
     """(a, b) ~ (c, d), i.e. a + d == b + c as canonical forms."""
-    if not (a.cone == b.cone == c.cone == d.cone):
-        raise ConeMismatchError("incompatible recession cones")
+    shared_cone(a, b, c, d)
     return minkowski_sum(a, d) == minkowski_sum(b, c)
 
 
@@ -357,9 +348,7 @@ def reduce_pair(a: VPolygon, b: VPolygon):
     first at a.anchor - b.anchor.  The result is checked to be equivalent
     to the input and 0-minimal.
     """
-    if a.cone != b.cone:
-        raise ConeMismatchError("incompatible recession cones")
-    if a.cone.is_trivial:
+    if shared_cone(a, b).is_trivial:
         raise GeometryError("use bounded-pair tools")
     common = measure_inf(a.measure, b.measure)
     a_red = VPolygon(a.cone, vsub(a.anchor, b.anchor), a.measure.sub(common))
@@ -373,9 +362,7 @@ def reduce_pair(a: VPolygon, b: VPolygon):
 
 def is_zero_minimal(a: VPolygon, b: VPolygon) -> bool:
     """No common jump direction and the origin on b's minimal boundary part."""
-    if a.cone != b.cone:
-        raise ConeMismatchError("incompatible recession cones")
-    if a.cone.is_trivial:
+    if shared_cone(a, b).is_trivial:
         raise GeometryError("use bounded-pair tools")
     if shared_normals(a, b):
         return False
@@ -402,8 +389,7 @@ def is_minimal_bounded(a: VPolygon, b: VPolygon) -> bool:
 
 def is_summand(a: VPolygon, k: VPolygon):
     """(True, complement) when a + complement == k, else (False, None)."""
-    if a.cone != k.cone:
-        raise ConeMismatchError("incompatible recession cones")
+    shared_cone(a, k)
     try:
         rest = k.measure.sub(a.measure)
     except GeometryError:  # some coefficient of a exceeds k's

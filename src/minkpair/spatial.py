@@ -20,7 +20,7 @@ walks the vertices of the 2D hull of K's projection onto that plane; above
 each lies a vertex of K or an edge parallel to P's edge, whose length is
 compared in integers.  Vertex survival is one call of that same ray test with
 strict rows in three variables, and `contains3` one call with strict and weak
-rows over the lattice of the vertices and the point (Farkas separation).
+rows over the vertex lattice and the point (`core.lattice_contains`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from fractions import Fraction
 from .core import (
     INF,
     Cone3,
-    ConeMismatchError,
     GeometryError,
     as_point,
     cone_strictly_feasible,
@@ -40,7 +39,9 @@ from .core import (
     dot,
     is_zero,
     lattice,
+    lattice_contains,
     normalize_direction,
+    shared_cone,
     vadd,
     vneg,
     vsub,
@@ -296,32 +297,29 @@ def support3(p: VPolytope3, u):
 def contains3(p: VPolytope3, x) -> bool:
     """Exact membership of a point in bounded + cone, by Farkas: x lies
     outside iff some u has <v - x, u> < 0 for every vertex v and <g, u> <= 0
-    for every cone generator g.  Decided on the lattice of the vertices and x."""
-    lat = lattice(p.bounded.vertices + (as_point(x),))[1]
-    x = lat.pop()
-    return not cone_strictly_feasible([vsub(v, x) for v in lat], p.cone.gens)
+    for every cone generator g (`core.lattice_contains` on the vertex lattice)."""
+    return lattice_contains(*p.bounded.lattice, p.cone.gens, as_point(x))
 
 
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
     """Hull of the pairwise sums, added in integers at lcm(den_p, den_q)."""
-    if p.cone != q.cone:
-        raise ConeMismatchError("incompatible recession cones")
+    cone = shared_cone(p, q)
     (pden, plat), (qden, qlat) = p.bounded.lattice, q.bounded.lattice
     den = math.lcm(pden, qden)
     s, t = den // pden, den // qden
     sums = {(s * a + t * x, s * b + t * y, s * c + t * z) for a, b, c in plat for x, y, z in qlat}
-    return _pruned(_hull(den, sorted(sums)), p.cone)
+    return _pruned(_hull(den, sorted(sums)), cone)
 
 
 def are_equivalent3(a, b, c, d) -> bool:
-    if not (a.cone == b.cone == c.cone == d.cone):
-        raise ConeMismatchError("incompatible recession cones")
+    shared_cone(a, b, c, d)
     return minkowski_sum3(a, d) == minkowski_sum3(b, c)
 
 
 def are_translates3(p: VPolytope3, q: VPolytope3) -> bool:
+    """q = p + t for some vector t; sets under different cones never are."""
     vp, vq = p.bounded.vertices, q.bounded.vertices
-    if len(vp) != len(vq):
+    if p.cone != q.cone or len(vp) != len(vq):
         return False
     shift = vsub(vq[0], vp[0])
     return all(vadd(v, shift) == w for v, w in zip(vp, vq))
@@ -424,8 +422,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
     normal cones if it holds that edge's normal; so a hull vertex without a
     translate of e needs an open normal cone that misses e's directions.
     """
-    if p.cone != k.cone:
-        raise ConeMismatchError("incompatible recession cones")
+    shared_cone(p, k)
     (pden, plat), (kden, klat) = p.bounded.lattice, k.bounded.lattice
     for i, j, _, (w1, w2), edge_rows in _exposed_edges(p, plat):
         elat = vsub(plat[j], plat[i])
@@ -444,8 +441,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
 
 def equiparallel_edges(a: VPolytope3, b: VPolytope3):
     """Pairs of bounded parallel edges exposed by one common direction."""
-    if a.cone != b.cone:
-        raise ConeMismatchError("incompatible recession cones")
+    shared_cone(a, b)
     blat = b.bounded.lattice[1]
     pairs = []
     for i, j, da, (w1, w2), rows_a in _exposed_edges(a, a.bounded.lattice[1]):

@@ -166,6 +166,13 @@ def test_sum_cone_mismatch():
         minkowski_sum(tri_A(), from_points([(0, 0)], UP))
 
 
+def test_shared_normals_cone_mismatch():
+    # two rays along different generators: no normal is shared, but no cone either
+    right = Cone2.from_generators([(1, 0)])
+    with pytest.raises(ConeMismatchError):
+        shared_normals(from_points([(0, 0)], UP), from_points([(0, 0)], right))
+
+
 def test_scale():
     A = tri_A()
     assert scale(A, 1) == A
@@ -643,6 +650,9 @@ def test_contains_degenerate_examples():
     assert R.contains((1, 2**70)) and not R.contains((-F(1, 97), 5))
     W = from_points([(0, 0)], WEDGE)
     assert W.contains((-3, 2)) and W.contains((-3, -3)) and not W.contains((-3, F(301, 100)))
+    for point in ((0, 0, 0), (0,)):
+        with pytest.raises(GeometryError, match="coordinates"):
+            W.contains(point)
 
 
 # ---------------------------------------------------------------------------

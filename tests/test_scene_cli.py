@@ -182,6 +182,11 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     assert code == 2 and "JSON" in err
     code, _, err = run(capsys, "minimal", "--scene", str(SCENES / "ex29.json"), "--pair", "A,B")
     assert code == 2  # no 3D minimality decision
+    rays = {n: {"dim": 2, "points": [["0", "0"]], "cone": [g]}
+            for n, g in (("U", ["0", "1"]), ("V", ["1", "0"]))}
+    bad.write_text(json.dumps({"sets": rays}))
+    code, out, err = run(capsys, "reduced", "--scene", str(bad), "--pair", "U,V")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and "incompatible recession cones" in err
 
 
 def test_cli_sum_echoes_neutral_element(tmp_path, capsys):
@@ -370,7 +375,8 @@ def test_render_shipped_scenes_golden(capsys, argv, digest):
 
 
 # an unbounded 2D pair (A, B) under a wedge, and its 0-minimal reduction
-# (A1, B1); no shipped scene has one
+# (A1, B1); no shipped scene has one.  T is a bounded triangle, a summand
+# of A
 WEDGE_SETS = {
     name: {"dim": 2, "cone": [["-1", "-1"], ["1", "-2"]], "points": points}
     for name, points in {
@@ -380,27 +386,35 @@ WEDGE_SETS = {
         "B1": [["2", "-3"], ["0", "0"], ["-4", "-1/2"]],
     }.items()
 }
+WEDGE_SETS["T"] = {"dim": 2, "cone": [], "points": [["0", "0"], ["1", "-1/2"], ["1/2", "1"]]}
 
 # SHA-256 of the output, recorded before the planar and dc canonical forms
 # moved onto one integer scale
 CLI_GOLDEN = [
-    (("dcmin", None, "g0,h0"), "e655562e1a42f56e174737b895997710b031f9a5912535201237fb8897cb890e"),
+    (("dcmin", "dc_examples", "g0,h0"), "e655562e1a42f56e174737b895997710b031f9a5912535201237fb8897cb890e"),
     (("reduce", "wedge", "A,B"), "f71317d31a286dc04ffec9a3779385dc0a10820520663bda04dbe7d309ae7973"),
     (("reduce", "wedge", "A1,B1"), "e475569772d314aedcefea75541eeb8e9f4cc205abfe71b914b2cf663293c16b"),
     (("minimal", "wedge", "A,B"), "51695a4c46a99a7b662f879e64cf0ba73b0b2bfade46b180bea28554b18fcd2f"),
     (("minimal", "wedge", "A1,B1"), "d0e5c791cdd242dfc540fbe445761e5ab9c0f09a6816a3848fb751bc5a1ae3ce"),
     (("kernel", "wedge", "A1,B1"), "2be90d96a3655dece9b25db44462e77085af65b5d78998f9a2198837d4cde838"),
+    # recorded before the verdict subcommands shared one path
+    (("summand", "ex210", "A0,A"), "05398e55b858acf5fd7788feb9a3619b4cc7be41cddb7d00ea6838941ba1e890"),
+    (("summand", "ex210", "B,A"), "387608797c1a4431e0c95c148e465b3a5bfa60367ea1281a297d180a5b8e1a4d"),
+    (("summand", "wedge", "T,A"), "47817b14a6cbc5eb66e0e49a042f8feb3459203c731d8b07be668ba77ee7d687"),
+    (("reduced", "ex210", "A,B"), "54cff554577c93b0a3300a86a0de88baf15c52f94fc69709416fb7de92119b54"),
+    (("sum", "wedge", "A,B"), "ff3b77aa88e032cd2ce22f11b4bcdbf3866b19e2caee93102ec4971f29301d63"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", CLI_GOLDEN, ids=[" ".join(a[::2]) for a, _ in CLI_GOLDEN])
 def test_pair_commands_golden(capsys, tmp_path, argv, digest):
-    command, scene, pair = argv
-    path = SCENES / "dc_examples.json"
+    command, scene, names = argv
+    path = SCENES / f"{scene}.json"
     if scene == "wedge":
         path = tmp_path / "wedge.json"
         path.write_text(json.dumps({"sets": WEDGE_SETS}))
-    code, out, _ = run(capsys, command, "--scene", str(path), "--pair", pair)
+    option = "--sets" if command == "sum" else "--pair"
+    code, out, _ = run(capsys, command, "--scene", str(path), option, names)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -413,6 +427,11 @@ CLI_GOLDEN3 = [
     (("sum", "ex29", "--sets", "A,B"), "854af95aac01702f37e8008481ff24ae0ed0c745def425d38e015439721340c2"),
     (("sum", "ex29", "--sets", "E,F"), "f4d1ab16d733f5c5a7fc88df4391ea0d5b1c62e7b1071838d5d803fbdaf91ff5"),
     (("equiv", "ex73", "--pairs", "C,D,E,F"), "ff352a76b99493b08e52728a1c8b2cde270aab4a77b7c3eac59b3104661c07be"),
+    # recorded before the verdict subcommands shared one path
+    (("summand", "ex73", "--pair", "B,D"), "c5ade6b4a531904206a5b2bc8d914f616563fefc8d52a0f96e7dbc981773fe1b"),
+    (("summand", "ex29", "--pair", "B,A"), "387608797c1a4431e0c95c148e465b3a5bfa60367ea1281a297d180a5b8e1a4d"),
+    (("reduced", "ex29", "--pair", "A,B"), "58ae2d4a05a08b9f02ba5efecfdab6f0a8c7d2fdadb63ee06589575e460f7f74"),
+    (("reduced", "ex73", "--pair", "A,B"), "92395792abd0587dcc944c5d1fff1730c0bae65f5bf4e5b985e9f85c9df90a4f"),
 ]
 
 

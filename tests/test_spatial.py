@@ -488,6 +488,12 @@ def test_example_29_identity():
     assert not are_translates3(A, E)
 
 
+def test_are_translates3_needs_one_cone():
+    # a point and a ray from it share their vertices but not their cone
+    point, ray = (from_points3([(0, 0, 0)], c) for c in (TRIV, Cone3(((0, 0, 1),))))
+    assert are_translates3(point, point) and not are_translates3(point, ray)
+
+
 def test_example_73_identities():
     A, B, C, D, E, Fh = ex73()
     assert minkowski_sum3(A, D) == minkowski_sum3(B, C)
@@ -746,6 +752,9 @@ def test_contains3_degenerate_examples():
     assert not contains3(S, (1, 1, 1 + F(1, 2**64))) and not contains3(S, (3, 3, 3))
     T = from_points3(TETRA, TRIV)
     assert contains3(T, (F(2, 3), F(2, 3), F(2, 3))) and not contains3(T, (F(2, 3), F(2, 3), F(67, 97)))
+    for Q, point in ((T, (0, 0)), (S, (1, 1)), (S, (1, 1, 1, 1))):
+        with pytest.raises(GeometryError, match="coordinates"):
+            contains3(Q, point)
 
 
 @pytest.mark.parametrize("count", [8, 12])
