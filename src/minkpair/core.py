@@ -88,6 +88,13 @@ def as_point(p):
     return tuple(map(Fraction, p))
 
 
+def check_length(n, *vectors):
+    """Refuse any of the vectors that has not exactly n coordinates."""
+    for v in vectors:
+        if len(v) != n:
+            raise GeometryError(f"{len(v)} coordinates where {n} are needed")
+
+
 def lattice(points):
     """(den, ints): den is the lcm of the coordinates' denominators and ints
     holds each point times den as an integer tuple (int or `Fraction` entries).
@@ -315,8 +322,7 @@ def lattice_contains(den, ints, gens, x) -> bool:
     out for pairs and for triples, the two lengths `cone_strictly_feasible`
     takes: a per-coordinate comprehension doubled their cost on `planar`'s
     hot `VPolygon.contains`."""
-    if len(x) != len(ints[0]):
-        raise GeometryError(f"a point of {len(x)} coordinates in a set of dimension {len(ints[0])}")
+    check_length(len(ints[0]), x)
     xden, (p,) = lattice([x])
     common = math.lcm(den, xden)
     f, k = common // den, common // xden
@@ -417,6 +423,7 @@ class Cone2(_Cone):
     @staticmethod
     def from_generators(raw):
         """Canonicalize arbitrary generating rays; rejects non-pointed cones."""
+        check_length(2, *raw)
         gens = _extreme_rays(raw)
         if len(gens) == 2 and cross2(gens[0], gens[1]) < 0:
             gens.reverse()
@@ -469,4 +476,5 @@ class Cone3(_Cone):
 
     @staticmethod
     def from_generators(raw):
+        check_length(3, *raw)
         return Cone3(tuple(sorted(_extreme_rays(raw))))

@@ -36,6 +36,7 @@ from .core import (
     Cone2,
     GeometryError,
     as_point,
+    check_length,
     cross2,
     dot,
     lattice,
@@ -250,6 +251,7 @@ class VPolygon:
 
         Evaluated at u as given (h is positively homogeneous); the face
         depends only on the direction and is found on the chain's lattice."""
+        check_length(2, u)
         prim = normalize_direction(u)
         gens = self.cone.gens
         signs = [prim[0] * x + prim[1] * y for x, y in gens]
@@ -304,6 +306,7 @@ def from_points(points, cone: Cone2) -> VPolygon:
     if not points:
         raise GeometryError("need at least one point")
     den, ints = lattice([as_point(p) for p in points])
+    check_length(2, *ints)
     hull = hull_chain(sorted(set(ints)))
     items = []
     if len(hull) >= 2:  # two points give the edge in both orientations
@@ -328,6 +331,7 @@ def scale(a: VPolygon, t) -> VPolygon:
 
 
 def translate(a: VPolygon, v) -> VPolygon:
+    check_length(2, v)
     return VPolygon(a.cone, vadd(a.anchor, _exact(v)), a.measure)
 
 

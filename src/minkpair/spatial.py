@@ -13,14 +13,16 @@ triangle is oriented by one sign), so degenerate inputs (repeated, collinear,
 coplanar points) are handled exactly.  The result depends on the input only
 through its vertices, so `hull3(q.vertices) == q`; points, segments and flat
 polygons are first-class citizens because several fixtures are flat.  The
-summand and reduced-pair criteria read the stored lattices, with no `Fraction`
-solver: one perp-plane frame per exposed edge, whose strict rows in two
-variables go to `core.cone_strictly_feasible`.  The summand criterion then
-walks the vertices of the 2D hull of K's projection onto that plane; above
-each lies a vertex of K or an edge parallel to P's edge, whose length is
-compared in integers.  Vertex survival is one call of that same ray test with
-strict rows in three variables, and `contains3` one call with strict and weak
-rows over the vertex lattice and the point (`core.lattice_contains`).
+summand and reduced-pair criteria are two filters on one scan of the stored
+lattices, with no `Fraction` solver: for each edge e of P exposed by the open
+polar (a perp-plane frame whose strict rows in two variables go to
+`core.cone_strictly_feasible`), the vertices of the 2D hull of K's projection
+onto e's perp plane whose open wedge meets e's directions.  Above each lies a
+vertex of K or an edge parallel to e: the summand criterion asks it for a
+translate of e (in integers), the equiparallel-edge list keeps the edges.
+Vertex survival is one call of that same ray test with strict rows in three
+variables, and `contains3` one call with strict and weak rows over the vertex
+lattice and the point (`core.lattice_contains`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .core import (
     Cone3,
     GeometryError,
     as_point,
+    check_length,
     cone_strictly_feasible,
     cross3,
     dot,
@@ -89,6 +92,7 @@ def hull3(points) -> Polytope3:
     (`core.lattice`), and `_hull` builds the hull of those integer triples.
     """
     den, lat = lattice(set(map(as_point, points)))
+    check_length(3, *lat)
     if not lat:
         raise GeometryError("need at least one point")
     return _hull(den, sorted(lat))
@@ -287,6 +291,7 @@ def support3(p: VPolytope3, u):
 
     Evaluated at u as given; only the direction decides finiteness.
     """
+    check_length(3, u)
     if not p.cone.polar_contains(normalize_direction(u)):
         return INF, ()
     vals = [dot(v, u) for v in p.bounded.vertices]
@@ -345,29 +350,17 @@ def _project(points, w1, w2):
     return [(x * a1 + y * a2 + z * a3, x * b1 + y * b2 + z * b3) for x, y, z in points]
 
 
-def _face_rows(proj, ids):
-    """Strict rows for relint of the normal cone of the vertex or edge with
-    vertex ids `ids`, projected to the perp plane of an edge parallel to it:
-    the differences to every other vertex (the edge itself projects to 0)."""
-    bx, by = proj[ids[0]]
-    return [(x - bx, y - by) for k, (x, y) in enumerate(proj) if k not in ids]
-
-
 def _edge_frame(p: VPolytope3, lat, i, j):
-    """(d, (w1, w2), rows) for the edge (i, j) of p's lattice points `lat`.
-
-    d is the primitive edge direction and (w1, w2) a basis of its perp plane;
-    rows, projected to that basis, cut out the directions that expose
-    exactly this edge and lie in the open polar of p's cone.  Every row is a
-    difference of two vertices of p (or a cone generator), and a positive
-    scale per polytope keeps each row's sign, so `lat` may be p's vertices
-    scaled by `core.lattice`.
-    """
-    d = normalize_direction(vsub(lat[j], lat[i]))
-    w1, w2 = _perp_basis(d)
-    rows = _face_rows(_project(lat, w1, w2), (i, j))
-    rows += _project(p.cone.gens, w1, w2)
-    return d, (w1, w2), rows
+    """((w1, w2), rows) for the edge (i, j) of p's lattice points `lat`: a
+    basis of its perp plane, and the rows, projected to it, that cut out the
+    open-polar directions exposing exactly this edge (the differences to the
+    other vertices, and the cone generators).  A positive scale per polytope
+    keeps each row's sign, so `lat` may be p's vertices scaled by `lattice`."""
+    w1, w2 = _perp_basis(vsub(lat[j], lat[i]))
+    proj = _project(lat, w1, w2)
+    bx, by = proj[i]
+    rows = [(x - bx, y - by) for k, (x, y) in enumerate(proj) if k != i and k != j]
+    return (w1, w2), rows + _project(p.cone.gens, w1, w2)
 
 
 def _feasible_in_perp_plane(rows) -> bool:
@@ -377,12 +370,12 @@ def _feasible_in_perp_plane(rows) -> bool:
 
 
 def _exposed_edges(p: VPolytope3, lat):
-    """(i, j, d, (w1, w2), rows) of `_edge_frame` for each edge (i, j) of p's
+    """(i, j, (w1, w2), rows) of `_edge_frame` for each edge (i, j) of p's
     bounded hull exposed, bounded, by some open-polar direction."""
     for i, j in p.bounded.edges:
-        d, basis, rows = _edge_frame(p, lat, i, j)
+        basis, rows = _edge_frame(p, lat, i, j)
         if _feasible_in_perp_plane(rows):
-            yield i, j, d, basis, rows
+            yield i, j, basis, rows
 
 
 def _edge(q: Polytope3, i, j):
@@ -411,47 +404,44 @@ def _face_contains_translate(kden, klat, ids, pden, elat) -> bool:
     return is_zero(cross3(f, elat)) and kden * abs(dot(f, elat)) <= pden * dot(f, f)
 
 
-def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
-    """Edge test: every face of k exposed alongside a bounded edge e of p
-    must contain a translate of e.
-
-    The directions exposing e lie in e's perp plane, so they expose the faces
-    of k above the 2D hull of k's projection there.  Above a hull vertex lies
-    a vertex of k or an edge parallel to e.  The face above a hull edge holds
-    both ends' faces, and e's open set of directions meets both ends' open
-    normal cones if it holds that edge's normal; so a hull vertex without a
-    translate of e needs an open normal cone that misses e's directions.
-    """
-    shared_cone(p, k)
-    (pden, plat), (kden, klat) = p.bounded.lattice, k.bounded.lattice
-    for i, j, _, (w1, w2), edge_rows in _exposed_edges(p, plat):
-        elat = vsub(plat[j], plat[i])
+def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
+    """(i, j, ids) for each exposed bounded edge (i, j) of p and each face of
+    k, of vertex ids `ids`, above a vertex of the 2D hull of k's projection
+    to the edge's perp plane (a vertex of k or an edge parallel to (i, j))
+    that `keep(e, ids)` accepts, e the edge vector on p's lattice, and one
+    open-polar direction exposes together with (i, j): the hull vertex's
+    open wedge, cut out by the rows to its two hull neighbours, meets the
+    edge's directions."""
+    plat, klat = p.bounded.lattice[1], k.bounded.lattice[1]
+    for i, j, (w1, w2), edge_rows in _exposed_edges(p, plat):
+        e = vsub(plat[j], plat[i])
         over = {}
         for t, q in enumerate(_project(klat, w1, w2)):
             over.setdefault(q, []).append(t)
         hull = hull_chain(sorted(over))
         for t, q in enumerate(hull):
-            if _face_contains_translate(kden, klat, over[q], pden, elat):
-                continue
-            wedge = [vsub(r, q) for r in (hull[t - 1], hull[(t + 1) % len(hull)]) if r != q]
-            if _feasible_in_perp_plane(edge_rows + wedge):
-                return False
-    return True
+            if keep(e, over[q]):
+                wedge = [vsub(r, q) for r in (hull[t - 1], hull[(t + 1) % len(hull)]) if r != q]
+                if _feasible_in_perp_plane(edge_rows + wedge):
+                    yield i, j, over[q]
+
+
+def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
+    """Edge test: every face of k exposed alongside a bounded edge e of p
+    must contain a translate of e.  The faces above hull vertices suffice
+    (`_faces_exposed_with_edges`): the face above a hull edge holds both
+    ends' faces, and e's open set of directions meets both ends' open normal
+    cones if it holds that edge's normal."""
+    shared_cone(p, k)
+    pden, (kden, klat) = p.bounded.lattice[0], k.bounded.lattice
+    lacks = lambda e, ids: not _face_contains_translate(kden, klat, ids, pden, e)
+    return next(_faces_exposed_with_edges(p, k, lacks), None) is None
 
 
 def equiparallel_edges(a: VPolytope3, b: VPolytope3):
-    """Pairs of bounded parallel edges exposed by one common direction."""
+    """Pairs of bounded parallel edges exposed by one common direction: the
+    faces of b with two vertices that `_faces_exposed_with_edges` yields.
+    Edges are stored sorted, so sorting keeps a's order, then b's."""
     shared_cone(a, b)
-    blat = b.bounded.lattice[1]
-    pairs = []
-    for i, j, da, (w1, w2), rows_a in _exposed_edges(a, a.bounded.lattice[1]):
-        bproj = None
-        for s, t in b.bounded.edges:
-            if not is_zero(cross3(da, vsub(blat[t], blat[s]))):
-                continue
-            if bproj is None:
-                bproj = _project(blat, w1, w2)
-            # rows_a holds the cone rows, so such a direction also exposes (s, t)
-            if _feasible_in_perp_plane(rows_a + _face_rows(bproj, (s, t))):
-                pairs.append((_edge(a.bounded, i, j), _edge(b.bounded, s, t)))
-    return pairs
+    hits = _faces_exposed_with_edges(a, b, lambda e, ids: len(ids) == 2)
+    return [(_edge(a.bounded, i, j), _edge(b.bounded, s, t)) for i, j, (s, t) in sorted(hits)]

@@ -13,6 +13,10 @@
   `fm_cone_strictly_feasible` on `_tagged_edge_frame`'s rows (a row for
   every vertex of both polytopes, with a facet's own rows as equalities) and
   containment by `fm_face_contains_translate`.
+- `fm_equiparallel_edges`: the reduced-pair scan by the same rows: every
+  exposed edge of the first set against every parallel edge of the second,
+  with the two edges' tagged rows decided together by
+  `fm_cone_strictly_feasible`.
 - `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
   library used before it moved its predicates to an integer lattice, with
   every predicate a `Fraction` dot product; the lattice hull must return
@@ -84,6 +88,7 @@ from minkpair.core import (
 from minkpair.dc import PLConvexFn, domain_cone
 from minkpair.planar import EdgeMeasure, VPolygon, _on_chain, convex_hull_2d, from_points, measure_inf
 from minkpair.spatial import (
+    EdgeWithNormalCone,
     Facet,
     Polytope3,
     VPolytope3,
@@ -281,6 +286,25 @@ def face_sweep_summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
                     and fm_cone_strictly_feasible(edge_rows + _tagged_face_rows(kproj, ids))):
                 return False
     return True
+
+
+def fm_equiparallel_edges(a: VPolytope3, b: VPolytope3):
+    """Pairs (edge of a, edge of b) of parallel bounded edges that one
+    open-polar direction exposes together, in a's edge order, then b's."""
+    av, bv = a.bounded.vertices, b.bounded.vertices
+    alat, blat = lattice(av)[1], lattice(bv)[1]
+    pairs = []
+    for i, j in a.bounded.edges:
+        (w1, w2), edge_rows = _tagged_edge_frame(a, alat, i, j)
+        if not fm_cone_strictly_feasible(edge_rows):
+            continue
+        e = vsub(alat[j], alat[i])
+        bproj = [(dot(v, w1), dot(v, w2)) for v in blat]
+        for s, t in b.bounded.edges:
+            if (is_zero(cross3(e, vsub(blat[t], blat[s])))
+                    and fm_cone_strictly_feasible(edge_rows + _tagged_face_rows(bproj, (s, t)))):
+                pairs.append((EdgeWithNormalCone((av[i], av[j])), EdgeWithNormalCone((bv[s], bv[t]))))
+    return pairs
 
 
 def fraction_hull3(points) -> Polytope3:

@@ -24,6 +24,8 @@ from minkpair.core import (
     vneg,
     vscale,
 )
+from minkpair.planar import from_points, translate
+from minkpair.spatial import from_points3, hull3, support3
 from conftest import RING, rand_direction, run_capped
 from oracles import (
     casework_cone2_gens,
@@ -174,6 +176,32 @@ def test_cones_refuse_generators_that_are_not_primitive():
         Cone3(((2, 0, 0),))
     with pytest.raises(GeometryError, match="primitive"):
         Cone2(((2, 0),))
+
+
+def test_inputs_of_the_wrong_length_are_refused():
+    """Each entry point checks the coordinate count of what it is given,
+    instead of dropping a coordinate or failing with a bare exception."""
+    triv2, triv3 = Cone2(()), Cone3.from_generators([])
+    a = from_points([(0, 0), (1, 0), (0, 1)], triv2)
+    p = from_points3([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], triv3)
+    cases = [
+        lambda: translate(a, (1, 2, 3)),
+        lambda: translate(a, (1,)),
+        lambda: hull3([(0, 0, 0, 0), (1, 2, 3, 4)]),
+        lambda: from_points3([(0, 0, 0, 0), (1, 2, 3, 4)], triv3),
+        lambda: hull3([(0, 0), (1, 0)]),
+        lambda: from_points3([(0, 0), (1, 0)], triv3),
+        lambda: hull3([(0, 0, 0), (1, 0)]),
+        lambda: support3(p, (1, 0)),
+        lambda: from_points([(0, 0, 0), (1, 0, 0)], triv2),
+        lambda: a.support((1, 0, 0)),
+        lambda: Cone3.from_generators([(1, 0)]),
+        lambda: Cone3.from_generators([(1, 0, 0), (0, 1)]),
+        lambda: Cone2.from_generators([(1, 0, 0)]),
+    ]
+    for case in cases:
+        with pytest.raises(GeometryError, match="coordinates"):
+            case()
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,11 @@ CLI_GOLDEN3 = [
     (("summand", "ex29", "--pair", "B,A"), "387608797c1a4431e0c95c148e465b3a5bfa60367ea1281a297d180a5b8e1a4d"),
     (("reduced", "ex29", "--pair", "A,B"), "58ae2d4a05a08b9f02ba5efecfdab6f0a8c7d2fdadb63ee06589575e460f7f74"),
     (("reduced", "ex73", "--pair", "A,B"), "92395792abd0587dcc944c5d1fff1730c0bae65f5bf4e5b985e9f85c9df90a4f"),
+    # recorded before both 3D criteria moved onto one hull-vertex scan: 16, 12
+    # and 4 equiparallel pairs, in the order the certificate must keep
+    (("reduced", "ex73", "--pair", "C,D"), "62931f95da169305b7ba0140e0c94c772bba3df0c9099c521f756557afdb578d"),
+    (("reduced", "ex73", "--pair", "E,F"), "3be92d7319ccf5ff137b7dde4203726e2f8699898e238a4c2ecad3002f185cb8"),
+    (("reduced", "ex29", "--pair", "E,F"), "6baa44a773441f1ff2ed71b98c3cfa39462d3ba8e2d42c836ce95d224d7d841e"),
 ]
 
 

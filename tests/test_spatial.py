@@ -50,6 +50,7 @@ from oracles import (
     certified_negative,
     face_sweep_summand_criterion3,
     fm_contains3,
+    fm_equiparallel_edges,
     fm_face_contains_translate,
     fm_vertex_survives,
     fraction_from_points3,
@@ -1006,3 +1007,40 @@ def test_prism_criteria_match_the_planar_measure_calculus():
             assert bool(horizontal) == bool(shared_normals(P2, K2))
             assert len(horizontal) < len(pairs)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 60
+
+
+def _low_dimensional_pairs(rng):
+    """Flat, segment and point sets against full, flat, segment and point
+    sets, alone and summed, under every cone kind."""
+    def shaped(shape):
+        pts = rand_points3(rng, 5)
+        return {"full": pts, "flat": [(x, y, x - y) for x, y, _ in pts],
+                "segment": pts[:2], "point": pts[:1]}[shape]
+
+    out = []
+    for kind in ("trivial", "ray", "three"):
+        cone = cone_of_kind(rng, kind)
+        for low in ("flat", "segment", "point"):
+            for other in ("full", "flat", "segment", "point"):
+                P, L = from_points3(shaped(low), cone), from_points3(shaped(other), cone)
+                out += [(P, L), (P, minkowski_sum3(P, L)), (L, minkowski_sum3(L, P))]
+    return out
+
+
+def test_equiparallel_edges_match_the_face_rows_oracle():
+    """The pairs, in order, agree with the scan of every parallel edge pair
+    by Fourier-Motzkin on both edges' tagged rows, in both argument orders."""
+    rng = random.Random(109)
+    instances = _sweep_instances(rng) + _low_dimensional_pairs(rng)
+    for kind in ("trivial", "ray", "wedge"):
+        cone = {"trivial": Cone2(()), "ray": Cone2((rand_direction(rng),)), "wedge": rand_wedge(rng)}[kind]
+        P2 = rand_vpolygon(rng, cone, 5, 6)
+        for K2 in (minkowski_sum(P2, rand_vpolygon(rng, cone, 4, 6)), rand_vpolygon(rng, cone, 6, 6)):
+            instances.append((_prism(P2), _prism(K2)))
+    found = []
+    for P, K in instances:
+        for a, b in ((P, K), (K, P)):
+            pairs = equiparallel_edges(a, b)
+            assert pairs == fm_equiparallel_edges(a, b)
+            found.append(len(pairs))
+    assert 0 in found and max(found) >= 4
