@@ -414,6 +414,7 @@ class Cone2(_Cone):
     """
 
     def __post_init__(self):
+        check_length(2, *self.gens)
         super().__post_init__()
         if len(self.gens) == 2 and cross2(self.gens[0], self.gens[1]) <= 0:
             raise GeometryError("wedge generators must be independent and CCW")
@@ -470,6 +471,7 @@ class Cone3(_Cone):
     """Pointed cone in R^3; `from_generators` stores its extreme rays sorted."""
 
     def __post_init__(self):
+        check_length(3, *self.gens)
         super().__post_init__()
         if not cone_strictly_feasible(self.gens):
             raise GeometryError("cone is not pointed")

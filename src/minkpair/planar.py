@@ -58,20 +58,27 @@ def convex_hull_2d(points):
 
 
 def hull_chain(pts):
-    """`convex_hull_2d` of sorted distinct points, in their own (exact) scalars."""
+    """`convex_hull_2d` of sorted distinct points in their own exact scalars
+    (int or `Fraction`); a positive scale of either axis changes no turn
+    sign, no lexicographic order and so no hull."""
     if len(pts) == 1:
         return pts
-    lower = []
+    return _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
+
+
+def _half_chain(pts):
+    """Andrew's monotone chain: b stays iff (b - a) x (p - a) > 0, tested on
+    unpacked coordinates, so collinear points are dropped."""
+    out = []
     for p in pts:
-        while len(lower) >= 2 and cross2(vsub(lower[-1], lower[-2]), vsub(p, lower[-2])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross2(vsub(upper[-1], upper[-2]), vsub(p, upper[-2])) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+        x, y = p
+        while len(out) > 1:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                break
+            out.pop()
+        out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------

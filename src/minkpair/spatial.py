@@ -3,26 +3,26 @@
 Every polytope keeps its vertex lattice: `Polytope3.lattice` is (den, ints),
 the vertices scaled by the lcm of their denominators (`core.lattice`).
 `hull3` scales its input once and runs every hull predicate as an integer
-sign test; only the result's vertices and facet offsets become `Fraction`s.
-Pruning by the cone, its re-hull and `minkowski_sum3` (pairwise integer sums
-at lcm(den_P, den_K)) stay on the lattice.  Extreme points go in first: an
-initial simplex of far-apart points, then the rest farthest first, so most
-later points lie inside and orient no triangle.  Coplanar triangles are then
-merged into facets, each from the corners of its own triangles (a lone
-triangle is oriented by one sign), so degenerate inputs (repeated, collinear,
-coplanar points) are handled exactly.  The result depends on the input only
-through its vertices, so `hull3(q.vertices) == q`; points, segments and flat
-polygons are first-class citizens because several fixtures are flat.  The
-summand and reduced-pair criteria are two filters on one scan of the stored
-lattices, with no `Fraction` solver: for each edge e of P exposed by the open
-polar (a perp-plane frame whose strict rows in two variables go to
-`core.cone_strictly_feasible`), the vertices of the 2D hull of K's projection
-onto e's perp plane whose open wedge meets e's directions.  Above each lies a
-vertex of K or an edge parallel to e: the summand criterion asks it for a
-translate of e (in integers), the equiparallel-edge list keeps the edges.
-Vertex survival is one call of that same ray test with strict rows in three
-variables, and `contains3` one call with strict and weak rows over the vertex
-lattice and the point (`core.lattice_contains`).
+sign test (extreme points first, coplanar triangles merged into facets);
+only the result's vertices and facet offsets become `Fraction`s.  Pruning by
+the cone, its re-hull and `minkowski_sum3` (pairwise integer sums at
+lcm(den_P, den_K)) stay on the lattice.  Repeated, collinear and coplanar
+points are handled exactly, `hull3(q.vertices) == q`, and points, segments
+and flat polygons are first-class citizens.  The summand and reduced-pair
+criteria are two filters on one integer scan of the stored lattices: for
+each edge e of P exposed by the open polar (strict rows in two variables
+for `core.cone_strictly_feasible`), the vertices of the 2D hull of K's
+projection onto e's perp plane whose open wedge meets e's directions.  Above
+each lies a vertex of K or an edge parallel to e: the summand criterion asks
+it for a translate of e, the equiparallel-edge list keeps the edges (and
+skips the hull when no two vertices of K project to one point).  The perp
+basis w1, w2 is two cross products each divided by its gcd, not unit
+vectors: a positive scale of w1 or w2 changes no sign, no lexicographic
+order and no hull.  Projections and wedge rows are unpacked integer pairs,
+and the hull is `planar.hull_chain`, whose turn test runs on unpacked int
+or `Fraction` coordinates and drops collinear points.  Vertex survival is
+one ray test with strict rows in three variables, and `contains3` one with
+strict and weak rows over the vertex lattice (`core.lattice_contains`).
 """
 
 from __future__ import annotations
@@ -75,11 +75,17 @@ class Polytope3:
 
 
 def _perp_basis(d):
-    """Two independent primitive integer vectors spanning the plane normal to d."""
-    d = normalize_direction(d)
-    # d x (1, 0, 0) vanishes only on the x axis
-    w1 = normalize_direction(cross3(d, (0, 1, 0) if d[1] == d[2] == 0 else (1, 0, 0)))
-    return w1, normalize_direction(cross3(d, w1))
+    """Two independent primitive integer vectors spanning the plane normal to
+    d: w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis, and w2 = d x w1,
+    each divided by its gcd.  A positive scale of d changes neither, so only
+    a zero (refused) or non-integer d goes through `normalize_direction`."""
+    x, y, z = d if any(d) and all(type(c) is int for c in d) else normalize_direction(d)
+    b, c = (z, -y) if y or z else (0, x)
+    g = math.gcd(b, c)
+    b, c = b // g, c // g
+    u, v, w = y * c - z * b, -x * c, x * b
+    g = math.gcd(u, v, w)
+    return (0, b, c), (u // g, v // g, w // g)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +214,11 @@ def _hull_full(den, lat) -> Polytope3:
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = lat[i], lat[j], lat[k]
         ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
         vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
-        # a degenerate triangle has normal 0, which `normalize_direction` refuses
-        u, v, w = normalize_direction((uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx))
+        u, v, w = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        g = math.gcd(u, v, w)
+        if not g:  # a degenerate triangle has normal 0
+            raise GeometryError("degenerate direction")
+        u, v, w = u // g, v // g, w // g
         off = u * x0 + v * y0 + w * z0
         side = u * ix + v * iy + w * iz - 4 * off
         if side > 0:
@@ -409,19 +418,23 @@ def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
     k, of vertex ids `ids`, above a vertex of the 2D hull of k's projection
     to the edge's perp plane (a vertex of k or an edge parallel to (i, j))
     that `keep(e, ids)` accepts, e the edge vector on p's lattice, and one
-    open-polar direction exposes together with (i, j): the hull vertex's
-    open wedge, cut out by the rows to its two hull neighbours, meets the
-    edge's directions."""
+    open-polar direction exposes with (i, j): the open wedge to the hull
+    neighbours meets the edge's rows.  `keep` answers alike for every
+    one-vertex fibre, so if all are and it refuses one, no hull is built."""
     plat, klat = p.bounded.lattice[1], k.bounded.lattice[1]
     for i, j, (w1, w2), edge_rows in _exposed_edges(p, plat):
         e = vsub(plat[j], plat[i])
         over = {}
         for t, q in enumerate(_project(klat, w1, w2)):
             over.setdefault(q, []).append(t)
+        if len(over) == len(klat) and not keep(e, [0]):
+            continue
         hull = hull_chain(sorted(over))
         for t, q in enumerate(hull):
             if keep(e, over[q]):
-                wedge = [vsub(r, q) for r in (hull[t - 1], hull[(t + 1) % len(hull)]) if r != q]
+                qx, qy = q
+                wedge = [(rx - qx, ry - qy) for rx, ry in (hull[t - 1], hull[(t + 1) % len(hull)])
+                         if rx != qx or ry != qy]
                 if _feasible_in_perp_plane(edge_rows + wedge):
                     yield i, j, over[q]
 
@@ -434,7 +447,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
     cones if it holds that edge's normal."""
     shared_cone(p, k)
     pden, (kden, klat) = p.bounded.lattice[0], k.bounded.lattice
-    lacks = lambda e, ids: not _face_contains_translate(kden, klat, ids, pden, e)
+    lacks = lambda e, ids: len(ids) == 1 or not _face_contains_translate(kden, klat, ids, pden, e)
     return next(_faces_exposed_with_edges(p, k, lacks), None) is None
 
 

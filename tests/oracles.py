@@ -17,6 +17,14 @@
   exposed edge of the first set against every parallel edge of the second,
   with the two edges' tagged rows decided together by
   `fm_cone_strictly_feasible`.
+- `perp_basis`: a basis of the plane normal to a direction by
+  `normalize_direction` on cross products, as the library built it before
+  its gcd kernel; the face-rows oracles use it, so they check the library's
+  perp-plane frame instead of sharing it.
+- `hull_2d_vertices`: the extreme points of a planar point set by brute
+  force (a point is a vertex iff it lies outside the hull of the others,
+  decided on every segment and triangle of the others), in CCW order from
+  the lexicographic minimum, to check the monotone chain against.
 - `fraction_hull3` and `fraction_from_points3`: the incremental 3D hull the
   library used before it moved its predicates to an integer lattice, with
   every predicate a `Fraction` dot product; the lattice hull must return
@@ -92,9 +100,43 @@ from minkpair.spatial import (
     Facet,
     Polytope3,
     VPolytope3,
-    _perp_basis,
     from_points3,
 )
+
+
+def perp_basis(d):
+    """Two independent primitive integer vectors spanning the plane normal to d."""
+    d = normalize_direction(d)
+    # d x (1, 0, 0) vanishes only on the x axis
+    w1 = normalize_direction(cross3(d, (0, 1, 0) if d[1] == d[2] == 0 else (1, 0, 0)))
+    return w1, normalize_direction(cross3(d, w1))
+
+
+def _in_hull_2d(p, others) -> bool:
+    """p lies in conv(others): it is one of them, on a segment of two of
+    them or strictly inside a triangle of three (Caratheodory)."""
+    if p in others:
+        return True
+    for q, r in combinations(others, 2):
+        d, w = vsub(r, q), vsub(p, q)
+        if cross2(d, w) == 0 and 0 <= dot(d, w) <= dot(d, d):
+            return True
+    for tri in combinations(others, 3):
+        turns = [cross2(vsub(b, a), vsub(p, a)) for a, b in zip(tri, tri[1:] + tri[:1])]
+        if all(t > 0 for t in turns) or all(t < 0 for t in turns):
+            return True
+    return False
+
+
+def hull_2d_vertices(points):
+    """Vertices of conv(points) by brute force, CCW from the lexicographic
+    minimum: from there every other vertex lies in a half-turn, so the sign
+    of one cross product orders any two."""
+    pts = set(map(as_point, points))
+    verts = sorted(p for p in pts if not _in_hull_2d(p, [q for q in pts if q != p]))
+    start = verts[0]
+    ccw = cmp_to_key(lambda a, b: -1 if cross2(vsub(a, start), vsub(b, start)) > 0 else 1)
+    return verts[:1] + sorted(verts[1:], key=ccw)
 
 
 def _holds(value, rel, bound) -> bool:
@@ -165,7 +207,7 @@ def fm_halfspaces(q: Polytope3):
     if q.dim == 1:
         p, r = v
         d = vsub(r, p)
-        w1, w2 = _perp_basis(d)
+        w1, w2 = perp_basis(d)
         return [
             (w1, "=", dot(w1, p)),
             (w2, "=", dot(w2, p)),
@@ -255,7 +297,7 @@ def _tagged_edge_frame(p: VPolytope3, lat, i, j):
     """((w1, w2), rows): a basis of the plane normal to the edge (i, j) of p's
     lattice points `lat`, and the tagged rows, projected to it, of the
     directions that expose exactly this edge inside the open polar of p's cone."""
-    w1, w2 = _perp_basis(vsub(lat[j], lat[i]))
+    w1, w2 = perp_basis(vsub(lat[j], lat[i]))
     proj = [(dot(v, w1), dot(v, w2)) for v in lat]
     rows = _tagged_face_rows(proj, (i, j))
     rows += [((dot(g, w1), dot(g, w2)), "<") for g in p.cone.gens]
@@ -470,7 +512,7 @@ def _vertex_normal_cone_generators(q: Polytope3, i):
     if q.dim == 1:
         other = v[1 - i]
         d = normalize_direction(vsub(other, v[i]))
-        w1, w2 = _perp_basis(d)
+        w1, w2 = perp_basis(d)
         return [w1, vneg(w1), w2, vneg(w2), vneg(d)]
     return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 

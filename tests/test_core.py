@@ -198,6 +198,8 @@ def test_inputs_of_the_wrong_length_are_refused():
         lambda: Cone3.from_generators([(1, 0)]),
         lambda: Cone3.from_generators([(1, 0, 0), (0, 1)]),
         lambda: Cone2.from_generators([(1, 0, 0)]),
+        lambda: Cone3(((1, 0),)),
+        lambda: Cone2(((1, 0, 0),)),
     ]
     for case in cases:
         with pytest.raises(GeometryError, match="coordinates"):

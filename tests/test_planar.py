@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkpair.core import (
@@ -60,6 +60,7 @@ from oracles import (
     fraction_face_midpoint,
     fraction_is_zero_minimal,
     fraction_support,
+    hull_2d_vertices,
 )
 
 TRIV = Cone2(())
@@ -571,6 +572,40 @@ def test_hull_2d_basics():
     assert convex_hull_2d([(0, 0), (2, 2), (1, 1)]) == [(0, 0), (2, 2)]
     sq = convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), F(1, 2))])
     assert len(sq) == 4
+
+
+NEAR_2_64 = st.builds(lambda s, k: s * 2**64 + k, st.sampled_from((1, -1)), st.integers(-3, 3))
+HULL_SCALARS = (
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    st.one_of(st.integers(-4, 4), NEAR_2_64),
+)
+
+
+@st.composite
+def hull_2d_inputs(draw):
+    """One to nine points of small ints, `Fraction`s or coordinates near
+    +-2^64: as drawn, on one line, or drawn with repeats."""
+    scalar = draw(st.sampled_from(HULL_SCALARS))
+    point = st.tuples(scalar, scalar)
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(("free", "line", "repeats")))
+    if shape == "line":
+        (x, y), (dx, dy) = draw(point), draw(point)
+        return [(x + t * dx, y + t * dy) for t in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    pts = draw(st.lists(point, min_size=1, max_size=n))
+    return [draw(st.sampled_from(pts)) for _ in range(n)] if shape == "repeats" else pts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(hull_2d_inputs())
+@example([(2**64, -3)])
+@example([(Fraction(1, 3), 2), (-(2**64), 2**64)])
+@example([(0, 0), (2, 2), (1, 1), (1, 1), (3, 3)])
+def test_hull_2d_matches_the_brute_force_oracle(points):
+    """The monotone chain returns exactly the points outside the hull of the
+    others, CCW from the lexicographic minimum, list for list."""
+    assert convex_hull_2d(points) == hull_2d_vertices(points)
 
 
 # ---------------------------------------------------------------------------
