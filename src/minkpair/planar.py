@@ -70,14 +70,13 @@ def _half_chain(pts):
     """Andrew's monotone chain: b stays iff (b - a) x (p - a) > 0, tested on
     unpacked coordinates, so collinear points are dropped."""
     out = []
-    for p in pts:
-        x, y = p
+    for x, y in pts:
         while len(out) > 1:
             (ax, ay), (bx, by) = out[-2], out[-1]
             if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
                 break
             out.pop()
-        out.append(p)
+        out.append((x, y))
     return out
 
 

@@ -74,18 +74,21 @@ class Polytope3:
             object.__setattr__(self, "lattice", lattice(self.vertices))
 
 
+def _primitive(u, v, w):
+    """The integer vector (u, v, w) divided by its gcd; 0 is refused."""
+    g = math.gcd(u, v, w)
+    if not g:
+        raise GeometryError("degenerate direction")
+    return u // g, v // g, w // g
+
+
 def _perp_basis(d):
     """Two independent primitive integer vectors spanning the plane normal to
-    d: w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis, and w2 = d x w1,
-    each divided by its gcd.  A positive scale of d changes neither, so only
-    a zero (refused) or non-integer d goes through `normalize_direction`."""
-    x, y, z = d if any(d) and all(type(c) is int for c in d) else normalize_direction(d)
-    b, c = (z, -y) if y or z else (0, x)
-    g = math.gcd(b, c)
-    b, c = b // g, c // g
-    u, v, w = y * c - z * b, -x * c, x * b
-    g = math.gcd(u, v, w)
-    return (0, b, c), (u // g, v // g, w // g)
+    the integer vector d: w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis,
+    and w2 = d x w1."""
+    x, y, z = d
+    w1 = _primitive(0, z, -y) if y or z else _primitive(0, 0, x)
+    return w1, _primitive(y * w1[2] - z * w1[1], -x * w1[2], x * w1[1])
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +217,8 @@ def _hull_full(den, lat) -> Polytope3:
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = lat[i], lat[j], lat[k]
         ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
         vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
-        u, v, w = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        g = math.gcd(u, v, w)
-        if not g:  # a degenerate triangle has normal 0
-            raise GeometryError("degenerate direction")
-        u, v, w = u // g, v // g, w // g
+        # a degenerate triangle has normal 0, which `_primitive` refuses
+        u, v, w = _primitive(uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
         off = u * x0 + v * y0 + w * z0
         side = u * ix + v * iy + w * iz - 4 * off
         if side > 0:
@@ -432,9 +432,8 @@ def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
         hull = hull_chain(sorted(over))
         for t, q in enumerate(hull):
             if keep(e, over[q]):
-                qx, qy = q
-                wedge = [(rx - qx, ry - qy) for rx, ry in (hull[t - 1], hull[(t + 1) % len(hull)])
-                         if rx != qx or ry != qy]
+                (qx, qy), ends = q, (hull[t - 1], hull[(t + 1) % len(hull)])
+                wedge = [(rx - qx, ry - qy) for rx, ry in ends if (rx, ry) != q]
                 if _feasible_in_perp_plane(edge_rows + wedge):
                     yield i, j, over[q]
 
@@ -447,7 +446,7 @@ def summand_criterion3(p: VPolytope3, k: VPolytope3) -> bool:
     cones if it holds that edge's normal."""
     shared_cone(p, k)
     pden, (kden, klat) = p.bounded.lattice[0], k.bounded.lattice
-    lacks = lambda e, ids: len(ids) == 1 or not _face_contains_translate(kden, klat, ids, pden, e)
+    lacks = lambda e, ids: not _face_contains_translate(kden, klat, ids, pden, e)
     return next(_faces_exposed_with_edges(p, k, lacks), None) is None
 
 

@@ -39,7 +39,10 @@ def _clip_halfplane(poly, n, off):
         vp, vq = vals[i], vals[(i + 1) % len(poly)]
         if vp <= off:
             out.append(p)
-        if (vp <= off) != (vq <= off):
+            if vq > off:
+                t = (off - vp) / (vq - vp)
+                out.append(vadd(p, vscale(t, vsub(q, p))))
+        elif vq <= off:
             t = (off - vp) / (vq - vp)
             out.append(vadd(p, vscale(t, vsub(q, p))))
     dedup = []
@@ -164,8 +167,12 @@ def _draw_vpolygon(canvas, vp, color):
 
 
 def _projection_basis(proj):
-    if proj[0] == proj[1] == 0:
-        return (1, 0, 0), (0, -1 if proj[2] > 0 else 1, 0)
+    proj = normalize_direction(proj)
+    if proj[0] == 0 and proj[1] == 0:
+        b1, b2 = (1, 0, 0), (0, 1, 0)
+        if proj[2] > 0:
+            b2 = (0, -1, 0)
+        return b1, b2
     return _perp_basis(proj)
 
 

@@ -27,6 +27,7 @@ from minkpair.planar import (
     are_equivalent,
     convex_hull_2d,
     from_points,
+    hull_chain,
     is_minimal_bounded,
     is_summand,
     is_zero_minimal,
@@ -604,8 +605,14 @@ def hull_2d_inputs(draw):
 @example([(0, 0), (2, 2), (1, 1), (1, 1), (3, 3)])
 def test_hull_2d_matches_the_brute_force_oracle(points):
     """The monotone chain returns exactly the points outside the hull of the
-    others, CCW from the lexicographic minimum, list for list."""
-    assert convex_hull_2d(points) == hull_2d_vertices(points)
+    others, CCW from the lexicographic minimum, list for list.
+    `convex_hull_2d` turns every coordinate into a `Fraction`; integer
+    draws also go to `hull_chain` as int tuples, as the perp-plane scan and
+    `_planar_cycle` pass them."""
+    hull = hull_2d_vertices(points)
+    assert convex_hull_2d(points) == hull
+    if all(type(c) is int for p in points for c in p):
+        assert hull_chain(sorted(set(points))) == hull
 
 
 # ---------------------------------------------------------------------------

@@ -276,8 +276,9 @@ def test_hull3_orients_fewer_triangles_than_points(monkeypatch):
     verts, cloud = lifted_cloud(random.Random(127), 400, 24)
     grid = list(itertools.product(range(6), repeat=3))
     calls = []
-    # `oriented` divides each triangle normal by one `math.gcd`, and no other
-    # code in `spatial` calls it while building these hulls
+    # `oriented` divides each triangle normal by one `math.gcd` (in
+    # `_primitive`), and no other code in `spatial` calls it while building
+    # these hulls
     counting = types.SimpleNamespace(gcd=lambda *v: calls.append(v) or math.gcd(*v), lcm=math.lcm)
     monkeypatch.setattr(spatial, "math", counting)
     for pts, corners in ((cloud, verts), (grid, itertools.product((0, 5), repeat=3))):
