@@ -1,4 +1,4 @@
-"""Exact scalars, primitive directions, cone types and sign predicates.
+"""Exact scalars, primitive directions, value classes, cones and sign predicates.
 
 Coordinates are `fractions.Fraction` scalars (`as_point` makes a point of
 any coordinate sequence) and directions are primitive integer vectors; no
@@ -31,10 +31,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 INF = float("inf")  # support value outside the polar of the recession cone
 
@@ -45,6 +45,32 @@ class GeometryError(ValueError):
 
 class ConeMismatchError(GeometryError):
     """Operands do not share the required recession cone."""
+
+
+class Value:
+    """Base of the library's values: equality within one class, hash and repr
+    over the fields `_fields` names, and no assignment once `__init__` has set
+    them with `object.__setattr__`.  Other attributes take no part."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # no __get__, so it stays unbound
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +374,7 @@ def shared_cone(*sets):
     return cone
 
 
-@dataclass(frozen=True)
-class _Cone:
+class _Cone(Value):
     """Pointed cone of primitive integer generators; empty gens: {0}.
 
     The ray test decides every question about it: cone(gens) holds a line
@@ -358,12 +383,13 @@ class _Cone:
     generator, and membership is `_in_cone_span`.
     """
 
-    gens: tuple
+    _fields = ("gens",)
 
-    def __post_init__(self):
-        for g in self.gens:
+    def __init__(self, gens):
+        for g in gens:
             if normalize_direction(g) != tuple(g):
                 raise GeometryError("cone generators must be primitive")
+        object.__setattr__(self, "gens", gens)
 
     @property
     def is_trivial(self) -> bool:
@@ -405,7 +431,6 @@ def _in_cone_span(v, gens) -> bool:
     return not cone_strictly_feasible([vneg(v)], gens)
 
 
-@dataclass(frozen=True)
 class Cone2(_Cone):
     """Pointed planar recession cone: trivial, a ray, or a wedge.
 
@@ -413,12 +438,12 @@ class Cone2(_Cone):
     (cross(gens[0], gens[1]) > 0); half-planes and lines are rejected.
     """
 
-    def __post_init__(self):
-        check_length(2, *self.gens)
-        super().__post_init__()
-        if len(self.gens) == 2 and cross2(self.gens[0], self.gens[1]) <= 0:
+    def __init__(self, gens):
+        check_length(2, *gens)
+        super().__init__(gens)
+        if len(gens) == 2 and cross2(gens[0], gens[1]) <= 0:
             raise GeometryError("wedge generators must be independent and CCW")
-        if len(self.gens) > 2:
+        if len(gens) > 2:
             raise GeometryError("a pointed planar cone has at most 2 generators")
 
     @staticmethod
@@ -466,14 +491,13 @@ class Cone2(_Cone):
         return rot90(self.gens[-1]), vneg(rot90(self.gens[0]))
 
 
-@dataclass(frozen=True)
 class Cone3(_Cone):
     """Pointed cone in R^3; `from_generators` stores its extreme rays sorted."""
 
-    def __post_init__(self):
-        check_length(3, *self.gens)
-        super().__post_init__()
-        if not cone_strictly_feasible(self.gens):
+    def __init__(self, gens):
+        check_length(3, *gens)
+        super().__init__(gens)
+        if not cone_strictly_feasible(gens):
             raise GeometryError("cone is not pointed")
 
     @staticmethod

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import INF, Cone2, GeometryError, lattice, vadd, vneg, vscale
+from .core import INF, Cone2, GeometryError, Value, lattice, vadd, vneg, vscale
 from .planar import (
     ORIGIN,
     EdgeMeasure,
@@ -45,19 +44,17 @@ def _pieces(xs, ys):
     return dx, X, dy, Y, runs, rises, bends
 
 
-@dataclass(frozen=True)
-class PLConvexFn:
+class PLConvexFn(Value):
     """Convex piecewise-linear function on a closed interval [a, b], a < 0 < b.
 
     Breakpoints include both endpoints; equal-slope neighbours are merged on
     construction, so representations are canonical.
     """
 
-    breakpoints: tuple
-    values: tuple
+    _fields = ("breakpoints", "values")
 
-    def __post_init__(self):
-        xs, ys = _frac_seq(self.breakpoints), _frac_seq(self.values)
+    def __init__(self, breakpoints, values):
+        xs, ys = _frac_seq(breakpoints), _frac_seq(values)
         if len(xs) != len(ys) or len(xs) < 2:
             raise GeometryError("need matching breakpoints and values, >= 2 points")
         _, X, _, _, runs, _, bends = _pieces(xs, ys)
@@ -141,16 +138,16 @@ def from_set(A: VPolygon, domain) -> PLConvexFn:
                                 for (p, q), x in zip(pts[:1] + pts, xs)))
 
 
-@dataclass(frozen=True)
-class DcPair:
+class DcPair(Value):
     """Representation f = g - h with g, h convex on a common domain."""
 
-    g: PLConvexFn
-    h: PLConvexFn
+    _fields = ("g", "h")
 
-    def __post_init__(self):
-        if self.g.domain != self.h.domain:
+    def __init__(self, g: PLConvexFn, h: PLConvexFn):
+        if g.domain != h.domain:
             raise GeometryError("dc parts must share their domain")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
 
     def __call__(self, x):
         return self.g(x) - self.h(x)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -35,6 +34,7 @@ from .core import (
     INF,
     Cone2,
     GeometryError,
+    Value,
     as_point,
     check_length,
     cross2,
@@ -100,15 +100,13 @@ def _ccw_sorted(items):
     return [it for _, it in sorted(zip(keys, items))]
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class EdgeMeasure:
+class EdgeMeasure(Value):
     """Per-direction positive edge coefficients (a discrete boundary measure),
     on one integer scale: direction u of (u, n) in `items` has coefficient
     n / den, den the least such scale, in canonical CCW order from (1, 0).
     `entries` holds the same as ((u, Fraction), ...)."""
 
-    den: int
-    items: tuple
+    __slots__ = _fields = ("den", "items")
 
     def __init__(self, entries):
         """From `entries` in canonical order; anything else is refused."""
@@ -198,15 +196,12 @@ def shared_normals(a: "VPolygon", b: "VPolygon"):
 # ---------------------------------------------------------------------------
 # V-polygons
 
-@dataclass(frozen=True)
-class VPolygon:
-    cone: Cone2
-    anchor: tuple
-    measure: EdgeMeasure
+class VPolygon(Value):
+    _fields = ("cone", "anchor", "measure")
 
-    def __post_init__(self):
-        object.__setattr__(self, "anchor", _exact(self.anchor))
-        gens, items = self.cone.gens, self.measure.items
+    def __init__(self, cone: Cone2, anchor, measure: EdgeMeasure):
+        anchor = _exact(anchor)
+        gens, items = cone.gens, measure.items
         for u, _ in items:
             if len(u) != 2 or type(u[0]) is not int or type(u[1]) is not int or math.gcd(*u) != 1:
                 raise GeometryError(f"measure direction {u} is not a primitive integer pair")
@@ -215,6 +210,9 @@ class VPolygon:
         # the steps n * rot90(u) of the chain at the measure's scale sum to zero
         if not gens and (sum(n * a for (a, _), n in items) or sum(n * b for (_, b), n in items)):
             raise GeometryError("bounded polygon measure does not close up")
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "measure", measure)
 
     @cached_property
     def lattice(self):
@@ -428,21 +426,20 @@ def polygon_summand_check(p: VPolygon, k: VPolygon) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundaryChain:
+class BoundaryChain(Value):
     """Convex CCW chain of boundary vertices (a kernel certificate)."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(as_point(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points):
+        pts = tuple(as_point(p) for p in points)
         for p, q in zip(pts, pts[1:]):
             if p == q:
                 raise GeometryError("chain has repeated points")
         for a, b, c in zip(pts, pts[1:], pts[2:]):
             if cross2(vsub(b, a), vsub(c, b)) <= 0:
                 raise GeometryError("chain is not strictly convex CCW")
+        object.__setattr__(self, "points", pts)
 
 
 def kernel_of_minimality(a: VPolygon, b: VPolygon) -> BoundaryChain:

@@ -8,9 +8,8 @@ on canonical scenes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .core import Cone2, Cone3, GeometryError, format_rational, parse_rational
+from .core import Cone2, Cone3, GeometryError, Value, format_rational, parse_rational
 from .dc import PLConvexFn
 from .planar import VPolygon, from_points
 from .spatial import VPolytope3, from_points3
@@ -20,10 +19,13 @@ class SceneError(ValueError):
     """Malformed scene input."""
 
 
-@dataclass
-class Scene:
-    sets: dict = field(default_factory=dict)
-    functions: dict = field(default_factory=dict)
+class Scene(Value):
+    _fields = ("sets", "functions")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # filled in place
+
+    def __init__(self, sets=None, functions=None):
+        self.sets = {} if sets is None else sets
+        self.functions = {} if functions is None else functions
 
     def lookup_set(self, name):
         if name not in self.sets:

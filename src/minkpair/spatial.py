@@ -28,13 +28,14 @@ strict and weak rows over the vertex lattice (`core.lattice_contains`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import core
 from .core import (
     INF,
     Cone3,
     GeometryError,
+    Value,
     as_point,
     check_length,
     cone_strictly_feasible,
@@ -52,26 +53,26 @@ from .core import (
 from .planar import hull_chain
 
 
-@dataclass(frozen=True)
-class Facet:
-    normal: tuple  # primitive integer outer normal
-    offset: Fraction
-    cycle: tuple  # vertex indices, CCW seen from outside
+class Facet(Value):
+    _fields = ("normal", "offset", "cycle")  # primitive outer normal; cycle CCW seen from outside
+
+    def __init__(self, normal, offset, cycle):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "cycle", cycle)
 
 
-@dataclass(frozen=True)
-class Polytope3:
+class Polytope3(Value):
     """Convex hull with exact face data; `dim` is the affine dimension."""
 
-    vertices: tuple
-    dim: int
-    facets: tuple
-    edges: tuple
-    lattice: tuple = field(default=None, compare=False, repr=False)  # (den, den * vertices in ints)
+    _fields = ("vertices", "dim", "facets", "edges")
 
-    def __post_init__(self):
-        if self.lattice is None:
-            object.__setattr__(self, "lattice", lattice(self.vertices))
+    def __init__(self, vertices, dim, facets, edges, lattice=None):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "lattice", lattice or core.lattice(vertices))  # (den, den * vertices)
 
 
 def _primitive(u, v, w):
@@ -264,10 +265,12 @@ def _tri_edges(tri):
 # ---------------------------------------------------------------------------
 # V-polytopes
 
-@dataclass(frozen=True)
-class VPolytope3:
-    bounded: Polytope3
-    cone: Cone3
+class VPolytope3(Value):
+    _fields = ("bounded", "cone")
+
+    def __init__(self, bounded: Polytope3, cone: Cone3):
+        object.__setattr__(self, "bounded", bounded)
+        object.__setattr__(self, "cone", cone)
 
 
 def from_points3(points, cone: Cone3) -> VPolytope3:
@@ -342,11 +345,13 @@ def are_translates3(p: VPolytope3, q: VPolytope3) -> bool:
 # ---------------------------------------------------------------------------
 # edges with normal cones
 
-@dataclass(frozen=True)
-class EdgeWithNormalCone:
+class EdgeWithNormalCone(Value):
     """Bounded edge exposed by a direction in the open polar of the cone."""
 
-    endpoints: tuple
+    _fields = ("endpoints",)
+
+    def __init__(self, endpoints):
+        object.__setattr__(self, "endpoints", endpoints)
 
     @property
     def vector(self):
@@ -376,6 +381,19 @@ def _feasible_in_perp_plane(rows) -> bool:
     """Some u = alpha*w1 + beta*w2 with <a, u> < 0 for every row a, the rows
     given projected to (<a, w1>, <a, w2>) as integer pairs?"""
     return cone_strictly_feasible(rows)
+
+
+def _sector(rows):
+    """The two angularly extreme rows of a feasible strict system in two
+    variables, which cut out its open sector of solutions: its rows lie in an
+    open half-plane, where the sign of the integer cross product orders them."""
+    lo = hi = rows[0]
+    for x, y in rows:
+        if hi[0] * y - hi[1] * x > 0:
+            hi = x, y
+        elif lo[0] * y - lo[1] * x < 0:
+            lo = x, y
+    return [lo, hi]
 
 
 def _exposed_edges(p: VPolytope3, lat):
@@ -419,8 +437,9 @@ def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
     to the edge's perp plane (a vertex of k or an edge parallel to (i, j))
     that `keep(e, ids)` accepts, e the edge vector on p's lattice, and one
     open-polar direction exposes with (i, j): the open wedge to the hull
-    neighbours meets the edge's rows.  `keep` answers alike for every
-    one-vertex fibre, so if all are and it refuses one, no hull is built."""
+    neighbours meets the sector the edge's rows cut out (`_sector`).  `keep`
+    answers alike for every one-vertex fibre, so if all are and it refuses
+    one, no hull is built."""
     plat, klat = p.bounded.lattice[1], k.bounded.lattice[1]
     for i, j, (w1, w2), edge_rows in _exposed_edges(p, plat):
         e = vsub(plat[j], plat[i])
@@ -429,12 +448,12 @@ def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
             over.setdefault(q, []).append(t)
         if len(over) == len(klat) and not keep(e, [0]):
             continue
-        hull = hull_chain(sorted(over))
+        hull, sector = hull_chain(sorted(over)), edge_rows and _sector(edge_rows)
         for t, q in enumerate(hull):
             if keep(e, over[q]):
                 (qx, qy), ends = q, (hull[t - 1], hull[(t + 1) % len(hull)])
                 wedge = [(rx - qx, ry - qy) for rx, ry in ends if (rx, ry) != q]
-                if _feasible_in_perp_plane(edge_rows + wedge):
+                if _feasible_in_perp_plane(sector + wedge):
                     yield i, j, over[q]
 
 
