@@ -26,7 +26,6 @@ from .planar import (
 from .spatial import are_equivalent3, equiparallel_edges, minkowski_sum3, summand_criterion3
 from .dc import DcPair, hartman_minimize, is_hartman_minimal, to_hypograph_set
 from .scene import SceneError, dump_scene, function_json, load_scene, point_json, set_json
-from . import svg as svgmod
 
 
 def _operands(scene, text, count=None, functions=False):
@@ -161,10 +160,12 @@ def _cmd_sum(scene, args):
 
 
 def _cmd_render(scene, args):
+    from . import svg  # loaded only by the one subcommand that draws
+
     names, found = _operands(scene, args.sets)
     viewport = _rationals(args.viewport, 4, "viewport must be xmin,ymin,xmax,ymax")
     project = _rationals(args.project, 3, "projection must be dx,dy,dz")
-    document = svgmod.render(dict(zip(names, found)), viewport=viewport, project=project)
+    document = svg.render(dict(zip(names, found)), viewport=viewport, project=project)
     _write_out(args.out or "-", document)
 
 

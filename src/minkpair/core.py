@@ -1,9 +1,10 @@
 """Exact scalars, primitive directions, value classes, cones and sign predicates.
 
-Coordinates are `fractions.Fraction` scalars (`as_point` makes a point of
-any coordinate sequence) and directions are primitive integer vectors; no
-floating point enters any decision.  Hot predicates run on an integer
-lattice instead: `lattice` scales a point list by the lcm of its
+Coordinates are `fractions.Fraction` scalars and directions are primitive
+integer vectors; no floating point enters any decision.  `as_point` is the
+one conversion to a rational point: it keeps a tuple of `Fraction`s as it
+is and converts any other coordinate sequence.  Hot predicates run on an
+integer lattice instead: `lattice` scales a point list by the lcm of its
 denominators, and since a positive scale keeps every sign and the
 lexicographic order, sign tests on the lattice points decide the same as on
 the rationals.  `spatial` builds its hulls and its perp-plane rows on it,
@@ -110,8 +111,9 @@ def format_rational(q) -> str:
 # vectors: plain tuples, Fraction or int entries
 
 def as_point(p):
-    """Tuple of `Fraction` coordinates of any coordinate sequence."""
-    return tuple(map(Fraction, p))
+    """Tuple of `Fraction` coordinates of any coordinate sequence; a tuple of
+    `Fraction`s is returned as it is."""
+    return p if type(p) is tuple and all(type(c) is Fraction for c in p) else tuple(map(Fraction, p))
 
 
 def check_length(n, *vectors):
@@ -178,9 +180,7 @@ def normalize_direction(v):
     if is_zero(v):
         raise GeometryError("degenerate direction")
     if not all(type(x) is int for x in v):
-        fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-        den = math.lcm(*(f.denominator for f in fr))
-        v = [f.numerator * (den // f.denominator) for f in fr]
+        v = lattice([as_point(v)])[1][0]
     g = math.gcd(*v)
     return tuple(n // g for n in v)
 

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .core import INF, Cone2, GeometryError, Value, lattice, vadd, vneg, vscale
+from .core import INF, Cone2, GeometryError, Value, as_point, lattice, vadd, vneg, vscale
 from .planar import (
     ORIGIN,
     EdgeMeasure,
@@ -27,10 +27,6 @@ from .planar import (
     reduce_pair,
     translate,
 )
-
-def _frac_seq(xs):
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
-
 
 def _pieces(xs, ys):
     """(dx, X, dy, Y, runs, rises, bends): the breakpoints xs = X / dx and
@@ -54,7 +50,7 @@ class PLConvexFn(Value):
     _fields = ("breakpoints", "values")
 
     def __init__(self, breakpoints, values):
-        xs, ys = _frac_seq(breakpoints), _frac_seq(values)
+        xs, ys = as_point(breakpoints), as_point(values)
         if len(xs) != len(ys) or len(xs) < 2:
             raise GeometryError("need matching breakpoints and values, >= 2 points")
         _, X, _, _, runs, _, bends = _pieces(xs, ys)
@@ -82,7 +78,7 @@ class PLConvexFn(Value):
 
 
 def _domain_gens(a, b):
-    a, b = _frac_seq((a, b))
+    a, b = as_point((a, b))
     if not a < 0 < b:
         raise GeometryError("domain must contain 0 in its interior")
     return (-a.denominator, a.numerator), (b.denominator, -b.numerator)

@@ -200,7 +200,7 @@ class VPolygon(Value):
     _fields = ("cone", "anchor", "measure")
 
     def __init__(self, cone: Cone2, anchor, measure: EdgeMeasure):
-        anchor = _exact(anchor)
+        anchor = as_point(anchor)
         gens, items = cone.gens, measure.items
         for u, _ in items:
             if len(u) != 2 or type(u[0]) is not int or type(u[1]) is not int or math.gcd(*u) != 1:
@@ -275,17 +275,12 @@ class VPolygon(Value):
 
     def contains(self, point) -> bool:
         """Exact membership test on the chain's lattice (`core.lattice_contains`)."""
-        return lattice_contains(*self.lattice, self.cone.gens, _exact(point))
+        return lattice_contains(*self.lattice, self.cone.gens, as_point(point))
 
 
 def _point(p, den):
     """The rational point of the lattice point p at scale den."""
     return Fraction(p[0], den), Fraction(p[1], den)
-
-
-def _exact(p):
-    """`as_point`, keeping a tuple of `Fraction`s as it is."""
-    return p if type(p) is tuple and all(type(c) is Fraction for c in p) else as_point(p)
 
 
 def _argmax(pts, u):
@@ -336,7 +331,7 @@ def scale(a: VPolygon, t) -> VPolygon:
 
 def translate(a: VPolygon, v) -> VPolygon:
     check_length(2, v)
-    return VPolygon(a.cone, vadd(a.anchor, _exact(v)), a.measure)
+    return VPolygon(a.cone, vadd(a.anchor, as_point(v)), a.measure)
 
 
 # ---------------------------------------------------------------------------

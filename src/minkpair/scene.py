@@ -151,18 +151,13 @@ def point_json(v):
 
 def set_json(obj):
     if isinstance(obj, VPolygon):
-        return {
-            "dim": 2,
-            "points": [point_json(p) for p in obj.chain],
-            "cone": [point_json(g) for g in obj.cone.gens],
-        }
-    if isinstance(obj, VPolytope3):
-        return {
-            "dim": 3,
-            "points": [point_json(p) for p in obj.bounded.vertices],
-            "cone": [point_json(g) for g in obj.cone.gens],
-        }
-    raise SceneError(f"cannot serialize {type(obj).__name__}")
+        dim, points = 2, obj.chain
+    elif isinstance(obj, VPolytope3):
+        dim, points = 3, obj.bounded.vertices
+    else:
+        raise SceneError(f"cannot serialize {type(obj).__name__}")
+    return {"dim": dim, "points": [point_json(p) for p in points],
+            "cone": [point_json(g) for g in obj.cone.gens]}
 
 
 def function_json(fn: PLConvexFn):
@@ -173,14 +168,10 @@ def function_json(fn: PLConvexFn):
     }
 
 
-def scene_json(sets=None, functions=None):
+def dump_scene(sets=None, functions=None) -> str:
     doc = {}
     if sets:
         doc["sets"] = {name: set_json(obj) for name, obj in sets.items()}
     if functions:
         doc["functions"] = {name: function_json(fn) for name, fn in functions.items()}
-    return doc
-
-
-def dump_scene(sets=None, functions=None) -> str:
-    return json.dumps(scene_json(sets, functions), indent=1, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

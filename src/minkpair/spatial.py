@@ -28,9 +28,9 @@ strict and weak rows over the vertex lattice (`core.lattice_contains`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
-from . import core
 from .core import (
     INF,
     Cone3,
@@ -67,12 +67,12 @@ class Polytope3(Value):
 
     _fields = ("vertices", "dim", "facets", "edges")
 
-    def __init__(self, vertices, dim, facets, edges, lattice=None):
+    def __init__(self, vertices, dim, facets, edges, lattice):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "lattice", lattice or core.lattice(vertices))  # (den, den * vertices)
+        object.__setattr__(self, "lattice", lattice)  # (den, den * vertices)
 
 
 def _primitive(u, v, w):
@@ -238,14 +238,10 @@ def _hull_full(den, lat) -> Polytope3:
         visible = [t for t in tris if t[0] * x + t[1] * y + t[2] * z > t[3]]
         if not visible:
             continue
-        edge_count = {}
-        for t in visible:
-            for e in _tri_edges(t[4]):
-                edge_count[e] = edge_count.get(e, 0) + 1
-        # dedup while keeping deterministic order
-        horizon = [e for t in visible for e in _tri_edges(t[4]) if edge_count[e] == 1]
+        # the horizon: the edges of one visible triangle only, in first-seen order
+        count = Counter(e for t in visible for e in _tri_edges(t[4]))
         tris = [t for t in tris if t not in visible]
-        tris += [oriented(k, u, v) for u, v in dict.fromkeys(horizon)]
+        tris += [oriented(k, u, v) for (u, v), n in count.items() if n == 1]
 
     # merge coplanar triangles into facets; a facet's vertices are among the
     # corners of its triangles

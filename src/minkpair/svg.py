@@ -124,11 +124,6 @@ class _Canvas:
         return head + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _rect_polygon(rect):
-    xmin, ymin, xmax, ymax = rect
-    return [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-
-
 def _auto_viewport(points):
     xs = [p[0] for p in points] + [Fraction(0)]
     ys = [p[1] for p in points] + [Fraction(0)]
@@ -153,7 +148,8 @@ def _draw_vpolygon(canvas, vp, color):
             canvas.line(ch[0], vadd(ch[0], vscale(t, g)), color, dashed=True)
         canvas.dot(ch[0], color, r=2.5)
         return
-    region = _rect_polygon(rect)
+    xmin, ymin, xmax, ymax = rect
+    region = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
     for n, off in _region_halfplanes(vp):
         region = _clip_halfplane(region, n, off)
     if len(region) >= 3:
@@ -167,12 +163,9 @@ def _draw_vpolygon(canvas, vp, color):
 
 
 def _projection_basis(proj):
-    proj = normalize_direction(proj)
+    """Basis of the view plane of the primitive projection vector `proj`."""
     if proj[0] == 0 and proj[1] == 0:
-        b1, b2 = (1, 0, 0), (0, 1, 0)
-        if proj[2] > 0:
-            b2 = (0, -1, 0)
-        return b1, b2
+        return (1, 0, 0), (0, -1 if proj[2] > 0 else 1, 0)
     return _perp_basis(proj)
 
 
@@ -204,30 +197,27 @@ def render(objects, viewport=None, project=None) -> str:
     """
     if not objects:
         raise GeometryError("empty selection")
-    flats = {}
+    flats, sample_points = {}, []
     for name, obj in objects.items():
         if isinstance(obj, VPolytope3):
             if project is None or is_zero(project):
                 raise GeometryError("3D sets need a projection direction")
-            flats[name] = ("3d", project_upper_faces(obj, project))
+            obj = project_upper_faces(obj, project)  # 2D cycles
+            points = [p for cyc in obj for p in cyc]
         else:
-            flats[name] = ("2d", obj)
-
-    sample_points = []
-    for kind, data in flats.values():
-        if kind == "3d":
-            for cyc in data:
-                sample_points.extend(cyc)
-        else:
-            sample_points.extend(data.chain)
+            points = obj.chain
+        flats[name] = points[0], obj  # label anchor, drawing data
+        sample_points += points
     rect = tuple(Fraction(c) for c in viewport) if viewport else _auto_viewport(sample_points)
     if not (rect[0] < rect[2] and rect[1] < rect[3]):
         raise GeometryError("degenerate viewport")
 
     canvas = _Canvas(rect)
-    for idx, (name, (kind, data)) in enumerate(sorted(flats.items())):
+    for idx, (name, (anchor, data)) in enumerate(sorted(flats.items())):
         color = _PALETTE[idx % len(_PALETTE)]
-        if kind == "3d":
+        if isinstance(data, VPolygon):
+            _draw_vpolygon(canvas, data, color)
+        else:
             for cyc in data:
                 hull = convex_hull_2d(cyc)
                 if len(hull) == 1:
@@ -236,11 +226,7 @@ def render(objects, viewport=None, project=None) -> str:
                     canvas.line(hull[0], hull[1], color)
                 else:
                     canvas.polygon(cyc, color)
-            anchor_pt = data[0][0]
-        else:
-            _draw_vpolygon(canvas, data, color)
-            anchor_pt = data.chain[0]
-        canvas.label(anchor_pt, name, color)
+        canvas.label(anchor, name, color)
     origin = (Fraction(0), Fraction(0))
     if rect[0] <= 0 <= rect[2] and rect[1] <= 0 <= rect[3]:
         canvas.dot(origin, "#000000", r=2.5)

@@ -370,7 +370,7 @@ def _fraction_hull3(points) -> Polytope3:
             d1 = vsub(p, p0)
             break
     if d1 is None:
-        return Polytope3((p0,), 0, (), ())
+        return Polytope3((p0,), 0, (), (), lattice([p0]))
     n2 = None
     for p in pts:
         c = cross3(d1, vsub(p, p0))
@@ -381,7 +381,7 @@ def _fraction_hull3(points) -> Polytope3:
         lo = min(pts, key=lambda p: _param(vsub(p, p0), d1))
         hi = max(pts, key=lambda p: _param(vsub(p, p0), d1))
         verts = tuple(sorted((lo, hi)))
-        return Polytope3(verts, 1, (), ((0, 1),))
+        return Polytope3(verts, 1, (), ((0, 1),), lattice(verts))
     full = any(dot(n2, vsub(p, p0)) != 0 for p in pts)
     if not full:
         return _fraction_hull_planar(pts, n2)
@@ -418,7 +418,7 @@ def _fraction_hull_planar(pts, raw_normal) -> Polytope3:
     for k in range(len(cycle)):
         i, j = cycle[k], cycle[(k + 1) % len(cycle)]
         edges.add((min(i, j), max(i, j)))
-    return Polytope3(verts, 2, facets, tuple(sorted(edges)))
+    return Polytope3(verts, 2, facets, tuple(sorted(edges)), lattice(verts))
 
 
 def _tri_edges(tri):
@@ -492,7 +492,7 @@ def _fraction_hull_full(pts) -> Polytope3:
         for t in range(len(cyc)):
             i, j = cyc[t], cyc[(t + 1) % len(cyc)]
             edges.add((min(i, j), max(i, j)))
-    return Polytope3(tuple(vert_set), 3, tuple(facets), tuple(sorted(edges)))
+    return Polytope3(tuple(vert_set), 3, tuple(facets), tuple(sorted(edges)), lattice(vert_set))
 
 
 def _vertex_normal_cone_generators(q: Polytope3, i):

@@ -15,6 +15,7 @@ from minkpair.core import (
     Cone3,
     GeometryError,
     _in_cone_span,
+    as_point,
     cone_strictly_feasible,
     dot,
     linear_feasible,
@@ -49,6 +50,37 @@ def test_normalize_direction_rejects_zero():
 
 def test_normalize_direction_rational_input():
     assert normalize_direction((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
+
+
+@pytest.mark.parametrize("v, scaled", [
+    ([Fraction(-5, 6), Fraction(10, 9)], (-15, 20)),
+    ((1, Fraction(2, 3)), (3, 2)),
+    ((Fraction(-5, 6), 0, 2), (-5, 0, 12)),
+    ([0, Fraction(7, 10**12), -3], (0, 7, -3 * 10**12)),
+    ((Fraction(4, 3), Fraction(-8, 3), 4), (4, -8, 12)),
+], ids=["fraction-list", "mixed", "mixed-3d", "large-denominator", "common-factor"])
+def test_normalize_direction_of_a_rational_direction_is_that_of_its_integer_multiple(v, scaled):
+    assert normalize_direction(v) == normalize_direction(scaled)
+    assert all(type(x) is int for x in normalize_direction(v))
+
+
+def test_as_point_keeps_a_tuple_of_fractions():
+    p = (Fraction(1, 2), Fraction(-3))
+    assert as_point(p) is p
+
+
+@pytest.mark.parametrize("p", [
+    [Fraction(1, 2), Fraction(-3)],
+    (1, -2, 3),
+    [1, -2],
+    (1, Fraction(1, 2), "3/4"),
+    [Fraction(-1, 3), 2, True],
+], ids=["fraction-list", "int-tuple", "int-list", "mixed-tuple", "mixed-list"])
+def test_as_point_converts_any_other_sequence_to_a_new_tuple(p):
+    point = as_point(p)
+    assert type(point) is tuple and point is not p
+    assert all(type(x) is Fraction for x in point)
+    assert point == tuple(Fraction(x) for x in p)
 
 
 def test_normalize_scaling_invariance():

@@ -356,20 +356,45 @@ def test_render_errors(capsys, tmp_path):
     assert code == 2
 
 
+# a scene mixing dimensions: a 3D tetrahedron P, an unbounded 2D set W under
+# a wedge, a bounded triangle T and a 2D set R that is one ray
+MIXED_SETS = {
+    "P": {"dim": 3, "points": [["0", "0", "0"], ["2", "0", "0"], ["0", "3", "0"], ["1/2", "1/2", "2"]]},
+    "W": {"dim": 2, "cone": [["-1", "-1"], ["1", "-2"]],
+          "points": [["0", "0"], ["2", "1/2"], ["3", "3"], ["1/3", "4"], ["-5/2", "2"]]},
+    "T": {"dim": 2, "points": [["0", "0"], ["1", "-1/2"], ["1/2", "1"]]},
+    "R": {"dim": 2, "cone": [["1", "1"]], "points": [["1", "-1"], ["2", "0"]]},
+}
+
 # SHA-256 of the README's render command and of ex210's first pair, as
-# rendered before the region rows and dashed rays were read off `support`
+# rendered before the region rows and dashed rays were read off `support`;
+# the rest recorded before `render` built each object's points and drawing
+# data in one pass
 SHIPPED_RENDERS = [
     (("ex29.json", "A,B,E,F", "--project", "0,0,-1"),
      "251a70296012cfb2c3d73ad0e0e51df6a891910479b60150e60986df031390d3"),
     (("ex210.json", "A,B"),
      "da93e4c2532675ed2c3a4b9da3385f6191eced12b9c11825784be93b029f2d24"),
+    (("mixed", "W,P,T", "--project", "1,2,-3"),
+     "218033467812230227820180c6c60e7d158bb6403008c09962d9b18e3b5d341f"),
+    (("ex210.json", "A,B", "--viewport=-3,-2,5,4"),
+     "db42724a032bfbf5cf21ea360d646cbcb8ef6b1bc82d6ce622d9298735995514"),
+    (("mixed", "R"),
+     "95c8c5bfb62408e59cd94a53930789f6f3c7db29bb967b7f3002857f204c68ac"),
+    (("mixed", "R,P,W", "--project", "0,0,-1", "--viewport=-4,-5,6,6"),
+     "bd62ce2ceff3b2c9c20f52557437a4429de868bf72ea2647174b1a1797e79275"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", SHIPPED_RENDERS, ids=["ex29", "ex210"])
-def test_render_shipped_scenes_golden(capsys, argv, digest):
+@pytest.mark.parametrize("argv, digest", SHIPPED_RENDERS,
+                         ids=["ex29", "ex210", "mixed", "viewport", "ray", "mixed-viewport"])
+def test_render_shipped_scenes_golden(capsys, tmp_path, argv, digest):
     scene, sets, *extra = argv
-    code, out, _ = run(capsys, "render", "--scene", str(SCENES / scene), "--sets", sets, *extra)
+    path = SCENES / scene
+    if scene == "mixed":
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"sets": MIXED_SETS}))
+    code, out, _ = run(capsys, "render", "--scene", str(path), "--sets", sets, *extra)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

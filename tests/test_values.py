@@ -126,12 +126,22 @@ def test_a_scene_stays_mutable_and_unhashable():
         hash(scene)
 
 
-def test_the_cli_import_loads_no_dataclasses_or_inspect():
-    """The modules an interpreter loads at start-up (`site`, `.pth` files)
-    are not counted: only what `import minkpair.cli` adds."""
+def _loaded_by_cli_import(names):
+    """Those of the modules `names` that `import minkpair.cli` adds in a fresh
+    interpreter.  The modules an interpreter loads at start-up (`site`, `.pth`
+    files) are not counted."""
     code = ("import sys\nbase = set(sys.modules)\nimport minkpair.cli\n"
-            "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - base))))")
+            f"print(' '.join(sorted({set(names)!r} & (set(sys.modules) - base))))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_the_cli_import_loads_no_dataclasses_or_inspect():
+    assert _loaded_by_cli_import(["dataclasses", "inspect"]) == []
+
+
+def test_the_cli_import_loads_no_svg():
+    """Only `render` draws, so only `render` loads `minkpair.svg`."""
+    assert _loaded_by_cli_import(["minkpair.svg"]) == []
