@@ -12,15 +12,15 @@ and each planar V-polygon keeps its chain as one such lattice.
 The exact decisions here:
 
 - `cone_strictly_feasible` decides homogeneous systems of strict and weak
-  rows in two or three variables by integer sign tests on one point of the
-  closed cone's relative interior, built from a few candidate rays.  It
-  runs the perp-plane tests of the 3D criteria, vertex survival in
-  `spatial`, point membership in both dimensions (`lattice_contains`, which
-  `VPolygon.contains` and `contains3` call: by Farkas' lemma a point lies
-  outside conv(V) + cone(G) exactly when some u strictly separates it), and
-  every cone question in both dimensions: `Cone2` and `Cone3` share one
-  base whose pointedness, extreme rays (`_extreme_rays`) and membership
-  (`_in_cone_span`) are ray tests on pairs or triples.
+  rows in two or three variables in integers by Seidel's incremental method:
+  pairs in one angular sweep (`sector`), triples row by row, a sweep in the
+  plane of each violated row.  It runs the perp-plane tests of the 3D
+  criteria, vertex survival in `spatial`, point membership in both
+  dimensions (`lattice_contains`, which `VPolygon.contains` and `contains3`
+  call: by Farkas' lemma a point lies outside conv(V) + cone(G) exactly when
+  some u strictly separates it), and every cone question in both dimensions:
+  `Cone2` and `Cone3` share one base whose pointedness, extreme rays
+  (`_extreme_rays`) and membership (`_in_cone_span`) are ray tests.
 - `shared_cone` states once that the operands of a pair operation share
   their recession cone.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
@@ -34,7 +34,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import attrgetter
 
 INF = float("inf")  # support value outside the polar of the recession cone
@@ -263,81 +262,81 @@ def linear_feasible(constraints, nvars) -> bool:
     return True
 
 
+def perp_basis(d):
+    """Integer basis w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis, and
+    w2 = d x w1 of the plane normal to the nonzero integer triple d."""
+    w1 = (0, d[2], -d[1]) if d[1] or d[2] else (0, 0, d[0])
+    return w1, cross3(d, w1)
+
+
+def sector(strict, weak=()):
+    """[lo, hi], the angularly extreme rows of a system of integer pairs with
+    a strict row (as in `cone_strictly_feasible`), or None if it has no
+    solution.  One pass, strict rows first and ties keeping the older row,
+    keeps every row in the closed sector from lo counterclockwise to hi; it
+    fails on a zero strict row, a row opposite both ends, a sector past a
+    half turn, or one that reaches it at an end that a strict row holds.
+    Else u = rot90(hi - lo) solves the system, or u = -lo when lo == hi."""
+    lx, ly = hx, hy = strict[0]
+    lw = hw = False  # a weak row holds the end, so no strict row lies on its ray
+    for rows, w in ((strict, False), (weak, True)):
+        for x, y in rows:
+            if hx * y > hy * x:  # counterclockwise of hi
+                c = lx * y - ly * x
+                if c < 0 or not (c or lw):
+                    return None
+                hx, hy, hw = x, y, w
+            elif lx * y < ly * x:  # clockwise of lo
+                c = x * hy - y * hx
+                if c < 0 or not (c or hw):
+                    return None
+                lx, ly, lw = x, y, w
+            elif lx * x + ly * y < 0 and hx * x + hy * y < 0 or not (w or x or y):
+                return None
+    return [(lx, ly), (hx, hy)]
+
+
 def cone_strictly_feasible(strict, weak=()) -> bool:
     """True iff some u has <a, u> < 0 for every row a of `strict` and
-    <b, u> <= 0 for every row b of `weak`.
+    <b, u> <= 0 for every row b of `weak`, integer pairs or triples of one
+    length; with no strict row u = 0 does.  With weak rows only generators,
+    this is "some u strictly separates" in Farkas' lemma; with none, by
+    Gordan's theorem, "cone(strict) is pointed".
 
-    Rows are integer pairs or integer triples, all of one length; pairs are
-    lifted to (x, y, 0), which changes no answer.  With no strict row u = 0
-    works; otherwise a zero strict row fails every candidate below and a zero
-    weak row passes it.  With weak rows only generators, this is "some u
-    strictly separates" in Farkas' lemma; with none, by Gordan's theorem,
-    "cone(strict) is pointed".
-
-    Decided in integers on one point of the relative interior of the closed
-    cone C = {u : <a_i, u> <= 0}: a strict row negative anywhere on C is
-    negative there.  a_0 is the first strict row, and u = -a_0 is tried
-    first; if every row is a multiple of a_0 (rank 1), it works if any u
-    does.  Otherwise n = a_0 x a_j is nonzero for some row.  If every row is
-    normal to n (rank 2), C is the line of n plus a pointed cone in the plane
-    normal to n, whose extreme rays are among the +-(n x a_i); else (rank 3)
-    C is pointed and its extreme rays are among the +-(a_i x a_j).  The sum
-    of the candidates lying in C is in its relative interior.
+    Decided in integers by Seidel's incremental method (R. Seidel,
+    "Small-dimensional linear programming and convex hulls made easy",
+    Discrete Comput. Geom. 6, 1991) on the rows in their order, strict rows
+    first; the order changes the cost, never the answer.  Pairs are one
+    `sector`.  Triples keep a solution u of the rows so far.  If a row a that
+    u violates joins a system with a solution u', the segment from u to u'
+    crosses the plane normal to a at a solution w of the earlier rows, which
+    in a `perp_basis` of that plane are pairs with a `sector`, w its solution.
+    A weak a takes u = w.  A strict a takes u = t*w - a for every large enough
+    t, as the earlier rows are strict and negative on w; u is kept as the
+    pair (w, d = -a), a row's sign on it being its sign on w, or on d if 0.
     """
     if not strict:
         return True
     if len(strict[0]) == 2:
-        strict = [(x, y, 0) for x, y in strict]
-        weak = [(x, y, 0) for x, y in weak]
-    rows = [*strict, *weak]
-
-    def solves(ux, uy, uz):
-        for x, y, z in strict:
-            if x * ux + y * uy + z * uz >= 0:
-                return False
-        for x, y, z in weak:
-            if x * ux + y * uy + z * uz > 0:
-                return False
-        return True
-
-    ax, ay, az = rows[0]
-    if solves(-ax, -ay, -az):
-        return True
-    for x, y, z in rows:
-        nx, ny, nz = ay * z - az * y, az * x - ax * z, ax * y - ay * x
-        if nx or ny or nz:
-            break
-    else:
-        return False  # rank 1
-    # the candidate rays are the p x q over these pairs (p, q)
-    for x, y, z in rows:
-        if nx * x + ny * y + nz * z:
-            pairs = combinations(rows, 2)  # rank 3
-            break
-    else:
-        n = nx, ny, nz
-        pairs = [(n, a) for a in rows]  # rank 2
-    sx = sy = sz = 0
-    for (px, py, pz), (qx, qy, qz) in pairs:
-        cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
-        # c or -c lies in C unless the rows take both signs on c
-        pos = neg = False
-        for x, y, z in rows:
-            t = x * cx + y * cy + z * cz
-            if t > 0:
-                pos = True
-                if neg:
-                    break
-            elif t < 0:
-                neg = True
-                if pos:
-                    break
-        else:
-            if not pos:
-                sx, sy, sz = sx + cx, sy + cy, sz + cz
-            elif not neg:
-                sx, sy, sz = sx - cx, sy - cy, sz - cz
-    return solves(sx, sy, sz)
+        return sector(strict, weak) is not None
+    rows, ns = [*strict, *weak], len(strict)
+    ux, uy, uz = vneg(strict[0])
+    dx = dy = dz = 0
+    for i, (ax, ay, az) in enumerate(rows):
+        s = ax * ux + ay * uy + az * uz or ax * dx + ay * dy + az * dz
+        if s < 0 or s == 0 and i >= ns:
+            continue
+        if not (ax or ay or az):
+            return False
+        (b1, b2, b3), (c1, c2, c3) = perp_basis((ax, ay, az))
+        proj = [(x * b1 + y * b2 + z * b3, x * c1 + y * c2 + z * c3) for x, y, z in rows[:i]]
+        if (ends := sector(proj[:ns], proj[ns:])) is None:
+            return False
+        (lx, ly), (hx, hy) = ends
+        px, py = (-lx, -ly) if lx == hx and ly == hy else (ly - hy, hx - lx)
+        ux, uy, uz = px * b1 + py * c1, px * b2 + py * c2, px * b3 + py * c3
+        dx, dy, dz = (-ax, -ay, -az) if i < ns else (0, 0, 0)
+    return True
 
 
 def lattice_contains(den, ints, gens, x) -> bool:

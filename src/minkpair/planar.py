@@ -240,9 +240,7 @@ class VPolygon(Value):
         cx = ax.numerator * (den // ax.denominator) - (pts[i][0] + pts[j][0]) * f
         cy = ay.numerator * (den // ay.denominator) - (pts[i][1] + pts[j][1]) * f
         f *= 2
-        ints = [(x * f + cx, y * f + cy) for x, y in pts]
-        g = math.gcd(den, *(c for p in ints for c in p))
-        return den // g, tuple((x // g, y // g) for x, y in ints)
+        return _reduced(den, [(x * f + cx, y * f + cy) for x, y in pts])
 
     @cached_property
     def chain(self):
@@ -276,6 +274,12 @@ class VPolygon(Value):
     def contains(self, point) -> bool:
         """Exact membership test on the chain's lattice (`core.lattice_contains`)."""
         return lattice_contains(*self.lattice, self.cone.gens, as_point(point))
+
+
+def _reduced(den, ints):
+    """(den, ints) with den and every coordinate divided by their gcd."""
+    g = math.gcd(den, *(c for p in ints for c in p))
+    return den // g, tuple((x // g, y // g) for x, y in ints)
 
 
 def _point(p, den):
@@ -330,8 +334,17 @@ def scale(a: VPolygon, t) -> VPolygon:
 
 
 def translate(a: VPolygon, v) -> VPolygon:
+    """a + v.  If a's lattice is cached, the result's cache is seeded with
+    that lattice shifted by v at lcm(den, v's denominators), not rebuilt."""
     check_length(2, v)
-    return VPolygon(a.cone, vadd(a.anchor, as_point(v)), a.measure)
+    v = as_point(v)
+    out = VPolygon(a.cone, vadd(a.anchor, v), a.measure)
+    if "lattice" in vars(a):
+        (den, ints), (vden, ((vx, vy),)) = a.lattice, lattice([v])
+        common = math.lcm(den, vden)
+        f, k = common // den, common // vden
+        vars(out)["lattice"] = _reduced(common, [(x * f + vx * k, y * f + vy * k) for x, y in ints])
+    return out
 
 
 # ---------------------------------------------------------------------------

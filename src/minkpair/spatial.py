@@ -10,13 +10,13 @@ lcm(den_P, den_K)) stay on the lattice.  Repeated, collinear and coplanar
 points are handled exactly, `hull3(q.vertices) == q`, and points, segments
 and flat polygons are first-class citizens.  The summand and reduced-pair
 criteria are two filters on one integer scan of the stored lattices: for
-each edge e of P exposed by the open polar (strict rows in two variables
-for `core.cone_strictly_feasible`), the vertices of the 2D hull of K's
-projection onto e's perp plane whose open wedge meets e's directions.  Above
+each edge e of P exposed by the open polar (strict rows in two variables,
+whose `core.sector` cuts out e's directions), the vertices of the 2D hull of
+K's projection onto e's perp plane whose open wedge meets it.  Above
 each lies a vertex of K or an edge parallel to e: the summand criterion asks
 it for a translate of e, the equiparallel-edge list keeps the edges (and
 skips the hull when no two vertices of K project to one point).  The perp
-basis w1, w2 is two cross products each divided by its gcd, not unit
+basis w1, w2 is `core.perp_basis`, each vector divided by its gcd, not unit
 vectors: a positive scale of w1 or w2 changes no sign, no lexicographic
 order and no hull.  Projections and wedge rows are unpacked integer pairs,
 and the hull is `planar.hull_chain`, whose turn test runs on unpacked int
@@ -45,6 +45,8 @@ from .core import (
     lattice,
     lattice_contains,
     normalize_direction,
+    perp_basis,
+    sector,
     shared_cone,
     vadd,
     vneg,
@@ -84,12 +86,9 @@ def _primitive(u, v, w):
 
 
 def _perp_basis(d):
-    """Two independent primitive integer vectors spanning the plane normal to
-    the integer vector d: w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis,
-    and w2 = d x w1."""
-    x, y, z = d
-    w1 = _primitive(0, z, -y) if y or z else _primitive(0, 0, x)
-    return w1, _primitive(y * w1[2] - z * w1[1], -x * w1[2], x * w1[1])
+    """`core.perp_basis` of the integer vector d, each vector divided by its gcd."""
+    w1, w2 = perp_basis(d)
+    return _primitive(*w1), _primitive(*w2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,32 +372,20 @@ def _edge_frame(p: VPolytope3, lat, i, j):
     return (w1, w2), rows + _project(p.cone.gens, w1, w2)
 
 
-def _feasible_in_perp_plane(rows) -> bool:
-    """Some u = alpha*w1 + beta*w2 with <a, u> < 0 for every row a, the rows
-    given projected to (<a, w1>, <a, w2>) as integer pairs?"""
-    return cone_strictly_feasible(rows)
-
-
-def _sector(rows):
-    """The two angularly extreme rows of a feasible strict system in two
-    variables, which cut out its open sector of solutions: its rows lie in an
-    open half-plane, where the sign of the integer cross product orders them."""
-    lo = hi = rows[0]
-    for x, y in rows:
-        if hi[0] * y - hi[1] * x > 0:
-            hi = x, y
-        elif lo[0] * y - lo[1] * x < 0:
-            lo = x, y
-    return [lo, hi]
+def _feasible_in_perp_plane(rows):
+    """`core.sector`'s end rows [lo, hi], which bound the open sector of all
+    u = alpha*w1 + beta*w2 with <a, u> < 0 for each row (<a, w1>, <a, w2>);
+    None if it is empty, True if there are no rows."""
+    return sector(rows) if rows else True
 
 
 def _exposed_edges(p: VPolytope3, lat):
-    """(i, j, (w1, w2), rows) of `_edge_frame` for each edge (i, j) of p's
-    bounded hull exposed, bounded, by some open-polar direction."""
+    """(i, j, (w1, w2), ends) for each edge (i, j) of p's bounded hull exposed,
+    bounded, by some open-polar direction: `_edge_frame`'s basis, its rows' ends."""
     for i, j in p.bounded.edges:
         basis, rows = _edge_frame(p, lat, i, j)
-        if _feasible_in_perp_plane(rows):
-            yield i, j, basis, rows
+        if ends := _feasible_in_perp_plane(rows):
+            yield i, j, basis, rows and ends
 
 
 def _edge(q: Polytope3, i, j):
@@ -433,23 +420,23 @@ def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
     to the edge's perp plane (a vertex of k or an edge parallel to (i, j))
     that `keep(e, ids)` accepts, e the edge vector on p's lattice, and one
     open-polar direction exposes with (i, j): the open wedge to the hull
-    neighbours meets the sector the edge's rows cut out (`_sector`).  `keep`
+    neighbours meets the sector the edge's end rows cut out.  `keep`
     answers alike for every one-vertex fibre, so if all are and it refuses
     one, no hull is built."""
     plat, klat = p.bounded.lattice[1], k.bounded.lattice[1]
-    for i, j, (w1, w2), edge_rows in _exposed_edges(p, plat):
+    for i, j, (w1, w2), edge_ends in _exposed_edges(p, plat):
         e = vsub(plat[j], plat[i])
         over = {}
         for t, q in enumerate(_project(klat, w1, w2)):
             over.setdefault(q, []).append(t)
         if len(over) == len(klat) and not keep(e, [0]):
             continue
-        hull, sector = hull_chain(sorted(over)), edge_rows and _sector(edge_rows)
+        hull = hull_chain(sorted(over))
         for t, q in enumerate(hull):
             if keep(e, over[q]):
                 (qx, qy), ends = q, (hull[t - 1], hull[(t + 1) % len(hull)])
                 wedge = [(rx - qx, ry - qy) for rx, ry in ends if (rx, ry) != q]
-                if _feasible_in_perp_plane(sector + wedge):
+                if _feasible_in_perp_plane(edge_ends + wedge):
                     yield i, j, over[q]
 
 

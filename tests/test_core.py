@@ -17,10 +17,13 @@ from minkpair.core import (
     _in_cone_span,
     as_point,
     cone_strictly_feasible,
+    cross2,
+    cross3,
     dot,
     linear_feasible,
     normalize_direction,
     parse_rational,
+    rot90,
     vadd,
     vneg,
     vscale,
@@ -359,6 +362,59 @@ def test_mixed_cone_strictly_feasible3_matches_fourier_motzkin(rows, data):
         strict.insert(data.draw(st.integers(0, len(strict))), (0, 0, 0))
     want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
     assert cone_strictly_feasible(strict, weak) == want
+
+
+def _edge_case_systems(rng, big=2**61 - 1):
+    """(strict, weak) systems on the boundary cases of the pair sweep and the
+    triple step, entries up to 2**61 - 1: pairs whose rows span exactly a half
+    turn, repeated and antiparallel rows, and triples whose weak rows pin the
+    closed cone to a plane or a ray."""
+    def vec(dim):
+        while True:
+            v = tuple(rng.choice((rng.randint(-3, 3), rng.randint(-big, big))) for _ in range(dim))
+            if any(v):
+                return v
+
+    def split(rows, weak_rows=()):
+        strict, weak = [], list(weak_rows)
+        for r in rows:
+            (weak if rng.random() < 0.4 else strict).append(r)
+        return strict or [rows[0]], weak
+
+    for _ in range(120):
+        d = vec(2)
+        side = [rot90(d)] + [r for r in (vec(2) for _ in range(rng.randint(0, 3))) if cross2(d, r) > 0]
+        ends = [d, vscale(-rng.randint(1, 3), d)]
+        strict, weak = split(side)
+        for r in ends:
+            (weak if rng.random() < 0.6 else strict).append(r)
+        yield strict, weak
+        dim = rng.choice((2, 3))
+        rows = [vec(dim) for _ in range(rng.randint(1, 3))]
+        for r in list(rows):
+            rows.insert(rng.randint(0, len(rows)), vscale(rng.choice((1, 2, -1, -3)), r))
+        yield split(rows)
+        a, b = vec(3), vec(3)
+        pins = [a, vscale(-rng.randint(1, 2), a)]
+        if rng.random() < 0.6:
+            pins += [b, vneg(b)]
+            if rng.random() < 0.5:  # and a half-space cuts that line to a ray
+                pins.append(vec(3))
+        n = cross3(a, b)
+        extra = [vscale(rng.choice((1, -1)), n), vadd(a, b)] if any(n) else []
+        rows = [vec(3) for _ in range(rng.randint(0, 3))] + extra
+        yield split(rows or [vec(3)], pins)
+
+
+def test_cone_strictly_feasible_order_and_edge_cases():
+    """The answer matches Fourier-Motzkin on the rows as given, reversed and
+    rotated."""
+    rng = random.Random(1991)
+    for strict, weak in _edge_case_systems(rng):
+        want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
+        i, j = rng.randrange(len(strict)), rng.randrange(len(weak) + 1)
+        for s, w in ((strict, weak), (strict[::-1], weak[::-1]), (strict[i:] + strict[:i], weak[j:] + weak[:j])):
+            assert cone_strictly_feasible(s, w) == want, (s, w)
 
 
 def test_cone_strictly_feasible3_by_rank():

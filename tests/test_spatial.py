@@ -762,6 +762,32 @@ def test_contains3_degenerate_examples():
             contains3(Q, point)
 
 
+def test_contains3_on_a_large_hull_matches_its_facet_inequalities():
+    """The hull of 300 random points in a ball of radius 1,000, about 70
+    vertices, under the trivial cone: interior points, vertices, facet points
+    and facet points nudged 1/97 outside, against the H-test of the hull's own
+    facets."""
+    rng = random.Random(300)
+    pts = []
+    while len(pts) < 300:
+        p = tuple(rng.randint(-1000, 1000) for _ in range(3))
+        if dot(p, p) <= 1000**2:
+            pts.append(p)
+    P = from_points3(pts, TRIV)
+    verts, facets = P.bounded.vertices, P.bounded.facets
+    assert 60 <= len(verts) <= 80
+    centroid = lambda vs: tuple(sum(c) / len(vs) for c in zip(*vs))
+    queries = list(verts)
+    for f in facets:
+        mid = centroid([verts[i] for i in f.cycle])
+        queries += [mid, vadd(mid, vscale(F(1, 97), f.normal))]
+    center = centroid(verts)
+    queries += [vadd(center, [F(rng.randint(-2000, 2000), 7) for _ in range(3)]) for _ in range(30)]
+    answers = [contains3(P, x) for x in queries]
+    assert answers == [all(dot(f.normal, x) <= f.offset for f in facets) for x in queries]
+    assert answers.count(False) == len(facets)
+
+
 @pytest.mark.parametrize("count", [8, 12])
 def test_contains3_under_a_ring_cone_answers_within_a_gib(count):
     """Fourier-Motzkin in one variable per generator exhausted 1 GiB at 8."""
