@@ -306,6 +306,8 @@ def _face_midpoint(den, ints, u):
 
 def from_points(points, cone: Cone2) -> VPolygon:
     """Smallest convex set with recession cone `cone` containing the points."""
+    if not isinstance(cone, Cone2):
+        raise GeometryError("a planar set needs a planar cone")
     if not points:
         raise GeometryError("need at least one point")
     den, ints = lattice([as_point(p) for p in points])

@@ -2,26 +2,28 @@
 
 Every polytope keeps its vertex lattice: `Polytope3.lattice` is (den, ints),
 the vertices scaled by the lcm of their denominators (`core.lattice`).
-`hull3` scales its input once and runs every hull predicate as an integer
-sign test (extreme points first, coplanar triangles merged into facets);
-only the result's vertices and facet offsets become `Fraction`s.  Pruning by
-the cone, its re-hull and `minkowski_sum3` (pairwise integer sums at
-lcm(den_P, den_K)) stay on the lattice.  Repeated, collinear and coplanar
-points are handled exactly, `hull3(q.vertices) == q`, and points, segments
-and flat polygons are first-class citizens.  The summand and reduced-pair
-criteria are two filters on one integer scan of the stored lattices: for
-each edge e of P exposed by the open polar (strict rows in two variables,
-whose `core.sector` cuts out e's directions), the vertices of the 2D hull of
-K's projection onto e's perp plane whose open wedge meets it.  Above
-each lies a vertex of K or an edge parallel to e: the summand criterion asks
-it for a translate of e, the equiparallel-edge list keeps the edges (and
-skips the hull when no two vertices of K project to one point).  The perp
-basis w1, w2 is `core.perp_basis`, each vector divided by its gcd, not unit
-vectors: a positive scale of w1 or w2 changes no sign, no lexicographic
-order and no hull.  Projections and wedge rows are unpacked integer pairs,
-and the hull is `planar.hull_chain`, whose turn test runs on unpacked int
-or `Fraction` coordinates and drops collinear points.  Vertex survival is
-one ray test with strict rows in three variables, and `contains3` one with
+`from_points3` scales its input once, runs every hull predicate as an
+integer sign test (extreme points first, coplanar triangles merged into
+facets) and prunes by the cone before it builds the one `Polytope3`: a
+corner of the integer triangulation stays iff a direction in the open polar
+decreases along every edge leaving it.  Only the result's vertices and facet
+offsets become `Fraction`s.  `minkowski_sum3` (pairwise integer sums at
+lcm(den_P, den_K)) takes the same path, and `hull3` is `from_points3` under
+the trivial cone.  Repeated, collinear and coplanar points are handled
+exactly, `hull3(q.vertices) == q`, and points, segments and flat polygons
+are first-class citizens.  The summand and reduced-pair criteria are two
+filters on one integer scan of the stored lattices: for each edge e of P
+exposed by the open polar (strict rows in two variables, whose `core.sector`
+cuts out e's directions), the vertices of the 2D hull of K's projection onto
+e's perp plane whose open wedge meets it.  Above each lies a vertex of K or
+an edge parallel to e: the summand criterion asks it for a translate of e,
+the equiparallel-edge list keeps the edges (and skips the hull when no two
+vertices of K project to one point).  The perp basis w1, w2 is
+`core.perp_basis`, each vector divided by its gcd, not unit vectors: a
+positive scale of w1 or w2 changes no sign, no lexicographic order and no
+hull.  Projections and wedge rows are unpacked integer pairs, and the hull
+is `planar.hull_chain`, whose turn test runs on unpacked int or `Fraction`
+coordinates and drops collinear points.  `contains3` is one ray test with
 strict and weak rows over the vertex lattice (`core.lattice_contains`).
 """
 
@@ -95,19 +97,12 @@ def _perp_basis(d):
 # hull construction
 
 def hull3(points) -> Polytope3:
-    """Exact convex hull; coplanar facets merged; degenerate dims flagged.
-
-    The distinct points are scaled once to an integer lattice
-    (`core.lattice`), and `_hull` builds the hull of those integer triples.
-    """
-    den, lat = lattice(set(map(as_point, points)))
-    check_length(3, *lat)
-    if not lat:
-        raise GeometryError("need at least one point")
-    return _hull(den, sorted(lat))
+    """Exact convex hull; coplanar facets merged; degenerate dims flagged:
+    the bounded part of `from_points3` under the trivial cone."""
+    return from_points3(points, Cone3(())).bounded
 
 
-def _hull(den, lat) -> Polytope3:
+def _hull(den, lat, gens=()) -> Polytope3:
     """Hull of the points lat[i] / den, `lat` sorted distinct integer triples.
 
     A positive scale keeps every sign and the lexicographic order, so every
@@ -120,6 +115,11 @@ def _hull(den, lat) -> Polytope3:
     sees none (inside, or on a facet) costs one scan.  The final triangles
     are grouped by plane, and each facet's cycle is the 2D hull of the
     corners of its own triangles.
+
+    Pruning by the cone of the generators `gens` comes before the one
+    `Polytope3` is built: each corner of the final triangles, the planar
+    cycle or the segment is kept iff `_vertex_survives` with its neighbours
+    there, and if one is dropped the result is the hull of the kept ones.
     """
     if len(lat) == 1:
         return _polytope(den, lat, 0, ())
@@ -128,10 +128,27 @@ def _hull(den, lat) -> Polytope3:
     n2 = next((c for c in (cross3(d1, vsub(p, p0)) for p in lat) if not is_zero(c)), None)
     if n2 is None:
         # collinear: the lexicographic extremes are the segment's endpoints
-        return _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
-    if all(dot(n2, vsub(p, p0)) == 0 for p in lat):
-        return _hull_planar(den, lat, n2)
-    return _hull_full(den, lat)
+        pairs, build = ((0, len(lat) - 1),), lambda: _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
+    elif all(dot(n2, vsub(p, p0)) == 0 for p in lat):
+        n = normalize_direction(n2)
+        cyc = _planar_cycle(lat, range(len(lat)), n)
+        if len(cyc) < len(lat):
+            # orient the plane as its vertices alone would
+            return _hull(den, sorted(lat[i] for i in cyc), gens)
+        b = dot(n, lat[cyc[0]])
+        pairs = zip(cyc, cyc[1:] + cyc[:1])
+        build = lambda: _polytope(den, lat, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
+    else:
+        pairs, build = _hull_full(den, lat)
+    if gens:
+        nbrs = {}
+        for i, j in set(pairs):
+            nbrs.setdefault(i, []).append(j)
+            nbrs.setdefault(j, []).append(i)
+        kept = [lat[i] for i, js in nbrs.items() if _vertex_survives(lat, i, js, gens)]
+        if len(kept) < len(nbrs):
+            return _hull(den, sorted(kept))
+    return build()
 
 
 def _planar_cycle(lat, ids, normal):
@@ -187,17 +204,7 @@ def _polytope(den, lat, dim, planes, edges=()):
     return Polytope3(verts, dim, tuple(facets), edges, (den, tuple(lat)))
 
 
-def _hull_planar(den, lat, raw_normal) -> Polytope3:
-    n = normalize_direction(raw_normal)
-    cyc = _planar_cycle(lat, range(len(lat)), n)
-    if len(cyc) < len(lat):
-        # orient the plane as its vertices alone would
-        return _hull(den, sorted(lat[i] for i in cyc))
-    b = dot(n, lat[cyc[0]])
-    return _polytope(den, lat, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
-
-
-def _hull_full(den, lat) -> Polytope3:
+def _hull_full(den, lat):
     # extreme initial simplex: the lexicographic ends of the sorted distinct
     # points are vertices, c is farthest from their line and d from their
     # plane; `index(max(...))` keeps the first index on ties
@@ -242,14 +249,17 @@ def _hull_full(den, lat) -> Polytope3:
         tris = [t for t in tris if t not in visible]
         tris += [oriented(k, u, v) for (u, v), n in count.items() if n == 1]
 
-    # merge coplanar triangles into facets; a facet's vertices are among the
-    # corners of its triangles
-    corners = {}
-    for u, v, w, off, tri in tris:
-        corners.setdefault(((u, v, w), off), set()).update(tri)
-    planes = [(n, off, (_triangle_cycle if len(on) == 3 else _planar_cycle)(lat, sorted(on), n))
-              for (n, off), on in sorted(corners.items())]
-    return _polytope(den, lat, 3, planes)
+    def build():
+        # merge coplanar triangles into facets; a facet's vertices are among
+        # the corners of its triangles
+        corners = {}
+        for u, v, w, off, tri in tris:
+            corners.setdefault(((u, v, w), off), set()).update(tri)
+        planes = [(n, off, (_triangle_cycle if len(on) == 3 else _planar_cycle)(lat, sorted(on), n))
+                  for (n, off), on in sorted(corners.items())]
+        return _polytope(den, lat, 3, planes)
+
+    return (e for t in tris for e in _tri_edges(t[4])), build
 
 
 def _tri_edges(tri):
@@ -269,28 +279,26 @@ class VPolytope3(Value):
 
 
 def from_points3(points, cone: Cone3) -> VPolytope3:
-    """Canonical V-polytope: hull plus cone, cone-absorbed vertices pruned."""
-    return _pruned(hull3(points), cone)
+    """Canonical V-polytope: hull plus cone, cone-absorbed vertices pruned;
+    `_hull` builds it on the distinct points scaled once (`core.lattice`)."""
+    if not isinstance(cone, Cone3):
+        raise GeometryError("a 3D set needs a 3D cone")
+    den, lat = lattice(set(map(as_point, points)))
+    check_length(3, *lat)
+    if not lat:
+        raise GeometryError("need at least one point")
+    return VPolytope3(_hull(den, sorted(lat), cone.gens), cone)
 
 
-def _pruned(q: Polytope3, cone: Cone3) -> VPolytope3:
-    if cone.is_trivial:
-        return VPolytope3(q, cone)
-    den, lat = q.lattice
-    keep = [v for i, v in enumerate(lat) if _vertex_survives(q, lat, i, cone)]
-    # hull3(q.vertices) == q, so a hull that loses no vertex is its own result
-    return VPolytope3(q if len(keep) == len(lat) else _hull(den, sorted(keep)), cone)
-
-
-def _vertex_survives(q: Polytope3, lat, i, cone: Cone3) -> bool:
-    """relint of the vertex normal cone meets the open polar of the cone.
-
-    That relint is {u : <w - v, u> < 0} over the edges (v, w) at v = lat[i],
-    for every dimension of q (q's lattice points `lat` keep each sign), so
-    the question is one strict system in three variables.
-    """
-    rows = [vsub(lat[b if a == i else a], lat[i]) for a, b in q.edges if i in (a, b)]
-    return cone_strictly_feasible(rows + list(cone.gens))
+def _vertex_survives(lat, i, nbrs, gens) -> bool:
+    """Some u with <g, u> < 0 for every generator g decreases strictly from
+    lat[i] to each neighbour lat[j], j in `nbrs`: for a hull vertex and its
+    edges, in every dimension, the relint of its normal cone meets the open
+    polar (Ziegler, *Lectures on Polytopes*, Lecture 3).  A point inside an
+    edge or a facet has opposite neighbour directions and fails."""
+    x, y, z = lat[i]
+    rows = [(a - x, b - y, c - z) for a, b, c in (lat[j] for j in nbrs)]
+    return cone_strictly_feasible(rows + list(gens))
 
 
 def support3(p: VPolytope3, u):
@@ -320,7 +328,7 @@ def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
     den = math.lcm(pden, qden)
     s, t = den // pden, den // qden
     sums = {(s * a + t * x, s * b + t * y, s * c + t * z) for a, b, c in plat for x, y, z in qlat}
-    return _pruned(_hull(den, sorted(sums)), cone)
+    return VPolytope3(_hull(den, sorted(sums), cone.gens), cone)
 
 
 def are_equivalent3(a, b, c, d) -> bool:

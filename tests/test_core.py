@@ -241,6 +241,22 @@ def test_inputs_of_the_wrong_length_are_refused():
             case()
 
 
+def test_a_cone_of_the_other_dimension_is_refused():
+    """`from_points3` and `from_points` refuse a cone of the other dimension
+    with a `GeometryError`, instead of building a 3D set that carries a
+    planar cone or failing with a bare exception."""
+    triangle, tetra = [(0, 0), (1, 0), (0, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cases = [
+        (from_points3, tetra, Cone2(())),
+        (from_points3, tetra, Cone2.from_generators([(0, 1)])),
+        (from_points, triangle, Cone3.from_generators([])),
+        (from_points, triangle, Cone3.from_generators([(0, 0, 1)])),
+    ]
+    for build, points, cone in cases:
+        with pytest.raises(GeometryError, match="cone"):
+            build(points, cone)
+
+
 # ---------------------------------------------------------------------------
 # the integer ray test against the Fourier-Motzkin oracle
 

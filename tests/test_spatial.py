@@ -24,6 +24,7 @@ from minkpair.core import (
     vsub,
 )
 from minkpair.spatial import (
+    Polytope3,
     _face_contains_translate,
     _vertex_survives,
     are_equivalent3,
@@ -348,13 +349,67 @@ def survival_cases(draw):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(survival_cases())
 def test_vertex_survival_matches_vertex_list_oracle(case):
-    """The edge rows decide survival as Fourier-Motzkin on "u exposes this
-    vertex alone, in the open polar" over all the vertices does."""
+    """The rows to a vertex's hull neighbours decide survival as
+    Fourier-Motzkin on "u exposes this vertex alone, in the open polar" over
+    all the vertices does."""
     pts, cone = case
     q = hull3(pts)
     lat = lattice(q.vertices)[1]
     for i in range(len(q.vertices)):
-        assert _vertex_survives(q, lat, i, cone) == fm_vertex_survives(q.vertices, i, cone)
+        nbrs = [b if a == i else a for a, b in q.edges if i in (a, b)]
+        assert _vertex_survives(lat, i, nbrs, cone.gens) == fm_vertex_survives(q.vertices, i, cone)
+
+
+def _oracle_pruned(points, cone):
+    """The hull of the vertices of `hull3(points)` that Fourier-Motzkin on
+    the whole vertex list keeps under the cone."""
+    q = hull3(points)
+    return hull3([v for i, v in enumerate(q.vertices) if fm_vertex_survives(q.vertices, i, cone)])
+
+
+@st.composite
+def pruned_cases(draw):
+    """Two full, flat, collinear or one-point sets over denominators up to 7,
+    under any cone kind."""
+    clouds = [draw(shaped_points(draw(st.integers(1, 7)), 6)) for _ in range(2)]
+    return clouds, draw(CONE_KINDS)
+
+
+# the final triangles of this cloud's hull have 11 corners, one of them no
+# vertex of the hull (it lies inside an edge or a facet)
+ODD_CORNER = [(-2, -2, 2), (-1, 0, 2), (1, 2, 0), (-1, 1, 1), (0, -1, -2), (-2, -1, 2), (2, 2, 1),
+              (0, -2, 0), (0, 1, -2), (-1, -2, 1), (2, 0, -1)]
+THREE_UP = Cone3.from_generators([(1, 0, 1), (-1, 1, 1), (0, -1, 1)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pruned_cases())
+@example(([ODD_CORNER, [(0, 0, 0), (1, 1, 0)]], DOWN))
+@example(([ODD_CORNER, [(0, 0, 0)]], THREE_UP))
+def test_pruned_sets_match_the_vertex_list_oracle(case):
+    """`from_points3` and `minkowski_sum3` keep, of the hull of their points,
+    the hull of exactly the vertices that survive by Fourier-Motzkin."""
+    (pts, qts), cone = case
+    a, b = from_points3(pts, cone), from_points3(qts, cone)
+    assert a.bounded == _oracle_pruned(pts, cone)
+    sums = [vadd(v, w) for v in a.bounded.vertices for w in b.bounded.vertices]
+    assert minkowski_sum3(a, b).bounded == _oracle_pruned(sums, cone)
+
+
+def test_a_pruned_sum_builds_one_polytope(monkeypatch):
+    """Pruning reads the integer triangulation, so a sum of two lifted
+    pentagons that loses 3 of its 16 vertices to an upward ray builds one
+    `Polytope3`: the hull of the 13 kept vertices."""
+    up = Cone3.from_generators([(0, 0, 1)])
+    lift = lambda pts: [(x, y, x * x + y * y) for x, y in pts]
+    P = from_points3(lift([(2, 0), (1, 2), (-2, 1), (-1, -2), (1, -2)]), up)
+    K = from_points3(lift([(3, 1), (0, 3), (-3, 0), (-1, -3), (2, -2)]), up)
+    unpruned = hull3([vadd(v, w) for v in P.bounded.vertices for w in K.bounded.vertices])
+    built = []
+    monkeypatch.setattr(spatial, "Polytope3", lambda *fields: built.append(fields) or Polytope3(*fields))
+    S = minkowski_sum3(P, K)
+    assert (len(unpruned.vertices), len(S.bounded.vertices)) == (16, 13)
+    assert len(built) == 1
 
 
 # a vertex with 8 incident facets: Fourier-Motzkin in the 8 facet normals
