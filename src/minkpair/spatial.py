@@ -2,14 +2,20 @@
 
 Every polytope keeps its vertex lattice: `Polytope3.lattice` is (den, ints),
 the vertices scaled by the lcm of their denominators (`core.lattice`).
-`from_points3` scales its input once, runs every hull predicate as an
-integer sign test (extreme points first, coplanar triangles merged into
-facets) and prunes by the cone before it builds the one `Polytope3`: a
-corner of the integer triangulation stays iff a direction in the open polar
-decreases along every edge leaving it.  Only the result's vertices and facet
-offsets become `Fraction`s.  `minkowski_sum3` (pairwise integer sums at
-lcm(den_P, den_K)) takes the same path, and `hull3` is `from_points3` under
-the trivial cone.  Repeated, collinear and coplanar points are handled
+`from_points3` scales its input once, drops repeated points on that
+lattice, runs every hull predicate as an integer sign test on unpacked
+coordinates (extreme points first, coplanar triangles merged into facets,
+each edge read once off the facet cycles) and prunes by the cone before it
+builds the one `Polytope3`: a corner of the integer triangulation stays iff
+a direction in the open polar decreases along every edge leaving it and
+along every generator (`_vertex_survives`).  Only the result's vertices and
+facet offsets become `Fraction`s.  `minkowski_sum3` adds in integers at
+lcm(den_P, den_K).  Under a cone with generators it applies the same rule
+to each vertex pair before any hull, on the rows of the summands' stored
+edges (the normal fan of a sum refines both summands' fans), and hulls the
+kept sums once, unpruned; under the trivial cone it hulls every sum.
+`hull3` is `from_points3` under the trivial cone.  Repeated, collinear and
+coplanar points are handled
 exactly, `hull3(q.vertices) == q`, and points, segments and flat polygons
 are first-class citizens.  The summand and reduced-pair criteria are two
 filters on one integer scan of the stored lattices: for each edge e of P
@@ -123,13 +129,15 @@ def _hull(den, lat, gens=()) -> Polytope3:
     """
     if len(lat) == 1:
         return _polytope(den, lat, 0, ())
-    p0 = lat[0]
-    d1 = vsub(lat[1], p0)
-    n2 = next((c for c in (cross3(d1, vsub(p, p0)) for p in lat) if not is_zero(c)), None)
+    (ax, ay, az), (dx, dy, dz) = lat[0], lat[1]
+    dx, dy, dz = dx - ax, dy - ay, dz - az
+    normals = ((dy * z - dz * y, dz * x - dx * z, dx * y - dy * x)
+               for x, y, z in ((x - ax, y - ay, z - az) for x, y, z in lat))
+    n2 = next((n for n in normals if any(n)), None)
     if n2 is None:
         # collinear: the lexicographic extremes are the segment's endpoints
         pairs, build = ((0, len(lat) - 1),), lambda: _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
-    elif all(dot(n2, vsub(p, p0)) == 0 for p in lat):
+    elif all(n2[0] * (x - ax) + n2[1] * (y - ay) + n2[2] * (z - az) == 0 for x, y, z in lat):
         n = normalize_direction(n2)
         cyc = _planar_cycle(lat, range(len(lat)), n)
         if len(cyc) < len(lat):
@@ -158,15 +166,16 @@ def _planar_cycle(lat, ids, normal):
     The cycle starts where it would from its vertices alone, so the hull of
     a hull's vertices is that same hull.
     """
-    base = lat[ids[0]]
-    # unnormalized axes: a positive scale of each keeps the lexicographic
-    # order and every `cross2` sign
-    e = vsub(lat[ids[1]], base)
-    f = cross3(normal, e)
+    (bx, by, bz), (ex, ey, ez), (nx, ny, nz) = lat[ids[0]], lat[ids[1]], normal
+    # unnormalized axes e and f = normal x e: a positive scale of each keeps
+    # the lexicographic order and every `cross2` sign
+    ex, ey, ez = ex - bx, ey - by, ez - bz
+    fx, fy, fz = ny * ez - nz * ey, nz * ex - nx * ez, nx * ey - ny * ex
     coords = {}
     for i in ids:
-        w = vsub(lat[i], base)
-        coords[(dot(w, e), dot(w, f))] = i
+        x, y, z = lat[i]
+        x, y, z = x - bx, y - by, z - bz
+        coords[(x * ex + y * ey + z * ez, x * fx + y * fy + z * fz)] = i
     cyc = [coords[c] for c in hull_chain(sorted(coords))]
     return cyc if len(cyc) == len(ids) else _planar_cycle(lat, sorted(cyc), normal)
 
@@ -176,9 +185,11 @@ def _triangle_cycle(lat, ids, normal):
     CCW, and the cycle starts at ids[2] if its coordinates (<w, e>, o) there,
     e and w the edge vectors from the base ids[0], precede the base's (0, 0)."""
     i, j, k = ids
-    e, w = vsub(lat[j], lat[i]), vsub(lat[k], lat[i])
-    o = dot(normal, cross3(e, w))
-    if (dot(w, e), o) < (0, 0):
+    (bx, by, bz), (ex, ey, ez), (wx, wy, wz) = lat[i], lat[j], lat[k]
+    ex, ey, ez, wx, wy, wz = ex - bx, ey - by, ez - bz, wx - bx, wy - by, wz - bz
+    nx, ny, nz = normal
+    o = nx * (ey * wz - ez * wy) + ny * (ez * wx - ex * wz) + nz * (ex * wy - ey * wx)
+    if (wx * ex + wy * ey + wz * ez, o) < (0, 0):
         return (k, i, j) if o > 0 else (k, j, i)
     return (i, j, k) if o > 0 else (i, k, j)
 
@@ -192,13 +203,12 @@ def _polytope(den, lat, dim, planes, edges=()):
     if planes:
         order = sorted({i for *_, cyc in planes for i in cyc})
         index = {i: r for r, i in enumerate(order)}
-        edges = set()
+        edges = []
         for n, off, cyc in planes:
             cyc = tuple(index[i] for i in cyc)
             facets.append(Facet(n, Fraction(off, den), cyc))
-            for t in range(len(cyc)):
-                i, j = cyc[t], cyc[(t + 1) % len(cyc)]
-                edges.add((min(i, j), max(i, j)))
+            # an edge's two facets walk it once each way: keep it where i < j
+            edges += [(i, j) for i, j in zip(cyc, cyc[1:] + cyc[:1]) if i < j]
         lat, edges = [lat[i] for i in order], tuple(sorted(edges))
     verts = tuple(tuple(Fraction(x, den) for x in p) for p in lat)
     return Polytope3(verts, dim, tuple(facets), edges, (den, tuple(lat)))
@@ -283,22 +293,27 @@ def from_points3(points, cone: Cone3) -> VPolytope3:
     `_hull` builds it on the distinct points scaled once (`core.lattice`)."""
     if not isinstance(cone, Cone3):
         raise GeometryError("a 3D set needs a 3D cone")
-    den, lat = lattice(set(map(as_point, points)))
+    den, lat = lattice(list(map(as_point, points)))
     check_length(3, *lat)
     if not lat:
         raise GeometryError("need at least one point")
-    return VPolytope3(_hull(den, sorted(lat), cone.gens), cone)
+    return VPolytope3(_hull(den, sorted(set(lat)), cone.gens), cone)
+
+
+def _leaving(lat, i, nbrs):
+    """The rows lat[j] - lat[i], j in `nbrs`: the edges that leave lat[i]."""
+    x, y, z = lat[i]
+    return [(a - x, b - y, c - z) for a, b, c in (lat[j] for j in nbrs)]
 
 
 def _vertex_survives(lat, i, nbrs, gens) -> bool:
-    """Some u with <g, u> < 0 for every generator g decreases strictly from
-    lat[i] to each neighbour lat[j], j in `nbrs`: for a hull vertex and its
-    edges, in every dimension, the relint of its normal cone meets the open
-    polar (Ziegler, *Lectures on Polytopes*, Lecture 3).  A point inside an
-    edge or a facet has opposite neighbour directions and fails."""
-    x, y, z = lat[i]
-    rows = [(a - x, b - y, c - z) for a, b, c in (lat[j] for j in nbrs)]
-    return cone_strictly_feasible(rows + list(gens))
+    """The survival rule: some u decreases strictly along every edge that
+    leaves lat[i] (to lat[j], j in `nbrs`) and along every generator g.  For
+    a hull vertex and its edges, in every dimension, that says the relint of
+    its normal cone meets the open polar (Ziegler, *Lectures on Polytopes*,
+    Lecture 3).  A point inside an edge or a facet has opposite neighbour
+    directions and fails."""
+    return cone_strictly_feasible(_leaving(lat, i, nbrs) + list(gens))
 
 
 def support3(p: VPolytope3, u):
@@ -321,14 +336,40 @@ def contains3(p: VPolytope3, x) -> bool:
     return lattice_contains(*p.bounded.lattice, p.cone.gens, as_point(x))
 
 
+def _edge_rows(q: Polytope3):
+    """`_leaving` rows of each vertex of q, read from its stored edges."""
+    lat = q.lattice[1]
+    nbrs = [[] for _ in lat]
+    for i, j in q.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return [_leaving(lat, i, js) for i, js in enumerate(nbrs)]
+
+
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
-    """Hull of the pairwise sums, added in integers at lcm(den_p, den_q)."""
+    """Hull of the pairwise sums v + w, added in integers at lcm(den_p, den_q).
+
+    A direction decreases strictly along every edge that leaves v + w in the
+    sum iff it does along every edge leaving v in p and w in q: the sum's
+    normal fan is the common refinement of theirs (Ziegler, Lecture 7).  So
+    under a cone with generators, v + w is kept iff `_vertex_survives`'s
+    rule holds for the rows of the stored edges at v and at w (each at its
+    own scale, which changes no sign) and the generators, and the kept sums
+    are exactly the vertices that pruning the hull of all sums keeps.  They
+    are distinct, and one `_hull` without pruning builds the result.  Under
+    the trivial cone every sum is hulled.
+    """
     cone = shared_cone(p, q)
     (pden, plat), (qden, qlat) = p.bounded.lattice, q.bounded.lattice
     den = math.lcm(pden, qden)
     s, t = den // pden, den // qden
-    sums = {(s * a + t * x, s * b + t * y, s * c + t * z) for a, b, c in plat for x, y, z in qlat}
-    return VPolytope3(_hull(den, sorted(sums), cone.gens), cone)
+    pairs = ((v, w) for v in range(len(plat)) for w in range(len(qlat)))
+    if cone.gens:
+        prows, qrows, gens = _edge_rows(p.bounded), _edge_rows(q.bounded), list(cone.gens)
+        pairs = [(v, w) for v, w in pairs if cone_strictly_feasible(prows[v] + qrows[w] + gens)]
+    sums = {(s * a + t * x, s * b + t * y, s * c + t * z)
+            for (a, b, c), (x, y, z) in ((plat[v], qlat[w]) for v, w in pairs)}
+    return VPolytope3(_hull(den, sorted(sums)), cone)
 
 
 def are_equivalent3(a, b, c, d) -> bool:

@@ -380,12 +380,20 @@ def pruned_cases(draw):
 ODD_CORNER = [(-2, -2, 2), (-1, 0, 2), (1, 2, 0), (-1, 1, 1), (0, -1, -2), (-2, -1, 2), (2, 2, 1),
               (0, -2, 0), (0, 1, -2), (-1, -2, 1), (2, 0, -1)]
 THREE_UP = Cone3.from_generators([(1, 0, 1), (-1, 1, 1), (0, -1, 1)])
+# degenerate summands of a pruned sum: a flat pentagon plus a segment (10
+# sums, 7 kept under THREE_UP), a collinear set plus a flat one (8 sums, 7
+# kept under DOWN)
+PENTAGON = [(0, 0, 1), (3, 0, 1), (2, 2, 1), (0, 3, 1), (-1, 1, 1)]
+COLLINEAR = [(0, 0, 0), (1, 1, 1), (3, 3, 3), (-2, -2, -2)]
+FLAT = [(0, 0, 0), (2, 0, 1), (0, 2, -1), (2, 2, 0), (1, 1, 0)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(pruned_cases())
 @example(([ODD_CORNER, [(0, 0, 0), (1, 1, 0)]], DOWN))
 @example(([ODD_CORNER, [(0, 0, 0)]], THREE_UP))
+@example(([PENTAGON, [(0, 0, 0), (1, -2, 1)]], THREE_UP))
+@example(([COLLINEAR, FLAT], DOWN))
 def test_pruned_sets_match_the_vertex_list_oracle(case):
     """`from_points3` and `minkowski_sum3` keep, of the hull of their points,
     the hull of exactly the vertices that survive by Fourier-Motzkin."""
@@ -397,19 +405,22 @@ def test_pruned_sets_match_the_vertex_list_oracle(case):
 
 
 def test_a_pruned_sum_builds_one_polytope(monkeypatch):
-    """Pruning reads the integer triangulation, so a sum of two lifted
-    pentagons that loses 3 of its 16 vertices to an upward ray builds one
+    """A sum under a cone keeps the vertex pairs that pass one ray test over
+    the summands' stored edges, so a sum of two lifted pentagons that loses
+    3 of its 16 vertices to an upward ray triangulates once and builds one
     `Polytope3`: the hull of the 13 kept vertices."""
     up = Cone3.from_generators([(0, 0, 1)])
     lift = lambda pts: [(x, y, x * x + y * y) for x, y in pts]
     P = from_points3(lift([(2, 0), (1, 2), (-2, 1), (-1, -2), (1, -2)]), up)
     K = from_points3(lift([(3, 1), (0, 3), (-3, 0), (-1, -3), (2, -2)]), up)
     unpruned = hull3([vadd(v, w) for v in P.bounded.vertices for w in K.bounded.vertices])
-    built = []
+    built, hulled = [], []
     monkeypatch.setattr(spatial, "Polytope3", lambda *fields: built.append(fields) or Polytope3(*fields))
+    hull_full = spatial._hull_full
+    monkeypatch.setattr(spatial, "_hull_full", lambda *args: hulled.append(args) or hull_full(*args))
     S = minkowski_sum3(P, K)
     assert (len(unpruned.vertices), len(S.bounded.vertices)) == (16, 13)
-    assert len(built) == 1
+    assert (len(built), len(hulled)) == (1, 1)
 
 
 # a vertex with 8 incident facets: Fourier-Motzkin in the 8 facet normals
