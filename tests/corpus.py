@@ -20,8 +20,6 @@ every set the library builds is sorted before it is printed.
 re-records the digests that `tests/test_corpus.py` checks.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import random
