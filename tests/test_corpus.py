@@ -1,4 +1,4 @@
-"""The committed corpus (`corpus.py`) still builds every result byte for byte.
+"""The committed corpus (`corpus.py`) still builds every result and verdict byte for byte.
 
 A change that means to alter a canonical form re-records the digests with
 `PYTHONPATH=src python tests/corpus.py > tests/corpus_digests.json` and says
