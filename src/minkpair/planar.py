@@ -336,17 +336,9 @@ def scale(a: VPolygon, t) -> VPolygon:
 
 
 def translate(a: VPolygon, v) -> VPolygon:
-    """a + v.  If a's lattice is cached, the result's cache is seeded with
-    that lattice shifted by v at lcm(den, v's denominators), not rebuilt."""
+    """a + v."""
     check_length(2, v)
-    v = as_point(v)
-    out = VPolygon(a.cone, vadd(a.anchor, v), a.measure)
-    if "lattice" in vars(a):
-        (den, ints), (vden, ((vx, vy),)) = a.lattice, lattice([v])
-        common = math.lcm(den, vden)
-        f, k = common // den, common // vden
-        vars(out)["lattice"] = _reduced(common, [(x * f + vx * k, y * f + vy * k) for x, y in ints])
-    return out
+    return VPolygon(a.cone, vadd(a.anchor, as_point(v)), a.measure)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ exposed by the open polar (strict rows in two variables, whose `core.sector`
 cuts out e's directions), the vertices of the 2D hull of K's projection onto
 e's perp plane whose open wedge meets it.  Above each lies a vertex of K or
 an edge parallel to e: the summand criterion asks it for a translate of e,
-the equiparallel-edge list keeps the edges (and skips the hull when no two
-vertices of K project to one point).  The perp basis w1, w2 is
+the equiparallel-edge list keeps the edges.  The perp basis w1, w2 is
 `core.perp_basis`, each vector divided by its gcd, not unit vectors: a
 positive scale of w1 or w2 changes no sign, no lexicographic order and no
 hull.  Projections and wedge rows are unpacked integer pairs, and the hull
@@ -408,12 +407,12 @@ def _project(points, w1, w2):
     return [(x * a1 + y * a2 + z * a3, x * b1 + y * b2 + z * b3) for x, y, z in points]
 
 
-def _edge_frame(p: VPolytope3, lat, i, j):
-    """((w1, w2), rows) for the edge (i, j) of p's lattice points `lat`: a
-    basis of its perp plane, and the rows, projected to it, that cut out the
+def _edge_frame(p: VPolytope3, i, j):
+    """((w1, w2), rows) for the edge (i, j) of p's vertex lattice: a basis of
+    its perp plane, and the rows, projected to it, that cut out the
     open-polar directions exposing exactly this edge (the differences to the
-    other vertices, and the cone generators).  A positive scale per polytope
-    keeps each row's sign, so `lat` may be p's vertices scaled by `lattice`."""
+    other vertices, and the cone generators)."""
+    lat = p.bounded.lattice[1]
     w1, w2 = _perp_basis(vsub(lat[j], lat[i]))
     proj = _project(lat, w1, w2)
     bx, by = proj[i]
@@ -428,11 +427,11 @@ def _feasible_in_perp_plane(rows):
     return sector(rows) if rows else True
 
 
-def _exposed_edges(p: VPolytope3, lat):
+def _exposed_edges(p: VPolytope3):
     """(i, j, (w1, w2), ends) for each edge (i, j) of p's bounded hull exposed,
     bounded, by some open-polar direction: `_edge_frame`'s basis, its rows' ends."""
     for i, j in p.bounded.edges:
-        basis, rows = _edge_frame(p, lat, i, j)
+        basis, rows = _edge_frame(p, i, j)
         if ends := _feasible_in_perp_plane(rows):
             yield i, j, basis, rows and ends
 
@@ -443,7 +442,7 @@ def _edge(q: Polytope3, i, j):
 
 def bounded_edges(p: VPolytope3):
     """Edges of the bounded hull exposed, bounded, by some open-polar direction."""
-    return [_edge(p.bounded, i, j) for i, j, *_ in _exposed_edges(p, p.bounded.lattice[1])]
+    return [_edge(p.bounded, i, j) for i, j, *_ in _exposed_edges(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +468,13 @@ def _faces_exposed_with_edges(p: VPolytope3, k: VPolytope3, keep):
     to the edge's perp plane (a vertex of k or an edge parallel to (i, j))
     that `keep(e, ids)` accepts, e the edge vector on p's lattice, and one
     open-polar direction exposes with (i, j): the open wedge to the hull
-    neighbours meets the sector the edge's end rows cut out.  `keep`
-    answers alike for every one-vertex fibre, so if all are and it refuses
-    one, no hull is built."""
+    neighbours meets the sector the edge's end rows cut out."""
     plat, klat = p.bounded.lattice[1], k.bounded.lattice[1]
-    for i, j, (w1, w2), edge_ends in _exposed_edges(p, plat):
+    for i, j, (w1, w2), edge_ends in _exposed_edges(p):
         e = vsub(plat[j], plat[i])
         over = {}
         for t, q in enumerate(_project(klat, w1, w2)):
             over.setdefault(q, []).append(t)
-        if len(over) == len(klat) and not keep(e, [0]):
-            continue
         hull = hull_chain(sorted(over))
         for t, q in enumerate(hull):
             if keep(e, over[q]):

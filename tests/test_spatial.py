@@ -1060,7 +1060,7 @@ def test_construction_makes_no_fraction_feasibility_call(monkeypatch):
 def test_edge_frame_built_once_per_edge_of_the_first_argument(monkeypatch):
     calls = []
     frame = spatial._edge_frame
-    monkeypatch.setattr(spatial, "_edge_frame", lambda *a: calls.append(a[2:]) or frame(*a))
+    monkeypatch.setattr(spatial, "_edge_frame", lambda *a: calls.append(a[1:]) or frame(*a))
     for P, K in _sweep_instances(random.Random(97)):
         for check in (summand_criterion3, equiparallel_edges):
             calls.clear()
