@@ -14,6 +14,8 @@ lcm(den_P, den_K).  Under a cone with generators it applies the same rule
 to each vertex pair before any hull, on the rows of the summands' stored
 edges (the normal fan of a sum refines both summands' fans), and hulls the
 kept sums once, unpruned; under the trivial cone it hulls every sum.
+`are_equivalent3` compares the vertex sets of A + D and B + C that this
+pair rule yields, under every cone, and builds no hull.
 `hull3` is `from_points3` under the trivial cone.  Repeated, collinear and
 coplanar points are handled
 exactly, `hull3(q.vertices) == q`, and points, segments and flat polygons
@@ -345,35 +347,51 @@ def _edge_rows(q: Polytope3):
     return [_leaving(lat, i, js) for i, js in enumerate(nbrs)]
 
 
+def _vertex_sums(p: Polytope3, q: Polytope3, gens, den):
+    """den * (v + w) as integers, for each vertex v of p and w of q such that
+    some u decreases strictly along every `_edge_rows` row at v and at w (each
+    at its own scale, which changes no sign) and every generator in `gens`.
+    The normal fan of p + q is the common refinement of theirs (Ziegler,
+    Lecture 7), so these are the vertices of p + q pruned by the cone, once each.
+    """
+    (pden, plat), (qden, qlat) = p.lattice, q.lattice
+    s, t, qrows = den // pden, den // qden, _edge_rows(q)
+    for (a, b, c), vrows in zip(plat, _edge_rows(p)):
+        for (x, y, z), wrows in zip(qlat, qrows):
+            if cone_strictly_feasible(vrows + wrows + gens):
+                yield s * a + t * x, s * b + t * y, s * c + t * z
+
+
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
     """Hull of the pairwise sums v + w, added in integers at lcm(den_p, den_q).
 
-    A direction decreases strictly along every edge that leaves v + w in the
-    sum iff it does along every edge leaving v in p and w in q: the sum's
-    normal fan is the common refinement of theirs (Ziegler, Lecture 7).  So
-    under a cone with generators, v + w is kept iff `_vertex_survives`'s
-    rule holds for the rows of the stored edges at v and at w (each at its
-    own scale, which changes no sign) and the generators, and the kept sums
-    are exactly the vertices that pruning the hull of all sums keeps.  They
-    are distinct, and one `_hull` without pruning builds the result.  Under
-    the trivial cone every sum is hulled.
+    Under a cone with generators only the `_vertex_sums` are hulled, once and
+    unpruned.  Under the trivial cone every sum is hulled, which costs less
+    than a pair test per sum.
     """
     cone = shared_cone(p, q)
     (pden, plat), (qden, qlat) = p.bounded.lattice, q.bounded.lattice
     den = math.lcm(pden, qden)
-    s, t = den // pden, den // qden
-    pairs = ((v, w) for v in range(len(plat)) for w in range(len(qlat)))
     if cone.gens:
-        prows, qrows, gens = _edge_rows(p.bounded), _edge_rows(q.bounded), list(cone.gens)
-        pairs = [(v, w) for v, w in pairs if cone_strictly_feasible(prows[v] + qrows[w] + gens)]
-    sums = {(s * a + t * x, s * b + t * y, s * c + t * z)
-            for (a, b, c), (x, y, z) in ((plat[v], qlat[w]) for v, w in pairs)}
+        sums = _vertex_sums(p.bounded, q.bounded, list(cone.gens), den)
+    else:
+        s, t = den // pden, den // qden
+        sums = {(s * a + t * x, s * b + t * y, s * c + t * z) for a, b, c in plat for x, y, z in qlat}
     return VPolytope3(_hull(den, sorted(sums)), cone)
 
 
 def are_equivalent3(a, b, c, d) -> bool:
-    shared_cone(a, b, c, d)
-    return minkowski_sum3(a, d) == minkowski_sum3(b, c)
+    """Robinson's relation (A, B) ~ (C, D): A + D = B + C.  Both sums lie
+    under the one shared cone and are the hull of their vertices plus that
+    cone, so they are equal iff their `_vertex_sums` are, on one scale (the
+    lcm of the four lattice scales).  No hull is built."""
+    gens = list(shared_cone(a, b, c, d).gens)
+    den = math.lcm(*(x.bounded.lattice[0] for x in (a, b, c, d)))
+    kept, seen = set(_vertex_sums(a.bounded, d.bounded, gens, den)), 0
+    for seen, v in enumerate(_vertex_sums(b.bounded, c.bounded, gens, den), 1):
+        if v not in kept:
+            return False
+    return seen == len(kept)
 
 
 def are_translates3(p: VPolytope3, q: VPolytope3) -> bool:

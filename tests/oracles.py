@@ -31,6 +31,9 @@
   equal polytopes.  `fraction_from_points3` keeps a vertex by
   `fm_normal_cone_survives`, the Fourier-Motzkin test the library used before
   its integer ray test, in one variable per normal-cone generator.
+- `hull_equivalent3`: Robinson's relation (A, B) ~ (C, D) as the library
+  decided it before it compared vertex sets: both sums built in full by
+  `minkowski_sum3` (hull, facets, `Fraction` vertices) and compared by `==`.
 - `fm_vertex_survives`: vertex survival from the vertex list alone (no edges
   or facets), by Fourier-Motzkin in the three coordinates of u.
 - `fm_in_cone_span`: cone membership by Fourier-Motzkin in one variable per
@@ -88,6 +91,7 @@ from minkpair.core import (
     linear_feasible,
     normalize_direction,
     rot90,
+    shared_cone,
     vadd,
     vneg,
     vscale,
@@ -101,6 +105,7 @@ from minkpair.spatial import (
     Polytope3,
     VPolytope3,
     from_points3,
+    minkowski_sum3,
 )
 
 
@@ -592,6 +597,13 @@ def fraction_from_points3(points, cone) -> VPolytope3:
         return VPolytope3(q, cone)
     keep = [v for i, v in enumerate(q.vertices) if fm_normal_cone_survives(q, i, cone)]
     return VPolytope3(fraction_hull3(keep), cone)
+
+
+def hull_equivalent3(a, b, c, d) -> bool:
+    """A + D = B + C, with both sums built by `minkowski_sum3` and compared by
+    `==`; sets under different cones are refused."""
+    shared_cone(a, b, c, d)
+    return minkowski_sum3(a, d) == minkowski_sum3(b, c)
 
 
 def _sub(a, b):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,7 @@ from oracles import (
     fm_vertex_survives,
     fraction_from_points3,
     fraction_hull3,
+    hull_equivalent3,
 )
 
 F = Fraction
@@ -474,6 +476,14 @@ def test_sum3_cone_mismatch():
         minkowski_sum3(from_points3(CUBE, TRIV), from_points3(CUBE, DOWN))
 
 
+def test_equivalence3_cone_mismatch():
+    """One set of the four under another cone is refused, wherever it sits."""
+    for i in range(4):
+        sets = [from_points3(CUBE, DOWN if j == i else TRIV) for j in range(4)]
+        with pytest.raises(ConeMismatchError):
+            are_equivalent3(*sets)
+
+
 # 2**64 + 1 and 2**64 + 3 are coprime
 SUM_DENOMINATORS = (1, 2, 3, 7, 12, 2**64 + 1, 2**64 + 3)
 
@@ -549,6 +559,60 @@ def test_sum3_builds_fractions_only_for_the_result(monkeypatch):
     monkeypatch.undo()
     assert len(P.bounded.vertices) * len(K.bounded.vertices) == 196
     assert built[0] <= 3 * (len(S.vertices) + len(S.facets))
+
+
+# 2**61 - 1 is prime
+EQUIVALENCE_DENOMINATORS = (1, 2, 3, 7, 12, 2**61 - 1)
+
+
+@st.composite
+def equivalence_cases(draw):
+    """Full, flat, collinear or one-point sets A, B, M and a one-step lattice
+    shift t, over four different denominators, under a trivial, ray or
+    three-generator cone."""
+    dens = draw(st.lists(st.sampled_from(EQUIVALENCE_DENOMINATORS), min_size=4, max_size=4, unique=True))
+    cone = draw(st.one_of(st.just(TRIV), _cone_with(1), _cone_with(3)))
+    a, b, m = (from_points3(draw(shaped_points(den, 6)), cone) for den in dens[:3])
+    step, axis = draw(st.sampled_from((1, -1))), draw(st.integers(0, 2))
+    shift = [tuple(F(step, dens[3]) if c == axis else 0 for c in range(3))]
+    return a, b, m, from_points3(shift, cone)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(equivalence_cases())
+def test_equivalence3_matches_the_hull_oracle(case):
+    """On (A, B) against (A + M, B + M), (A + M, B + M + t) and (B, A), the
+    vertex-set comparison gives the verdict of building both sums in full
+    and comparing them by `==`."""
+    a, b, m, t = case
+    am, bm = minkowski_sum3(a, m), minkowski_sum3(b, m)
+    quads = [(a, b, am, bm), (a, b, am, minkowski_sum3(bm, t)), (a, b, b, a)]
+    verdicts = [are_equivalent3(*q) for q in quads]
+    assert verdicts == [hull_equivalent3(*q) for q in quads]
+    assert verdicts[:2] == [True, False]
+
+
+def test_equivalence3_builds_no_hull_and_no_fraction(monkeypatch):
+    """`are_equivalent3` compares vertex sets: on a positive and two
+    negatives under each cone kind, one of them a B + C whose vertices are
+    some of A + D's, it makes no `_hull` call and builds no `Polytope3` and
+    no `Fraction`."""
+    cases = []
+    for cone in (TRIV, DOWN, THREE_UP):
+        a, b, m = (from_points3(pts, cone) for pts in (CUBE, TETRA, PENTAGON))
+        seg, pt = from_points3([(0, 0, 0), (1, 0, 0)], cone), from_points3([(0, 0, 0)], cone)
+        cases += [((a, b, minkowski_sum3(a, m), minkowski_sum3(b, m)), True), ((a, b, b, a), False),
+                  ((seg, pt, pt, pt), False)]
+    calls = Counter()
+    hull, polytope, new = spatial._hull, spatial.Polytope3, F.__new__
+    monkeypatch.setattr(spatial, "_hull", lambda *args: calls.update(["_hull"]) or hull(*args))
+    monkeypatch.setattr(spatial, "Polytope3", lambda *args: calls.update(["Polytope3"]) or polytope(*args))
+    counted = lambda *args, **kw: calls.update(["Fraction"]) or new(*args, **kw)
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    verdicts = [are_equivalent3(*quad) for quad, _ in cases]
+    monkeypatch.undo()
+    assert verdicts == [want for _, want in cases]
+    assert calls == Counter()
 
 
 def test_example_29_identity():
