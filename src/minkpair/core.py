@@ -13,14 +13,17 @@ The exact decisions here:
 
 - `cone_strictly_feasible` decides homogeneous systems of strict and weak
   rows in two or three variables in integers by Seidel's incremental method:
-  pairs in one angular sweep (`sector`), triples row by row, a sweep in the
-  plane of each violated row.  It runs the perp-plane tests of the 3D
-  criteria, vertex survival in `spatial`, point membership in both
-  dimensions (`lattice_contains`, which `VPolygon.contains` and `contains3`
-  call: by Farkas' lemma a point lies outside conv(V) + cone(G) exactly when
-  some u strictly separates it), and every cone question in both dimensions:
-  `Cone2` and `Cone3` share one base whose pointedness, extreme rays
-  (`_extreme_rays`) and membership (`_in_cone_span`) are ray tests.
+  pairs in one angular sweep (`sector`), triples row by row (`_seidel`), a
+  sweep in the plane of each violated row.  `_seidel` returns its state, so
+  the vertex-pair test in `spatial` runs it once on the rows at a vertex of
+  one summand and resumes it on the rows at each vertex of the other.  The
+  ray test runs the perp-plane tests of the 3D criteria, vertex survival in
+  `spatial`, point membership in both dimensions (`lattice_contains`, which
+  `VPolygon.contains` and `contains3` call: by Farkas' lemma a point lies
+  outside conv(V) + cone(G) exactly when some u strictly separates it), and
+  every cone question in both dimensions: `Cone2` and `Cone3` share one base
+  whose pointedness, extreme rays (`_extreme_rays`) and membership
+  (`_in_cone_span`) are ray tests.
 - `shared_cone` states once that the operands of a pair operation share
   their recession cone.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
@@ -296,47 +299,57 @@ def sector(strict, weak=()):
     return [(lx, ly), (hx, hy)]
 
 
+def _seidel(rows, ns, start=0, state=((0, 0, 0), (0, 0, 0))):
+    """The state of Seidel's incremental method (R. Seidel, "Small-dimensional
+    linear programming and convex hulls made easy", Discrete Comput. Geom. 6,
+    1991) after the integer triples `rows`: a pair (w, d) such that
+    u = t*w + d, for every large enough t, has <a, u> < 0 for the first `ns`
+    rows a and <b, u> <= 0 for the others; None if no u has.  A row's sign on
+    u is its sign on w, or on d if 0.  The run starts at row `start` from
+    `state`, the one returned for rows[:start] (the zero default is that of
+    no rows): the step at row i reads only its state and rows[:i], so a
+    resumed run decides as one over all the rows does.  The order of the rows
+    changes the cost, never the answer.  If a row a that u violates joins a
+    system with a solution u', the segment from u to u' crosses the plane
+    normal to a at a solution w of the earlier rows, which in a `perp_basis`
+    of that plane are pairs with a `sector`, w its solution (0 if there are
+    no earlier rows).  A weak a takes (w, 0); a strict a takes (w, -a), as
+    the earlier rows are strict and negative on w.
+    """
+    (ux, uy, uz), (dx, dy, dz) = state
+    for i in range(start, len(rows)):
+        ax, ay, az = rows[i]
+        s = ax * ux + ay * uy + az * uz or ax * dx + ay * dy + az * dz
+        if s < 0 or s == 0 and i >= ns:
+            continue
+        if not (ax or ay or az):
+            return None
+        ux = uy = uz = 0  # w = 0 if there are no earlier rows
+        if i:
+            (b1, b2, b3), (c1, c2, c3) = perp_basis((ax, ay, az))
+            proj = [(x * b1 + y * b2 + z * b3, x * c1 + y * c2 + z * c3) for x, y, z in rows[:i]]
+            if (ends := sector(proj[:ns], proj[ns:])) is None:
+                return None
+            (lx, ly), (hx, hy) = ends
+            px, py = (-lx, -ly) if lx == hx and ly == hy else (ly - hy, hx - lx)
+            ux, uy, uz = px * b1 + py * c1, px * b2 + py * c2, px * b3 + py * c3
+        dx, dy, dz = (-ax, -ay, -az) if i < ns else (0, 0, 0)
+    return (ux, uy, uz), (dx, dy, dz)
+
+
 def cone_strictly_feasible(strict, weak=()) -> bool:
     """True iff some u has <a, u> < 0 for every row a of `strict` and
     <b, u> <= 0 for every row b of `weak`, integer pairs or triples of one
     length; with no strict row u = 0 does.  With weak rows only generators,
     this is "some u strictly separates" in Farkas' lemma; with none, by
-    Gordan's theorem, "cone(strict) is pointed".
-
-    Decided in integers by Seidel's incremental method (R. Seidel,
-    "Small-dimensional linear programming and convex hulls made easy",
-    Discrete Comput. Geom. 6, 1991) on the rows in their order, strict rows
-    first; the order changes the cost, never the answer.  Pairs are one
-    `sector`.  Triples keep a solution u of the rows so far.  If a row a that
-    u violates joins a system with a solution u', the segment from u to u'
-    crosses the plane normal to a at a solution w of the earlier rows, which
-    in a `perp_basis` of that plane are pairs with a `sector`, w its solution.
-    A weak a takes u = w.  A strict a takes u = t*w - a for every large enough
-    t, as the earlier rows are strict and negative on w; u is kept as the
-    pair (w, d = -a), a row's sign on it being its sign on w, or on d if 0.
+    Gordan's theorem, "cone(strict) is pointed".  Pairs are one `sector`,
+    triples one `_seidel` run, strict rows first.
     """
     if not strict:
         return True
     if len(strict[0]) == 2:
         return sector(strict, weak) is not None
-    rows, ns = [*strict, *weak], len(strict)
-    ux, uy, uz = vneg(strict[0])
-    dx = dy = dz = 0
-    for i, (ax, ay, az) in enumerate(rows):
-        s = ax * ux + ay * uy + az * uz or ax * dx + ay * dy + az * dz
-        if s < 0 or s == 0 and i >= ns:
-            continue
-        if not (ax or ay or az):
-            return False
-        (b1, b2, b3), (c1, c2, c3) = perp_basis((ax, ay, az))
-        proj = [(x * b1 + y * b2 + z * b3, x * c1 + y * c2 + z * c3) for x, y, z in rows[:i]]
-        if (ends := sector(proj[:ns], proj[ns:])) is None:
-            return False
-        (lx, ly), (hx, hy) = ends
-        px, py = (-lx, -ly) if lx == hx and ly == hy else (ly - hy, hx - lx)
-        ux, uy, uz = px * b1 + py * c1, px * b2 + py * c2, px * b3 + py * c3
-        dx, dy, dz = (-ax, -ay, -az) if i < ns else (0, 0, 0)
-    return True
+    return _seidel([*strict, *weak], len(strict)) is not None
 
 
 def lattice_contains(den, ints, gens, x) -> bool:

@@ -10,12 +10,13 @@ builds the one `Polytope3`: a corner of the integer triangulation stays iff
 a direction in the open polar decreases along every edge leaving it and
 along every generator (`_vertex_survives`).  Only the result's vertices and
 facet offsets become `Fraction`s.  `minkowski_sum3` adds in integers at
-lcm(den_P, den_K).  Under a cone with generators it applies the same rule
-to each vertex pair before any hull, on the rows of the summands' stored
-edges (the normal fan of a sum refines both summands' fans), and hulls the
-kept sums once, unpruned; under the trivial cone it hulls every sum.
+lcm(den_P, den_K).  Under every cone, the trivial one included, it applies
+the same rule to each vertex pair before any hull, on the rows of the
+summands' stored edges (the normal fan of a sum refines both summands'
+fans), and hulls the kept sums once, unpruned: the ray test runs once on
+the generators and the edges at v and resumes on the edges at each w.
 `are_equivalent3` compares the vertex sets of A + D and B + C that this
-pair rule yields, under every cone, and builds no hull.
+pair rule yields and builds no hull.
 `hull3` is `from_points3` under the trivial cone.  Repeated, collinear and
 coplanar points are handled
 exactly, `hull3(q.vertices) == q`, and points, segments and flat polygons
@@ -45,6 +46,7 @@ from .core import (
     Cone3,
     GeometryError,
     Value,
+    _seidel,
     as_point,
     check_length,
     cone_strictly_feasible,
@@ -349,34 +351,30 @@ def _edge_rows(q: Polytope3):
 
 def _vertex_sums(p: Polytope3, q: Polytope3, gens, den):
     """den * (v + w) as integers, for each vertex v of p and w of q such that
-    some u decreases strictly along every `_edge_rows` row at v and at w (each
-    at its own scale, which changes no sign) and every generator in `gens`.
-    The normal fan of p + q is the common refinement of theirs (Ziegler,
-    Lecture 7), so these are the vertices of p + q pruned by the cone, once each.
+    some u decreases strictly along every generator in `gens` and every
+    `_edge_rows` row at v and at w (each at its own scale, which changes no
+    sign).  The normal fan of p + q is the common refinement of theirs
+    (Ziegler, Lecture 7), so these are the vertices of p + q pruned by the
+    cone, once each.  The ray test runs once on the generators and the rows
+    at v, and resumes from that `core._seidel` state with the rows at each w.
     """
     (pden, plat), (qden, qlat) = p.lattice, q.lattice
     s, t, qrows = den // pden, den // qden, _edge_rows(q)
     for (a, b, c), vrows in zip(plat, _edge_rows(p)):
+        rows = gens + vrows
+        if (state := _seidel(rows, len(rows))) is None:
+            continue
         for (x, y, z), wrows in zip(qlat, qrows):
-            if cone_strictly_feasible(vrows + wrows + gens):
+            if _seidel(rows + wrows, len(rows) + len(wrows), len(rows), state):
                 yield s * a + t * x, s * b + t * y, s * c + t * z
 
 
 def minkowski_sum3(p: VPolytope3, q: VPolytope3) -> VPolytope3:
-    """Hull of the pairwise sums v + w, added in integers at lcm(den_p, den_q).
-
-    Under a cone with generators only the `_vertex_sums` are hulled, once and
-    unpruned.  Under the trivial cone every sum is hulled, which costs less
-    than a pair test per sum.
-    """
+    """Hull of the `_vertex_sums`, added in integers at lcm(den_p, den_q),
+    once and unpruned, under every cone."""
     cone = shared_cone(p, q)
-    (pden, plat), (qden, qlat) = p.bounded.lattice, q.bounded.lattice
-    den = math.lcm(pden, qden)
-    if cone.gens:
-        sums = _vertex_sums(p.bounded, q.bounded, list(cone.gens), den)
-    else:
-        s, t = den // pden, den // qden
-        sums = {(s * a + t * x, s * b + t * y, s * c + t * z) for a, b, c in plat for x, y, z in qlat}
+    den = math.lcm(p.bounded.lattice[0], q.bounded.lattice[0])
+    sums = _vertex_sums(p.bounded, q.bounded, list(cone.gens), den)
     return VPolytope3(_hull(den, sorted(sums)), cone)
 
 

@@ -15,6 +15,7 @@ from minkpair.core import (
     Cone3,
     GeometryError,
     _in_cone_span,
+    _seidel,
     as_point,
     cone_strictly_feasible,
     cross2,
@@ -378,6 +379,41 @@ def test_mixed_cone_strictly_feasible3_matches_fourier_motzkin(rows, data):
         strict.insert(data.draw(st.integers(0, len(strict))), (0, 0, 0))
     want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
     assert cone_strictly_feasible(strict, weak) == want
+
+
+NEAR_2_61 = st.sampled_from((2**61 - 1, 2**61 - 2, 1 - 2**61, 3 - 2**61))
+
+
+@st.composite
+def split_systems(draw):
+    """(rows, ns): integer triples of rank 1, 2 or 3, the first ns of them
+    strict (at least one), with zero and repeated rows and entries near 2**61."""
+    entry = st.one_of(SMALL, SMALL, NEAR_2_61)
+    basis = [draw(st.tuples(entry, entry, entry).filter(any)) for _ in range(draw(st.integers(1, 3)))]
+    weights = st.tuples(*(st.integers(-2, 2) for _ in basis))
+    rows = basis + [tuple(sum(t * b[c] for t, b in zip(ts, basis)) for c in range(3))
+                    for ts in draw(st.lists(weights, max_size=4))]
+    for r in list(rows):
+        kind = draw(st.sampled_from(["none", "none", "repeat", "zero"]))
+        if kind != "none":
+            rows.insert(draw(st.integers(0, len(rows))), r if kind == "repeat" else (0, 0, 0))
+    rows = draw(st.permutations(rows))
+    return rows, draw(st.integers(1, len(rows)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(split_systems())
+def test_seidel_resumed_at_every_split_decides_as_one_run(system):
+    """The `_seidel` state of rows[:k], resumed on the rest, decides every
+    split k as `cone_strictly_feasible` and Fourier-Motzkin do; a prefix
+    with no solution leaves none to the whole system."""
+    rows, ns = system
+    strict, weak = rows[:ns], rows[ns:]
+    want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
+    assert cone_strictly_feasible(strict, weak) == want
+    for k in range(len(rows) + 1):
+        state = _seidel(rows[:k], min(k, ns))
+        assert (state is not None and _seidel(rows, ns, k, state) is not None) == want, k
 
 
 def _edge_case_systems(rng, big=2**61 - 1):

@@ -388,6 +388,9 @@ THREE_UP = Cone3.from_generators([(1, 0, 1), (-1, 1, 1), (0, -1, 1)])
 PENTAGON = [(0, 0, 1), (3, 0, 1), (2, 2, 1), (0, 3, 1), (-1, 1, 1)]
 COLLINEAR = [(0, 0, 0), (1, 1, 1), (3, 3, 3), (-2, -2, -2)]
 FLAT = [(0, 0, 0), (2, 0, 1), (0, 2, -1), (2, 2, 0), (1, 1, 0)]
+# summands of a sum under the trivial cone: a point plus a point or a segment,
+# FLAT plus this quadrilateral in its plane, COLLINEAR plus a parallel segment
+COPLANAR = [(4, 0, 2), (1, 1, 0), (0, 4, -2), (-1, 1, -1)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -396,6 +399,10 @@ FLAT = [(0, 0, 0), (2, 0, 1), (0, 2, -1), (2, 2, 0), (1, 1, 0)]
 @example(([ODD_CORNER, [(0, 0, 0)]], THREE_UP))
 @example(([PENTAGON, [(0, 0, 0), (1, -2, 1)]], THREE_UP))
 @example(([COLLINEAR, FLAT], DOWN))
+@example(([[(1, 2, 3)], [(0, -1, 2)]], Cone3(())))
+@example(([[(1, 2, 3)], [(0, 0, 0), (2, 1, -1)]], Cone3(())))
+@example(([FLAT, COPLANAR], Cone3(())))
+@example(([COLLINEAR, [(5, 0, 1), (7, 2, 3)]], Cone3(())))
 def test_pruned_sets_match_the_vertex_list_oracle(case):
     """`from_points3` and `minkowski_sum3` keep, of the hull of their points,
     the hull of exactly the vertices that survive by Fourier-Motzkin."""
@@ -406,15 +413,19 @@ def test_pruned_sets_match_the_vertex_list_oracle(case):
     assert minkowski_sum3(a, b).bounded == _oracle_pruned(sums, cone)
 
 
+def _lifted_pentagons(cone):
+    lift = lambda pts: [(x, y, x * x + y * y) for x, y in pts]
+    P = from_points3(lift([(2, 0), (1, 2), (-2, 1), (-1, -2), (1, -2)]), cone)
+    K = from_points3(lift([(3, 1), (0, 3), (-3, 0), (-1, -3), (2, -2)]), cone)
+    return P, K
+
+
 def test_a_pruned_sum_builds_one_polytope(monkeypatch):
     """A sum under a cone keeps the vertex pairs that pass one ray test over
     the summands' stored edges, so a sum of two lifted pentagons that loses
     3 of its 16 vertices to an upward ray triangulates once and builds one
     `Polytope3`: the hull of the 13 kept vertices."""
-    up = Cone3.from_generators([(0, 0, 1)])
-    lift = lambda pts: [(x, y, x * x + y * y) for x, y in pts]
-    P = from_points3(lift([(2, 0), (1, 2), (-2, 1), (-1, -2), (1, -2)]), up)
-    K = from_points3(lift([(3, 1), (0, 3), (-3, 0), (-1, -3), (2, -2)]), up)
+    P, K = _lifted_pentagons(Cone3.from_generators([(0, 0, 1)]))
     unpruned = hull3([vadd(v, w) for v in P.bounded.vertices for w in K.bounded.vertices])
     built, hulled = [], []
     monkeypatch.setattr(spatial, "Polytope3", lambda *fields: built.append(fields) or Polytope3(*fields))
@@ -423,6 +434,18 @@ def test_a_pruned_sum_builds_one_polytope(monkeypatch):
     S = minkowski_sum3(P, K)
     assert (len(unpruned.vertices), len(S.bounded.vertices)) == (16, 13)
     assert (len(built), len(hulled)) == (1, 1)
+
+
+def test_a_sum_under_the_trivial_cone_hulls_its_vertices_alone(monkeypatch):
+    """Under the trivial cone too, `minkowski_sum3` keeps the vertex pairs
+    that pass the ray test: of the 25 sums of two lifted pentagons, `_hull`
+    gets exactly the 16 vertices of their sum."""
+    P, K = _lifted_pentagons(Cone3(()))
+    hulled, hull = [], spatial._hull
+    monkeypatch.setattr(spatial, "_hull", lambda den, lat, *gens: hulled.append(lat) or hull(den, lat, *gens))
+    S = minkowski_sum3(P, K)
+    assert (len(P.bounded.vertices) * len(K.bounded.vertices), len(S.bounded.vertices)) == (25, 16)
+    assert hulled == [list(S.bounded.lattice[1])]
 
 
 # a vertex with 8 incident facets: Fourier-Motzkin in the 8 facet normals
