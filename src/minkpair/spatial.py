@@ -3,17 +3,18 @@
 Every polytope keeps its vertex lattice: `Polytope3.lattice` is (den, ints),
 the vertices scaled by the lcm of their denominators (`core.lattice`).
 `from_points3` scales its input once, drops repeated points on that
-lattice, runs every hull predicate as an integer sign test on unpacked
+lattice and hulls it with every predicate an integer sign test on unpacked
 coordinates (extreme points first, coplanar triangles merged into facets,
-each edge read once off the facet cycles) and prunes by the cone before it
-builds the one `Polytope3`: a corner of the integer triangulation stays iff
-a direction in the open polar decreases along every edge leaving it and
-along every generator (`_vertex_survives`).  Only the result's vertices and
-facet offsets become `Fraction`s.  `minkowski_sum3` adds in integers at
-lcm(den_P, den_K).  Under every cone, the trivial one included, it applies
-the same rule to each vertex pair before any hull, on the rows of the
-summands' stored edges (the normal fan of a sum refines both summands'
-fans), and hulls the kept sums once, unpruned: the ray test runs once on
+each edge read once off the facet cycles).  Then it prunes by the cone on
+the hull's stored edges (`_edge_rows`): a vertex stays iff a direction in
+the open polar decreases along every edge leaving it and along every
+generator (`_vertex_survives`), and if one is dropped the kept vertices
+are hulled once more.  Only a hull's vertices and facet offsets become
+`Fraction`s.  `minkowski_sum3` adds in integers at lcm(den_P, den_K).
+Under every cone, the trivial one included, it applies the same rule to
+each vertex pair before any hull, on the same rows of the summands' edges
+(the normal fan of a sum refines both summands' fans), and hulls the kept
+sums once, unpruned: the ray test runs once on
 the generators and the edges at v and resumes on the edges at each w.
 `are_equivalent3` compares the vertex sets of A + D and B + C that this
 pair rule yields and builds no hull.
@@ -111,7 +112,7 @@ def hull3(points) -> Polytope3:
     return from_points3(points, Cone3(())).bounded
 
 
-def _hull(den, lat, gens=()) -> Polytope3:
+def _hull(den, lat) -> Polytope3:
     """Hull of the points lat[i] / den, `lat` sorted distinct integer triples.
 
     A positive scale keeps every sign and the lexicographic order, so every
@@ -124,11 +125,6 @@ def _hull(den, lat, gens=()) -> Polytope3:
     sees none (inside, or on a facet) costs one scan.  The final triangles
     are grouped by plane, and each facet's cycle is the 2D hull of the
     corners of its own triangles.
-
-    Pruning by the cone of the generators `gens` comes before the one
-    `Polytope3` is built: each corner of the final triangles, the planar
-    cycle or the segment is kept iff `_vertex_survives` with its neighbours
-    there, and if one is dropped the result is the hull of the kept ones.
     """
     if len(lat) == 1:
         return _polytope(den, lat, 0, ())
@@ -139,27 +135,16 @@ def _hull(den, lat, gens=()) -> Polytope3:
     n2 = next((n for n in normals if any(n)), None)
     if n2 is None:
         # collinear: the lexicographic extremes are the segment's endpoints
-        pairs, build = ((0, len(lat) - 1),), lambda: _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
-    elif all(n2[0] * (x - ax) + n2[1] * (y - ay) + n2[2] * (z - az) == 0 for x, y, z in lat):
-        n = normalize_direction(n2)
-        cyc = _planar_cycle(lat, range(len(lat)), n)
-        if len(cyc) < len(lat):
-            # orient the plane as its vertices alone would
-            return _hull(den, sorted(lat[i] for i in cyc), gens)
-        b = dot(n, lat[cyc[0]])
-        pairs = zip(cyc, cyc[1:] + cyc[:1])
-        build = lambda: _polytope(den, lat, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
-    else:
-        pairs, build = _hull_full(den, lat)
-    if gens:
-        nbrs = {}
-        for i, j in set(pairs):
-            nbrs.setdefault(i, []).append(j)
-            nbrs.setdefault(j, []).append(i)
-        kept = [lat[i] for i, js in nbrs.items() if _vertex_survives(lat, i, js, gens)]
-        if len(kept) < len(nbrs):
-            return _hull(den, sorted(kept))
-    return build()
+        return _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
+    if any(n2[0] * (x - ax) + n2[1] * (y - ay) + n2[2] * (z - az) for x, y, z in lat):
+        return _hull_full(den, lat)
+    n = normalize_direction(n2)
+    cyc = _planar_cycle(lat, range(len(lat)), n)
+    if len(cyc) < len(lat):
+        # orient the plane as its vertices alone would
+        return _hull(den, sorted(lat[i] for i in cyc))
+    b = dot(n, lat[cyc[0]])
+    return _polytope(den, lat, 2, ((n, b, cyc), (vneg(n), -b, cyc[::-1])))
 
 
 def _planar_cycle(lat, ids, normal):
@@ -262,17 +247,14 @@ def _hull_full(den, lat):
         tris = [t for t in tris if t not in visible]
         tris += [oriented(k, u, v) for (u, v), n in count.items() if n == 1]
 
-    def build():
-        # merge coplanar triangles into facets; a facet's vertices are among
-        # the corners of its triangles
-        corners = {}
-        for u, v, w, off, tri in tris:
-            corners.setdefault(((u, v, w), off), set()).update(tri)
-        planes = [(n, off, (_triangle_cycle if len(on) == 3 else _planar_cycle)(lat, sorted(on), n))
-                  for (n, off), on in sorted(corners.items())]
-        return _polytope(den, lat, 3, planes)
-
-    return (e for t in tris for e in _tri_edges(t[4])), build
+    # merge coplanar triangles into facets; a facet's vertices are among the
+    # corners of its triangles
+    corners = {}
+    for u, v, w, off, tri in tris:
+        corners.setdefault(((u, v, w), off), set()).update(tri)
+    planes = [(n, off, (_triangle_cycle if len(on) == 3 else _planar_cycle)(lat, sorted(on), n))
+              for (n, off), on in sorted(corners.items())]
+    return _polytope(den, lat, 3, planes)
 
 
 def _tri_edges(tri):
@@ -292,31 +274,31 @@ class VPolytope3(Value):
 
 
 def from_points3(points, cone: Cone3) -> VPolytope3:
-    """Canonical V-polytope: hull plus cone, cone-absorbed vertices pruned;
-    `_hull` builds it on the distinct points scaled once (`core.lattice`)."""
+    """Canonical V-polytope: hull plus cone.  `_hull` builds the hull of the
+    distinct points scaled once (`core.lattice`); if under generators some
+    vertex's `_edge_rows` fail `_vertex_survives`, it hulls those that pass."""
     if not isinstance(cone, Cone3):
         raise GeometryError("a 3D set needs a 3D cone")
     den, lat = lattice(list(map(as_point, points)))
     check_length(3, *lat)
     if not lat:
         raise GeometryError("need at least one point")
-    return VPolytope3(_hull(den, sorted(set(lat)), cone.gens), cone)
+    q = _hull(den, sorted(set(lat)))
+    if cone.gens:
+        verts = q.lattice[1]
+        # a subsequence of the sorted lattice, so still sorted
+        kept = [v for v, rows in zip(verts, _edge_rows(q)) if _vertex_survives(rows, cone.gens)]
+        if len(kept) < len(verts):
+            q = _hull(den, kept)
+    return VPolytope3(q, cone)
 
 
-def _leaving(lat, i, nbrs):
-    """The rows lat[j] - lat[i], j in `nbrs`: the edges that leave lat[i]."""
-    x, y, z = lat[i]
-    return [(a - x, b - y, c - z) for a, b, c in (lat[j] for j in nbrs)]
-
-
-def _vertex_survives(lat, i, nbrs, gens) -> bool:
+def _vertex_survives(rows, gens) -> bool:
     """The survival rule: some u decreases strictly along every edge that
-    leaves lat[i] (to lat[j], j in `nbrs`) and along every generator g.  For
-    a hull vertex and its edges, in every dimension, that says the relint of
-    its normal cone meets the open polar (Ziegler, *Lectures on Polytopes*,
-    Lecture 3).  A point inside an edge or a facet has opposite neighbour
-    directions and fails."""
-    return cone_strictly_feasible(_leaving(lat, i, nbrs) + list(gens))
+    leaves a vertex (its `_edge_rows`) and along every generator g.  That
+    says the relint of the vertex's normal cone meets the open polar, in
+    every dimension (Ziegler, *Lectures on Polytopes*, Lecture 3)."""
+    return cone_strictly_feasible(rows + list(gens))
 
 
 def support3(p: VPolytope3, u):
@@ -340,13 +322,14 @@ def contains3(p: VPolytope3, x) -> bool:
 
 
 def _edge_rows(q: Polytope3):
-    """`_leaving` rows of each vertex of q, read from its stored edges."""
+    """For each vertex v of q, the rows w - v on its lattice to its
+    neighbours w along q's stored edges: the edges that leave v."""
     lat = q.lattice[1]
     nbrs = [[] for _ in lat]
     for i, j in q.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    return [_leaving(lat, i, js) for i, js in enumerate(nbrs)]
+        nbrs[i].append(lat[j])
+        nbrs[j].append(lat[i])
+    return [[(a - x, b - y, c - z) for a, b, c in ws] for (x, y, z), ws in zip(lat, nbrs)]
 
 
 def _vertex_sums(p: Polytope3, q: Polytope3, gens, den):

@@ -358,8 +358,8 @@ def test_vertex_survival_matches_vertex_list_oracle(case):
     q = hull3(pts)
     lat = lattice(q.vertices)[1]
     for i in range(len(q.vertices)):
-        nbrs = [b if a == i else a for a, b in q.edges if i in (a, b)]
-        assert _vertex_survives(lat, i, nbrs, cone.gens) == fm_vertex_survives(q.vertices, i, cone)
+        rows = [vsub(lat[b if a == i else a], lat[i]) for a, b in q.edges if i in (a, b)]
+        assert _vertex_survives(rows, cone.gens) == fm_vertex_survives(q.vertices, i, cone)
 
 
 def _oracle_pruned(points, cone):
@@ -442,10 +442,53 @@ def test_a_sum_under_the_trivial_cone_hulls_its_vertices_alone(monkeypatch):
     gets exactly the 16 vertices of their sum."""
     P, K = _lifted_pentagons(Cone3(()))
     hulled, hull = [], spatial._hull
-    monkeypatch.setattr(spatial, "_hull", lambda den, lat, *gens: hulled.append(lat) or hull(den, lat, *gens))
+    monkeypatch.setattr(spatial, "_hull", lambda den, lat: hulled.append(lat) or hull(den, lat))
     S = minkowski_sum3(P, K)
     assert (len(P.bounded.vertices) * len(K.bounded.vertices), len(S.bounded.vertices)) == (25, 16)
     assert hulled == [list(S.bounded.lattice[1])]
+
+
+def _lifted_cloud(rng, n, m, radius=8):
+    """m lattice points on z = x^2 + y^2, each a vertex of their hull, plus
+    n - m weighted convex combinations of three of them."""
+    xy = set()
+    while len(xy) < m:
+        xy.add((rng.randint(-radius, radius), rng.randint(-radius, radius)))
+    verts = [(x, y, x * x + y * y) for x, y in sorted(xy)]
+    cloud = list(verts)
+    while len(cloud) < n:
+        picks, w = rng.sample(verts, 3), [rng.randint(1, 4) for _ in range(3)]
+        cloud.append(tuple(F(sum(wi * p[i] for wi, p in zip(w, picks)), sum(w)) for i in range(3)))
+    rng.shuffle(cloud)
+    return cloud
+
+
+def test_a_set_whose_cone_absorbs_no_vertex_triangulates_once(monkeypatch):
+    """An upward ray absorbs no vertex of a lifted cloud, so `from_points3`
+    triangulates the cloud once, although corners of its triangulation lie
+    on facets (convex combinations of the facet's vertices)."""
+    cloud, ray = _lifted_cloud(random.Random(1), 60, 10), Cone3.from_generators([(0, 0, 1)])
+    hulled, hull_full = [], spatial._hull_full
+    monkeypatch.setattr(spatial, "_hull_full", lambda *args: hulled.append(args) or hull_full(*args))
+    p = from_points3(cloud, ray)
+    assert len(hulled) == 1
+    assert p == fraction_from_points3(cloud, ray)
+
+
+@pytest.mark.parametrize("cone", [Cone3.from_generators([(0, 0, 1)]), THREE_UP], ids=["ray", "three"])
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_a_set_whose_cone_absorbs_vertices_is_the_hull_of_the_rest(monkeypatch, n, cone):
+    """On integer clouds of 50-200 points the cone absorbs vertices, and
+    `from_points3` hulls the cloud, then exactly the vertices that survive."""
+    rng = random.Random(n)
+    pts = [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(n)]
+    unpruned = hull3(pts)
+    hulled, hull = [], spatial._hull
+    monkeypatch.setattr(spatial, "_hull", lambda den, lat: hulled.append(lat) or hull(den, lat))
+    p = from_points3(pts, cone)
+    assert len(p.bounded.vertices) < len(unpruned.vertices)
+    assert hulled[1:] == [list(p.bounded.lattice[1])]
+    assert p == fraction_from_points3(pts, cone)
 
 
 # a vertex with 8 incident facets: Fourier-Motzkin in the 8 facet normals
