@@ -13,17 +13,18 @@ The exact decisions here:
 
 - `cone_strictly_feasible` decides homogeneous systems of strict and weak
   rows in two or three variables in integers by Seidel's incremental method:
-  pairs in one angular sweep (`sector`), triples row by row (`_seidel`), a
-  sweep in the plane of each violated row.  `_seidel` returns its state, so
-  the vertex-pair test in `spatial` runs it once on the rows at a vertex of
-  one summand and resumes it on the rows at each vertex of the other.  The
-  ray test runs the perp-plane tests of the 3D criteria, vertex survival in
-  `spatial`, point membership in both dimensions (`lattice_contains`, which
-  `VPolygon.contains` and `contains3` call: by Farkas' lemma a point lies
-  outside conv(V) + cone(G) exactly when some u strictly separates it), and
-  every cone question in both dimensions: `Cone2` and `Cone3` share one base
-  whose pointedness, extreme rays (`_extreme_rays`) and membership
-  (`_in_cone_span`) are ray tests.
+  pairs in one angular sweep (`sector`), triples row by row (`_seidel`),
+  whose one loop at each violated row projects every earlier row into that
+  row's plane and sweeps it by `sector`'s rules.  `_seidel` returns its
+  state, so the vertex-pair test in `spatial` runs it once on the rows at a
+  vertex of one summand and resumes it on the rows at each vertex of the
+  other.  The ray test runs the perp-plane tests of the 3D criteria, vertex
+  survival in `spatial`, point membership in both dimensions
+  (`lattice_contains`, which `VPolygon.contains` and `contains3` call: by
+  Farkas' lemma a point lies outside conv(V) + cone(G) exactly when some u
+  strictly separates it), and every cone question in both dimensions:
+  `Cone2` and `Cone3` share one base whose pointedness, extreme rays
+  (`_extreme_rays`) and membership (`_in_cone_span`) are ray tests.
 - `shared_cone` states once that the operands of a pair operation share
   their recession cone.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
@@ -265,13 +266,6 @@ def linear_feasible(constraints, nvars) -> bool:
     return True
 
 
-def perp_basis(d):
-    """Integer basis w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis, and
-    w2 = d x w1 of the plane normal to the nonzero integer triple d."""
-    w1 = (0, d[2], -d[1]) if d[1] or d[2] else (0, 0, d[0])
-    return w1, cross3(d, w1)
-
-
 def sector(strict, weak=()):
     """[lo, hi], the angularly extreme rows of a system of integer pairs with
     a strict row (as in `cone_strictly_feasible`), or None if it has no
@@ -311,10 +305,17 @@ def _seidel(rows, ns, start=0, state=((0, 0, 0), (0, 0, 0))):
     resumed run decides as one over all the rows does.  The order of the rows
     changes the cost, never the answer.  If a row a that u violates joins a
     system with a solution u', the segment from u to u' crosses the plane
-    normal to a at a solution w of the earlier rows, which in a `perp_basis`
-    of that plane are pairs with a `sector`, w its solution (0 if there are
-    no earlier rows).  A weak a takes (w, 0); a strict a takes (w, -a), as
-    the earlier rows are strict and negative on w.
+    normal to a at a solution w of the earlier rows (0 if there are none).
+    One loop projects each earlier row, rows[0] included, into that plane
+    and sweeps it by `sector`'s rules, strict rows first and ties keeping
+    the older row.  The plane's basis is w1 = a x (1, 0, 0) = (0, az, -ay)
+    and w2 = a x w1 = (-(ay^2 + az^2), ax*ay, ax*az), or w1 = a x (0, 1, 0)
+    = (0, 0, ax) and w2 = (0, -ax^2, 0) when a lies on the x axis: that of
+    `spatial._perp_basis` before it divides each vector by its gcd.  A
+    positive scale of w1 or w2 scales one coordinate of every projected row,
+    which keeps their angular order and each row's sign on the solution, so
+    the loop does without the division.  A weak a takes (w, 0); a strict a
+    takes (w, -a), as the earlier rows are strict and negative on w.
     """
     (ux, uy, uz), (dx, dy, dz) = state
     for i in range(start, len(rows)):
@@ -326,13 +327,33 @@ def _seidel(rows, ns, start=0, state=((0, 0, 0), (0, 0, 0))):
             return None
         ux = uy = uz = 0  # w = 0 if there are no earlier rows
         if i:
-            (b1, b2, b3), (c1, c2, c3) = perp_basis((ax, ay, az))
-            proj = [(x * b1 + y * b2 + z * b3, x * c1 + y * c2 + z * c3) for x, y, z in rows[:i]]
-            if (ends := sector(proj[:ns], proj[ns:])) is None:
-                return None
-            (lx, ly), (hx, hy) = ends
+            # w1 = (0, b2, b3), w2 = (c1, c2, c3); a row (x, y, z) projects to
+            # (<row, w1>, <row, w2>), and [lo, hi] are the sweep's end rows
+            if ay or az:
+                b2, b3, c1, c2, c3 = az, -ay, -(ay * ay + az * az), ax * ay, ax * az
+            else:
+                b2, b3, c1, c2, c3 = 0, ax, 0, -ax * ax, 0
+            x, y, z = rows[0]
+            lx = hx = y * b2 + z * b3
+            ly = hy = x * c1 + y * c2 + z * c3
+            lw = hw = False  # a weak row holds the end, so no strict row lies on its ray
+            for k in range(i):  # rows[k] is weak iff k >= ns
+                x, y, z = rows[k]
+                px, py = y * b2 + z * b3, x * c1 + y * c2 + z * c3
+                if hx * py > hy * px:  # counterclockwise of hi
+                    c = lx * py - ly * px
+                    if c < 0 or not (c or lw):
+                        return None
+                    hx, hy, hw = px, py, k >= ns
+                elif lx * py < ly * px:  # clockwise of lo
+                    c = px * hy - py * hx
+                    if c < 0 or not (c or hw):
+                        return None
+                    lx, ly, lw = px, py, k >= ns
+                elif lx * px + ly * py < 0 and hx * px + hy * py < 0 or not (k >= ns or px or py):
+                    return None
             px, py = (-lx, -ly) if lx == hx and ly == hy else (ly - hy, hx - lx)
-            ux, uy, uz = px * b1 + py * c1, px * b2 + py * c2, px * b3 + py * c3
+            ux, uy, uz = py * c1, px * b2 + py * c2, px * b3 + py * c3
         dx, dy, dz = (-ax, -ay, -az) if i < ns else (0, 0, 0)
     return (ux, uy, uz), (dx, dy, dz)
 

@@ -28,9 +28,9 @@ cuts out e's directions), the vertices of the 2D hull of K's projection onto
 e's perp plane whose open wedge meets it.  Above each lies a vertex of K or
 an edge parallel to e: the summand criterion asks it for a translate of e,
 the equiparallel-edge list keeps the edges.  The perp basis w1, w2 is
-`core.perp_basis`, each vector divided by its gcd, not unit vectors: a
-positive scale of w1 or w2 changes no sign, no lexicographic order and no
-hull.  Projections and wedge rows are unpacked integer pairs, and the hull
+`_perp_basis`, two cross products each divided by its gcd, not unit
+vectors: a positive scale of w1 or w2 changes no sign, no lexicographic
+order and no hull.  Projections and wedge rows are unpacked integer pairs, and the hull
 is `planar.hull_chain`, whose turn test runs on unpacked int or `Fraction`
 coordinates and drops collinear points.  `contains3` is one ray test with
 strict and weak rows over the vertex lattice (`core.lattice_contains`).
@@ -57,7 +57,6 @@ from .core import (
     lattice,
     lattice_contains,
     normalize_direction,
-    perp_basis,
     sector,
     shared_cone,
     vadd,
@@ -98,9 +97,11 @@ def _primitive(u, v, w):
 
 
 def _perp_basis(d):
-    """`core.perp_basis` of the integer vector d, each vector divided by its gcd."""
-    w1, w2 = perp_basis(d)
-    return _primitive(*w1), _primitive(*w2)
+    """Integer basis w1 = d x (1, 0, 0), or d x (0, 1, 0) on the x axis, and
+    w2 = d x w1 of the plane normal to the nonzero integer triple d, each
+    vector divided by its gcd."""
+    w1 = (0, d[2], -d[1]) if d[1] or d[2] else (0, 0, d[0])
+    return _primitive(*w1), _primitive(*cross3(d, w1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@
   exposed edge of the first set against every parallel edge of the second,
   with the two edges' tagged rows decided together by
   `fm_cone_strictly_feasible`.
+- `seidel_by_sector`: Seidel's triple step as the library ran it before it
+  projected and swept each earlier row in one loop: a projected list of the
+  earlier rows and one `core.sector` call on it at each violated row.  It
+  must return the same state as `core._seidel`.
 - `perp_basis`: a basis of the plane normal to a direction by
   `normalize_direction` on cross products, as the library built it before
   its gcd kernel; the face-rows oracles use it, so they check the library's
@@ -91,6 +95,7 @@ from minkpair.core import (
     linear_feasible,
     normalize_direction,
     rot90,
+    sector,
     shared_cone,
     vadd,
     vneg,
@@ -246,6 +251,34 @@ def fm_cone_strictly_feasible(constraints) -> bool:
             if linear_feasible(base + [(axis, "<", 0)], n):
                 return True
     return False
+
+
+def seidel_by_sector(rows, ns, start=0, state=((0, 0, 0), (0, 0, 0))):
+    """`core._seidel` as the library ran it before its step projected and
+    swept in one loop: at each violated row a, the basis w1 = a x (1, 0, 0),
+    or a x (0, 1, 0) on the x axis, and w2 = a x w1 by `cross3`, a list of
+    every earlier row projected to it, and one `sector` call on that list's
+    strict and weak parts.  Same contract and same state (w, d)."""
+    (ux, uy, uz), (dx, dy, dz) = state
+    for i in range(start, len(rows)):
+        a = rows[i]
+        s = dot(a, (ux, uy, uz)) or dot(a, (dx, dy, dz))
+        if s < 0 or s == 0 and i >= ns:
+            continue
+        if is_zero(a):
+            return None
+        ux = uy = uz = 0
+        if i:
+            w1 = cross3(a, (0, 1, 0) if a[1] == a[2] == 0 else (1, 0, 0))
+            w2 = cross3(a, w1)
+            proj = [(dot(r, w1), dot(r, w2)) for r in rows[:i]]
+            if (ends := sector(proj[:ns], proj[ns:])) is None:
+                return None
+            (lx, ly), (hx, hy) = ends
+            px, py = (-lx, -ly) if (lx, ly) == (hx, hy) else (ly - hy, hx - lx)
+            ux, uy, uz = vadd(vscale(px, w1), vscale(py, w2))
+        dx, dy, dz = vneg(a) if i < ns else (0, 0, 0)
+    return (ux, uy, uz), (dx, dy, dz)
 
 
 def _param(v, d):

@@ -38,6 +38,7 @@ from oracles import (
     ccw_compare,
     fm_cone_strictly_feasible,
     fm_in_cone_span,
+    seidel_by_sector,
 )
 
 
@@ -406,14 +407,25 @@ def split_systems(draw):
 def test_seidel_resumed_at_every_split_decides_as_one_run(system):
     """The `_seidel` state of rows[:k], resumed on the rest, decides every
     split k as `cone_strictly_feasible` and Fourier-Motzkin do; a prefix
-    with no solution leaves none to the whole system."""
+    with no solution leaves none to the whole system.  Every state, of the
+    prefix and of the resumed run, is the `seidel_by_sector` oracle's."""
     rows, ns = system
     strict, weak = rows[:ns], rows[ns:]
     want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
     assert cone_strictly_feasible(strict, weak) == want
+    _assert_seidel_states_match_oracle(rows, ns, want)
+
+
+def _assert_seidel_states_match_oracle(rows, ns, want):
+    """At every split k, `_seidel` on rows[:k] and resumed from its state on
+    the rest returns the `seidel_by_sector` state and decides `want`."""
     for k in range(len(rows) + 1):
         state = _seidel(rows[:k], min(k, ns))
-        assert (state is not None and _seidel(rows, ns, k, state) is not None) == want, k
+        assert state == seidel_by_sector(rows[:k], min(k, ns)), (rows, ns, k)
+        whole = None if state is None else _seidel(rows, ns, k, state)
+        assert (whole is not None) == want, (rows, ns, k)
+        if state is not None:
+            assert whole == seidel_by_sector(rows, ns, k, state), (rows, ns, k)
 
 
 def _edge_case_systems(rng, big=2**61 - 1):
@@ -460,13 +472,16 @@ def _edge_case_systems(rng, big=2**61 - 1):
 
 def test_cone_strictly_feasible_order_and_edge_cases():
     """The answer matches Fourier-Motzkin on the rows as given, reversed and
-    rotated."""
+    rotated; in three variables every `_seidel` state, resumed at every
+    split, is the `seidel_by_sector` oracle's."""
     rng = random.Random(1991)
     for strict, weak in _edge_case_systems(rng):
         want = fm_cone_strictly_feasible([(a, "<") for a in strict] + [(b, "<=") for b in weak])
         i, j = rng.randrange(len(strict)), rng.randrange(len(weak) + 1)
         for s, w in ((strict, weak), (strict[::-1], weak[::-1]), (strict[i:] + strict[:i], weak[j:] + weak[:j])):
             assert cone_strictly_feasible(s, w) == want, (s, w)
+            if len(s[0]) == 3:
+                _assert_seidel_states_match_oracle([*s, *w], len(s), want)
 
 
 def test_cone_strictly_feasible3_by_rank():
@@ -475,6 +490,9 @@ def test_cone_strictly_feasible3_by_rank():
     assert cone_strictly_feasible([(1, 2, 3), (2, 4, 6)])
     assert not cone_strictly_feasible([(1, 2, 3), (-1, -2, -3)])
     assert cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    # a violated row on the x axis, the other basis of its plane
+    assert cone_strictly_feasible([(0, 1, 0), (1, 0, 0)])
+    assert not cone_strictly_feasible([(0, 0, 1), (-1, 0, 0), (1, 0, 0)])
     assert not cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
     assert cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     assert not cone_strictly_feasible([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
@@ -485,6 +503,9 @@ def test_cone_strictly_feasible3_by_rank():
     assert cone_strictly_feasible([(-1, -2, -3)], [(-2, -4, -6)])
     assert cone_strictly_feasible([(1, 2, 3)], [(2, 4, 6)])
     assert not cone_strictly_feasible([(1, 2, 3)], [(-1, -2, -3)])
+    # a weak row violated with its antiparallel weak row earlier, which projects to 0
+    assert cone_strictly_feasible([(0, 0, 1)], [(1, 2, 3), (-1, -2, -3)])
+    assert not cone_strictly_feasible([(0, 0, 1)], [(1, 2, 3), (-1, -2, -3), (1, 0, 0), (-1, 0, 0), (0, 1, 0)])
     # rank 2: x > 0 strictly, y >= 0 and x + y <= 0 leave nothing
     assert not cone_strictly_feasible([(-1, 0, 0)], [(0, -1, 0), (1, 1, 0)])
     assert cone_strictly_feasible([(-1, 0, 0)], [(0, -1, 0), (-1, 1, 0)])
