@@ -39,8 +39,11 @@ def _operands(scene, text, count=None, functions=False):
         raise SceneError(f"bad name list {text!r}")
     if count is not None and len(names) != count:
         raise SceneError(f"expected {count} comma-separated names, got {len(names)}")
-    lookup = scene.lookup_function if functions else scene.lookup_set
-    found = [lookup(n) for n in names]
+    kind, table = ("function", scene.functions) if functions else ("set", scene.sets)
+    for n in names:
+        if n not in table:
+            raise SceneError(f"unknown {kind} {n!r}")
+    found = [table[n] for n in names]
     if count is not None and len({type(x) for x in found}) > 1:
         raise SceneError("operands mix 2D and 3D sets")
     return names, found

@@ -28,7 +28,10 @@ The exact decisions here:
 - `shared_cone` states once that the operands of a pair operation share
   their recession cone.
 - `linear_feasible` (Fourier-Motzkin over `Fraction`) decides affine
-  systems.  No library code calls it; the benchmark harness still times it.
+  systems.  No library code calls it; it is the engine of six test oracles
+  in `tests/oracles.py` and one in `tests/test_planar.py`, which a move must
+  keep, and the benchmark harness times it under the name that
+  `tests/test_tracer_targets.py` pins.
 """
 
 from __future__ import annotations

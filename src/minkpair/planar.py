@@ -240,7 +240,9 @@ class VPolygon(Value):
         cx = ax.numerator * (den // ax.denominator) - (pts[i][0] + pts[j][0]) * f
         cy = ay.numerator * (den // ay.denominator) - (pts[i][1] + pts[j][1]) * f
         f *= 2
-        return _reduced(den, [(x * f + cx, y * f + cy) for x, y in pts])
+        ints = [(x * f + cx, y * f + cy) for x, y in pts]
+        g = math.gcd(den, *(c for p in ints for c in p))
+        return den // g, tuple((x // g, y // g) for x, y in ints)
 
     @cached_property
     def chain(self):
@@ -274,12 +276,6 @@ class VPolygon(Value):
     def contains(self, point) -> bool:
         """Exact membership test on the chain's lattice (`core.lattice_contains`)."""
         return lattice_contains(*self.lattice, self.cone.gens, as_point(point))
-
-
-def _reduced(den, ints):
-    """(den, ints) with den and every coordinate divided by their gcd."""
-    g = math.gcd(den, *(c for p in ints for c in p))
-    return den // g, tuple((x // g, y // g) for x, y in ints)
 
 
 def _point(p, den):

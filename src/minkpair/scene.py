@@ -27,16 +27,6 @@ class Scene(Value):
         self.sets = {} if sets is None else sets
         self.functions = {} if functions is None else functions
 
-    def lookup_set(self, name):
-        if name not in self.sets:
-            raise SceneError(f"unknown set {name!r}")
-        return self.sets[name]
-
-    def lookup_function(self, name):
-        if name not in self.functions:
-            raise SceneError(f"unknown function {name!r}")
-        return self.functions[name]
-
 
 def _no_duplicates(pairs):
     seen = set()

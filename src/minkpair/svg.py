@@ -9,10 +9,11 @@ rays; a projected 3D facet is a dot, line or polygon by the size of its hull.
 
 from __future__ import annotations
 
+import html
 from fractions import Fraction
 
 from .core import GeometryError, dot, is_zero, normalize_direction, vadd, vscale, vsub
-from .planar import VPolygon, convex_hull_2d
+from .planar import ORIGIN, VPolygon, convex_hull_2d
 from .spatial import VPolytope3, _perp_basis
 
 SCALE = 40  # pixels per coordinate unit
@@ -63,23 +64,20 @@ def _region_halfplanes(vp: VPolygon):
     return [(u, vp.support(u)[0]) for u in dirs]
 
 
-def _ray_exit(base, direction, rect):
-    """Largest parameter at which base + t*direction stays inside rect."""
-    xmin, ymin, xmax, ymax = rect
-    t_hi = None
-    for coord, lo, hi in ((0, xmin, xmax), (1, ymin, ymax)):
-        d = direction[coord]
-        if d == 0:
-            continue
-        bound = (hi - base[coord]) / d if d > 0 else (lo - base[coord]) / d
-        t_hi = bound if t_hi is None else min(t_hi, bound)
-    return t_hi
+def _dashed_ray(canvas, base, direction, color):
+    """Draw the ray base + t*direction, t >= 0, dashed up to where it leaves
+    the canvas rect; `direction` is a nonzero cone generator."""
+    lows, highs = canvas.rect[:2], canvas.rect[2:]
+    t = min(((hi if d > 0 else lo) - b) / d
+            for b, d, lo, hi in zip(base, direction, lows, highs) if d)
+    if t > 0:
+        canvas.line(base, vadd(base, vscale(t, direction)), color, dashed=True)
 
 
 class _Canvas:
     def __init__(self, rect):
-        self.rect = tuple(Fraction(c) for c in rect)
-        xmin, ymin, xmax, ymax = self.rect
+        self.rect = rect  # exact (xmin, ymin, xmax, ymax)
+        xmin, ymin, xmax, ymax = rect
         self.width = _px(xmax - xmin)
         self.height = _px(ymax - ymin)
         self.parts = []
@@ -111,7 +109,7 @@ class _Canvas:
         x, y = self.to_px(p)
         self.parts.append(
             f'<text x="{x + 5:.3f}" y="{y - 5:.3f}" font-size="13" '
-            f'font-family="monospace" fill="{color}">{text}</text>'
+            f'font-family="monospace" fill="{color}">{html.escape(text, quote=False)}</text>'
         )
 
     def document(self) -> str:
@@ -133,7 +131,6 @@ def _auto_viewport(points):
 
 
 def _draw_vpolygon(canvas, vp, color):
-    rect = canvas.rect
     ch = vp.chain
     if vp.cone.is_trivial and len(ch) == 1:
         canvas.dot(ch[0], color)
@@ -142,13 +139,10 @@ def _draw_vpolygon(canvas, vp, color):
         canvas.line(ch[0], ch[1], color)
         return
     if len(vp.cone.gens) == 1 and vp.measure.is_empty:
-        g = vp.cone.gens[0]
-        t = _ray_exit(ch[0], g, rect)
-        if t is not None and t > 0:
-            canvas.line(ch[0], vadd(ch[0], vscale(t, g)), color, dashed=True)
+        _dashed_ray(canvas, ch[0], vp.cone.gens[0], color)
         canvas.dot(ch[0], color, r=2.5)
         return
-    xmin, ymin, xmax, ymax = rect
+    xmin, ymin, xmax, ymax = canvas.rect
     region = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
     for n, off in _region_halfplanes(vp):
         region = _clip_halfplane(region, n, off)
@@ -157,35 +151,24 @@ def _draw_vpolygon(canvas, vp, color):
     if not vp.cone.is_trivial:
         for r in vp.cone.polar_boundary_rays():
             _, (_, base, g) = vp.support(r)
-            t = _ray_exit(base, g, rect)
-            if t is not None and t > 0:
-                canvas.line(base, vadd(base, vscale(t, g)), color, dashed=True)
-
-
-def _projection_basis(proj):
-    """Basis of the view plane of the primitive projection vector `proj`."""
-    if proj[0] == 0 and proj[1] == 0:
-        return (1, 0, 0), (0, -1 if proj[2] > 0 else 1, 0)
-    return _perp_basis(proj)
+            _dashed_ray(canvas, base, g, color)
 
 
 def project_upper_faces(vp: VPolytope3, proj):
-    """2D cycles of the bounded facets facing against the projection vector."""
+    """2D cycles of the bounded part seen along the projection vector: the
+    facets facing against it; for a plane containing it, the edge-on facet;
+    below dimension 2, all vertices.  Each vertex is projected once."""
     proj = normalize_direction(proj)
-    b1, b2 = _projection_basis(proj)
+    if proj[0] == 0 and proj[1] == 0:
+        b1, b2 = (1, 0, 0), (0, -1 if proj[2] > 0 else 1, 0)
+    else:
+        b1, b2 = _perp_basis(proj)
     q = vp.bounded
-    out = []
-    for f in q.facets:
-        if dot(f.normal, proj) < 0:
-            cyc = [q.vertices[i] for i in f.cycle]
-            out.append([(dot(p, b1), dot(p, b2)) for p in cyc])
-    if not out and q.dim == 2:
-        # plane contains the view direction: draw the edge-on silhouette
-        cyc = [q.vertices[i] for i in q.facets[0].cycle]
-        out.append([(dot(p, b1), dot(p, b2)) for p in cyc])
+    flat = [(dot(p, b1), dot(p, b2)) for p in q.vertices]
     if q.dim < 2:
-        out.append([(dot(p, b1), dot(p, b2)) for p in q.vertices])
-    return out
+        return [flat]
+    cycles = [f.cycle for f in q.facets if dot(f.normal, proj) < 0] or [q.facets[0].cycle]
+    return [[flat[i] for i in cyc] for cyc in cycles]
 
 
 def render(objects, viewport=None, project=None) -> str:
@@ -227,7 +210,6 @@ def render(objects, viewport=None, project=None) -> str:
                 else:
                     canvas.polygon(cyc, color)
         canvas.label(anchor, name, color)
-    origin = (Fraction(0), Fraction(0))
     if rect[0] <= 0 <= rect[2] and rect[1] <= 0 <= rect[3]:
-        canvas.dot(origin, "#000000", r=2.5)
+        canvas.dot(ORIGIN, "#000000", r=2.5)
     return canvas.document()

@@ -189,6 +189,18 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     assert code == 2 and out == "" and len(err.splitlines()) == 1 and "incompatible recession cones" in err
 
 
+@pytest.mark.parametrize("scene, argv, message", [
+    ("ex29.json", ("equiv", "--pairs", "A,NOPE,E,ZZZ"), "unknown set 'NOPE'"),
+    ("ex210.json", ("render", "--sets", "A,X,Y", "--out", "-"), "unknown set 'X'"),
+    ("dc_examples.json", ("sum", "--sets", "g0,h0"), "unknown set 'g0'"),
+    ("dc_examples.json", ("dcmin", "--pair", "g0,nope"), "unknown function 'nope'"),
+    ("dc_examples.json", ("dcmin", "--pair", "A,B"), "unknown function 'A'"),
+], ids=["equiv", "render", "sum-of-functions", "dcmin-second", "dcmin-first"])
+def test_cli_reports_the_first_unknown_name_in_one_line(capsys, scene, argv, message):
+    code, out, err = run(capsys, argv[0], "--scene", str(SCENES / scene), *argv[1:])
+    assert (code, out, err) == (2, "", f"minkpair: error: {message}\n")
+
+
 def test_cli_sum_echoes_neutral_element(tmp_path, capsys):
     scene = {
         "sets": {
@@ -320,6 +332,17 @@ def test_render_single_point_is_dot(tmp_path, capsys):
     assert code == 0
     assert out.count("<circle") >= 1
     ET.fromstring(out)
+
+
+def test_render_escapes_markup_in_set_names(tmp_path, capsys):
+    names = ["P&Q", "<R>", "a>b"]
+    scene = {"sets": {n: {"dim": 2, "points": [[str(i), "1"]], "cone": []} for i, n in enumerate(names)}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    code, out, _ = run(capsys, "render", "--scene", str(path), "--sets", ",".join(names), "--out", "-")
+    assert code == 0
+    labels = [el.text for el in ET.fromstring(out) if el.tag.endswith("text")]
+    assert labels == sorted(names)
 
 
 def test_render_example_29_projection_combinatorics(capsys):

@@ -448,26 +448,11 @@ def test_a_sum_under_the_trivial_cone_hulls_its_vertices_alone(monkeypatch):
     assert hulled == [list(S.bounded.lattice[1])]
 
 
-def _lifted_cloud(rng, n, m, radius=8):
-    """m lattice points on z = x^2 + y^2, each a vertex of their hull, plus
-    n - m weighted convex combinations of three of them."""
-    xy = set()
-    while len(xy) < m:
-        xy.add((rng.randint(-radius, radius), rng.randint(-radius, radius)))
-    verts = [(x, y, x * x + y * y) for x, y in sorted(xy)]
-    cloud = list(verts)
-    while len(cloud) < n:
-        picks, w = rng.sample(verts, 3), [rng.randint(1, 4) for _ in range(3)]
-        cloud.append(tuple(F(sum(wi * p[i] for wi, p in zip(w, picks)), sum(w)) for i in range(3)))
-    rng.shuffle(cloud)
-    return cloud
-
-
 def test_a_set_whose_cone_absorbs_no_vertex_triangulates_once(monkeypatch):
     """An upward ray absorbs no vertex of a lifted cloud, so `from_points3`
     triangulates the cloud once, although corners of its triangulation lie
     on facets (convex combinations of the facet's vertices)."""
-    cloud, ray = _lifted_cloud(random.Random(1), 60, 10), Cone3.from_generators([(0, 0, 1)])
+    cloud, ray = lifted_cloud(random.Random(1), 60, 10)[1], Cone3.from_generators([(0, 0, 1)])
     hulled, hull_full = [], spatial._hull_full
     monkeypatch.setattr(spatial, "_hull_full", lambda *args: hulled.append(args) or hull_full(*args))
     p = from_points3(cloud, ray)
