@@ -495,28 +495,24 @@ class Cone2(_Cone):
     def kind(self) -> str:
         return ("trivial", "ray", "wedge")[len(self.gens)]
 
+    @cached_property
     def u0(self):
-        """Reference direction: an exact interior polar direction.
+        """Reference direction: an exact interior polar direction, computed
+        once per cone.
 
         Trivial cone: (1, 0).  Ray g: -g.  Wedge: -(g1+g2) when that lies in
-        the open polar (true for symmetric wedges), else the always-interior
-        positive combination of the two polar boundary rays.  Computed once
-        per cone.
+        the open polar (true for symmetric wedges; independent generators
+        never sum to 0), else the always-interior positive combination of
+        the two polar boundary rays.
         """
-        return self._u0
-
-    @cached_property
-    def _u0(self):
         if self.is_trivial:
             return (1, 0)
         if len(self.gens) == 1:
             return vneg(self.gens[0])
         a, b = self.gens
-        cand = vneg(vadd(a, b))
-        if not is_zero(cand):
-            cand = normalize_direction(cand)
-            if self.polar_interior_contains(cand):
-                return cand
+        cand = normalize_direction(vneg(vadd(a, b)))
+        if self.polar_interior_contains(cand):
+            return cand
         return normalize_direction(rot90(vsub(b, a)))
 
     def polar_boundary_rays(self):

@@ -109,7 +109,7 @@ def to_hypograph_set(g: PLConvexFn) -> VPolygon:
         return (Fraction(rises[i] * dx, runs[i] * dy),
                 Fraction(Y[i] * runs[i] - X[i] * rises[i], dy * runs[i]))
 
-    p0, q0 = cone.u0()
+    p0, q0 = cone.u0
     i = bisect_left(X, p0 * dx, key=lambda x: x * q0)  # X[i - 1] < x0 * dx <= X[i]
     anchor = chain_point(i - 1)
     if X[i] * q0 == p0 * dx:

@@ -233,7 +233,7 @@ class VPolygon(Value):
             pts.append((x, y))
         if cone.is_trivial and len(pts) > 1:
             pts.pop()
-        i, j = _argmax(pts, cone.u0())
+        i, j = _argmax(pts, cone.u0)
         ax, ay = self.anchor
         den = math.lcm(2 * scale, ax.denominator, ay.denominator)
         f = den // (2 * scale)  # at scale 2D the midpoint is pts[i] + pts[j], and p is 2p
@@ -317,7 +317,7 @@ def from_points(points, cone: Cone2) -> VPolygon:
             if all(u[0] * x + u[1] * y < 0 for x, y in cone.gens):
                 items.append((u, g))
     measure = EdgeMeasure._of(den, _ccw_sorted(items))
-    return VPolygon(cone, _face_midpoint(den, hull, cone.u0()), measure)
+    return VPolygon(cone, _face_midpoint(den, hull, cone.u0), measure)
 
 
 def minkowski_sum(a: VPolygon, b: VPolygon) -> VPolygon:

@@ -136,7 +136,7 @@ def _hull(den, lat) -> Polytope3:
     n2 = next((n for n in normals if any(n)), None)
     if n2 is None:
         # collinear: the lexicographic extremes are the segment's endpoints
-        return _polytope(den, (lat[0], lat[-1]), 1, (), ((0, 1),))
+        return _polytope(den, (lat[0], lat[-1]), 1, ())
     if any(n2[0] * (x - ax) + n2[1] * (y - ay) + n2[2] * (z - az) for x, y, z in lat):
         return _hull_full(den, lat)
     n = normalize_direction(n2)
@@ -183,12 +183,12 @@ def _triangle_cycle(lat, ids, normal):
     return (i, j, k) if o > 0 else (i, k, j)
 
 
-def _polytope(den, lat, dim, planes, edges=()):
-    """Polytope3 with vertices lat[i] / den, the only `Fraction`s built.  With
-    planes (normal, lattice offset, cycle of indices into the sorted `lat`),
-    its facets and edges come from those and its vertices are the points the
-    cycles use."""
-    facets = []
+def _polytope(den, lat, dim, planes):
+    """Polytope3 with vertices lat[i] / den, the only `Fraction`s built: a
+    segment's one edge joins its two points.  With planes (normal, lattice
+    offset, cycle of indices into the sorted `lat`), its facets and edges come
+    from those and its vertices are the points the cycles use."""
+    facets, edges = [], (((0, 1),) if dim == 1 else ())
     if planes:
         order = sorted({i for *_, cyc in planes for i in cyc})
         index = {i: r for r, i in enumerate(order)}
@@ -407,19 +407,6 @@ def _project(points, w1, w2):
     return [(x * a1 + y * a2 + z * a3, x * b1 + y * b2 + z * b3) for x, y, z in points]
 
 
-def _edge_frame(p: VPolytope3, i, j):
-    """((w1, w2), rows) for the edge (i, j) of p's vertex lattice: a basis of
-    its perp plane, and the rows, projected to it, that cut out the
-    open-polar directions exposing exactly this edge (the differences to the
-    other vertices, and the cone generators)."""
-    lat = p.bounded.lattice[1]
-    w1, w2 = _perp_basis(vsub(lat[j], lat[i]))
-    proj = _project(lat, w1, w2)
-    bx, by = proj[i]
-    rows = [(x - bx, y - by) for k, (x, y) in enumerate(proj) if k != i and k != j]
-    return (w1, w2), rows + _project(p.cone.gens, w1, w2)
-
-
 def _feasible_in_perp_plane(rows):
     """`core.sector`'s end rows [lo, hi], which bound the open sector of all
     u = alpha*w1 + beta*w2 with <a, u> < 0 for each row (<a, w1>, <a, w2>);
@@ -429,11 +416,19 @@ def _feasible_in_perp_plane(rows):
 
 def _exposed_edges(p: VPolytope3):
     """(i, j, (w1, w2), ends) for each edge (i, j) of p's bounded hull exposed,
-    bounded, by some open-polar direction: `_edge_frame`'s basis, its rows' ends."""
+    bounded, by some open-polar direction: a basis of the edge's perp plane,
+    and `_feasible_in_perp_plane`'s ends of the rows that, projected to it,
+    cut out the open-polar directions exposing exactly this edge (the
+    differences to the other vertices, and the cone generators)."""
+    lat = p.bounded.lattice[1]
     for i, j in p.bounded.edges:
-        basis, rows = _edge_frame(p, i, j)
+        w1, w2 = _perp_basis(vsub(lat[j], lat[i]))
+        proj = _project(lat, w1, w2)
+        bx, by = proj[i]
+        rows = [(x - bx, y - by) for k, (x, y) in enumerate(proj) if k != i and k != j]
+        rows += _project(p.cone.gens, w1, w2)
         if ends := _feasible_in_perp_plane(rows):
-            yield i, j, basis, rows and ends
+            yield i, j, (w1, w2), rows and ends
 
 
 def _edge(q: Polytope3, i, j):

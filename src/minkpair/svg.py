@@ -31,8 +31,6 @@ def _px(q) -> float:
 
 def _clip_halfplane(poly, n, off):
     """Sutherland-Hodgman step: keep {x : <n, x> <= off}; exact."""
-    if not poly:
-        return []
     out = []
     vals = [dot(n, p) for p in poly]
     for i, p in enumerate(poly):

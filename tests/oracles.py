@@ -75,6 +75,9 @@
   merged) and the dc set correspondence with `Fraction` slopes, jumps and
   chain points, as the library ran them before it moved them onto integer
   ratios.
+- `jordan_split_minimize`: `hartman_minimize` read off f = g - h alone, with
+  no hypograph sets: f's slope drops go to the second part, each as a hinge
+  that vanishes on the side of its breakpoint that holds 0.
 """
 
 from bisect import bisect_left
@@ -102,7 +105,7 @@ from minkpair.core import (
     vscale,
     vsub,
 )
-from minkpair.dc import PLConvexFn, domain_cone
+from minkpair.dc import DcPair, PLConvexFn, domain_cone
 from minkpair.planar import EdgeMeasure, VPolygon, _on_chain, convex_hull_2d, from_points, measure_inf
 from minkpair.spatial import (
     EdgeWithNormalCone,
@@ -788,7 +791,7 @@ def fraction_chain(poly):
         pts.append(vadd(pts[-1], vscale(coeffs[u], rot90(u))))
     if poly.cone.is_trivial and len(pts) > 1:
         pts = pts[:-1]
-    shift = vsub(poly.anchor, fraction_face_midpoint(pts, poly.cone.u0()))
+    shift = vsub(poly.anchor, fraction_face_midpoint(pts, poly.cone.u0))
     return tuple(vadd(p, shift) for p in pts)
 
 
@@ -954,7 +957,7 @@ def fraction_to_hypograph_set(g: PLConvexFn):
         for x, s0, s1 in zip(xs[1:], slopes, slopes[1:])
     }
     measure = EdgeMeasure(dict_from_entries(jumps))
-    return VPolygon(cone, fraction_face_midpoint(pts, cone.u0()), measure)
+    return VPolygon(cone, fraction_face_midpoint(pts, cone.u0), measure)
 
 
 def fraction_from_set(A, domain):
@@ -967,3 +970,17 @@ def fraction_from_set(A, domain):
     pts = sorted(A.chain)
     xs = [a] + [(y0 - y1) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])] + [b]
     return fraction_plconvex(xs, [p * x + q for (p, q), x in zip(pts[:1] + pts, xs)])
+
+
+def jordan_split_minimize(p: DcPair) -> DcPair:
+    """`hartman_minimize` as the Jordan split of f'' for f = g - h.  At each
+    inner breakpoint b of the union of g's and h's breakpoints where f's slope
+    falls, by c_b, h' gains c_b*(b - x)+ if b < 0 and c_b*(x - b)+ if b >= 0;
+    g' = f + h', both read at the union's breakpoints."""
+    (gx, gy), (hx, hy) = (p.g.breakpoints, p.g.values), (p.h.breakpoints, p.h.values)
+    xs = sorted(set(gx) | set(hx))
+    fs = [_interpolate(gx, gy, x) - _interpolate(hx, hy, x) for x in xs]
+    slopes = [(f1 - f0) / (x1 - x0) for x0, x1, f0, f1 in zip(xs, xs[1:], fs, fs[1:])]
+    drops = [(b, s0 - s1) for b, s0, s1 in zip(xs[1:], slopes, slopes[1:]) if s1 < s0]
+    hs = [sum(c * max(b - x if b < 0 else x - b, 0) for b, c in drops) for x in xs]
+    return DcPair(PLConvexFn(xs, [f + h for f, h in zip(fs, hs)]), PLConvexFn(xs, hs))

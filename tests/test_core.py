@@ -187,10 +187,10 @@ def test_cone2_reference_direction_interior():
 
     for _ in range(300):
         V = rand_wedge(rng, 6)
-        assert V.polar_interior_contains(V.u0())
+        assert V.polar_interior_contains(V.u0)
     # asymmetric wedge where -(g1+g2) leaves the polar
     V = Cone2.from_generators([(1, 0), (-5, 1)])
-    assert V.polar_interior_contains(V.u0())
+    assert V.polar_interior_contains(V.u0)
 
 
 def test_cone3_pointedness_and_membership():

@@ -18,6 +18,7 @@ from minkpair.dc import (
     to_hypograph_set,
 )
 from minkpair.planar import EdgeMeasure, VPolygon, from_points, is_summand, translate
+from corpus import _den, convex_fn
 from oracles import (
     conjugate,
     conjugate_line,
@@ -25,6 +26,7 @@ from oracles import (
     fraction_plconvex,
     fraction_to_hypograph_set,
     hull_hypograph_set,
+    jordan_split_minimize,
     max_from_set,
 )
 
@@ -392,6 +394,30 @@ def test_hartman_random_suite():
             translate(to_hypograph_set(out.h), (0, -99)), to_hypograph_set(h)
         )
         assert ok
+
+
+def test_hartman_minimize_is_the_jordan_split():
+    """On the suite's pairs over [-1, 1] and the corpus's over drawn rational
+    domains, a third of them with a slope jump of h at 0."""
+    rng = random.Random(409)
+    for case in range(300):
+        g, h = rand_plconvex(rng), rand_plconvex(rng)
+        p = DcPair(g, h)
+        assert hartman_minimize(p) == jordan_split_minimize(p)
+        den = _den(rng)
+        lo, hi = F(-rng.randint(1, 3 * den), den), F(rng.randint(1, 3 * den), den)
+        g, h = convex_fn(rng, lo, hi), convex_fn(rng, lo, hi)
+        if case % 3 == 0:
+            xs, c = sorted({*h.breakpoints, 0}), F(rng.randint(1, 9), rng.randint(1, 9))
+            h = PLConvexFn(xs, [h(x) + c * abs(x) for x in xs])
+        p = DcPair(g, h)
+        assert hartman_minimize(p) == jordan_split_minimize(p)
+
+
+def test_dc_pair_evaluates_g_minus_h():
+    p = fixture_pair()
+    for x in (-1, F(-3, 4), F(-1, 2), 0, F(1, 3), 1):
+        assert p(x) == p.g(x) - p.h(x) == fixture_f(x)
 
 
 def test_is_hartman_minimal_examples():

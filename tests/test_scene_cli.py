@@ -201,6 +201,43 @@ def test_cli_reports_the_first_unknown_name_in_one_line(capsys, scene, argv, mes
     assert (code, out, err) == (2, "", f"minkpair: error: {message}\n")
 
 
+@pytest.mark.parametrize("scene, argv, message", [
+    ("ex29.json", ("sum", "--sets", "A"), "expected 2 comma-separated names, got 1"),
+    ("ex29.json", ("sum", "--sets", "A,,B"), "bad name list 'A,,B'"),
+    ("mixed", ("sum", "--sets", "P,T"), "operands mix 2D and 3D sets"),
+    ("ex210.json", ("render", "--sets", "A", "--viewport", "0,0,1"),
+     "viewport must be xmin,ymin,xmax,ymax"),
+    ("ex29.json", ("render", "--sets", "A", "--project", "1,2"), "projection must be dx,dy,dz"),
+], ids=["one-name", "empty-name", "mixed-dimensions", "viewport", "projection"])
+def test_cli_refuses_bad_operands_with_one_line(capsys, tmp_path, scene, argv, message):
+    path = SCENES / scene
+    if scene == "mixed":
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"sets": MIXED_SETS}))
+    code, out, err = run(capsys, argv[0], "--scene", str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"minkpair: error: {message}\n")
+
+
+def test_cli_refuses_a_missing_scene_file_with_one_line(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "sum", "--scene", str(path), "--sets", "A,B")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"minkpair: error: cannot read scene {path}: ") and "No such file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "--scene", str(SCENES / "ex73.json"), "--sets", "A,B"),
+    ("render", "--scene", str(SCENES / "ex210.json"), "--sets", "A,B"),
+], ids=["sum", "render"])
+def test_cli_out_path_writes_the_bytes_it_prints(capsys, tmp_path, argv):
+    code, printed, _ = run(capsys, *argv, "--out", "-")
+    assert code == 0 and printed
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == printed.encode()
+
+
 def test_cli_sum_echoes_neutral_element(tmp_path, capsys):
     scene = {
         "sets": {

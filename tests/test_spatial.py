@@ -1173,17 +1173,21 @@ def test_construction_makes_no_fraction_feasibility_call(monkeypatch):
 
 
 def test_edge_frame_built_once_per_edge_of_the_first_argument(monkeypatch):
-    calls = []
-    frame = spatial._edge_frame
-    monkeypatch.setattr(spatial, "_edge_frame", lambda *a: calls.append(a[1:]) or frame(*a))
+    # each edge's perp basis is built from its lattice edge vector; parallel
+    # edges of one length share a vector, hence the counts
+    calls = Counter()
+    basis = spatial._perp_basis
+    monkeypatch.setattr(spatial, "_perp_basis", lambda d: calls.update([d]) or basis(d))
     for P, K in _sweep_instances(random.Random(97)):
+        lat = P.bounded.lattice[1]
+        edges = Counter(tuple(b - a for a, b in zip(lat[i], lat[j])) for i, j in P.bounded.edges)
         for check in (summand_criterion3, equiparallel_edges):
             calls.clear()
             verdict = check(P, K)
-            assert len(set(calls)) == len(calls) and set(calls) <= set(P.bounded.edges)
+            assert calls <= edges
             # a false summand verdict stops the sweep at the first failing edge
             if check is equiparallel_edges or verdict:
-                assert sorted(calls) == sorted(P.bounded.edges)
+                assert calls == edges
 
 
 # ---------------------------------------------------------------------------

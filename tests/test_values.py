@@ -1,5 +1,7 @@
 """The value classes (cones, sets, facets, functions, scenes): equality, hash,
-repr and immutability, and the modules `import minkpair.cli` loads."""
+repr and immutability, the one-line refusals of their constructors and of the
+library calls that check their input, and the modules `import minkpair.cli`
+loads."""
 
 import os
 import subprocess
@@ -9,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from minkpair.core import Cone2, Cone3, _Cone
-from minkpair.dc import DcPair, PLConvexFn
-from minkpair.planar import BoundaryChain, EdgeMeasure, VPolygon, from_points
-from minkpair.scene import Scene, parse_scene
+from minkpair import svg
+from minkpair.core import Cone2, Cone3, GeometryError, _Cone
+from minkpair.dc import DcPair, PLConvexFn, is_hartman_minimal
+from minkpair.planar import BoundaryChain, EdgeMeasure, VPolygon, from_points, polygon_summand_check
+from minkpair.scene import Scene, SceneError, parse_scene, set_json
 from minkpair.spatial import bounded_edges, from_points3, hull3, minkowski_sum3
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -99,7 +102,7 @@ def test_a_sum_at_a_non_least_denominator_equals_its_canonical_form():
 
 def test_cached_properties_take_no_part_in_equality():
     read = from_points([(0, 0), (2, 1), (1, 3)], Cone2.from_generators([(0, 1)]))
-    read.lattice, read.chain, read.cone.u0()
+    read.lattice, read.chain, read.cone.u0
     fresh = from_points([(0, 0), (2, 1), (1, 3)], Cone2.from_generators([(0, 1)]))
     assert "lattice" in vars(read) and "lattice" not in vars(fresh)
     assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
@@ -124,6 +127,50 @@ def test_a_scene_stays_mutable_and_unhashable():
     assert scene == Scene(dict(scene.sets), {}) and scene != Scene()
     with pytest.raises(TypeError):
         hash(scene)
+
+
+_RAY = Cone2(((0, 1),))
+REFUSALS = {
+    "cw-wedge": (GeometryError, lambda: Cone2(((0, 1), (1, 0))),
+                 "wedge generators must be independent and CCW"),
+    "three-generators": (GeometryError, lambda: Cone2(((1, 0), (0, 1), (-1, -1))),
+                         "a pointed planar cone has at most 2 generators"),
+    "trivial-polar": (GeometryError, lambda: Cone2(()).polar_boundary_rays(),
+                      "trivial cone has a full polar"),
+    "line-cone3": (GeometryError, lambda: Cone3(((1, 0, 0), (-1, 0, 0))), "cone is not pointed"),
+    "measure-off-polar": (GeometryError, lambda: VPolygon(_RAY, (0, 0), EdgeMeasure([((1, 0), 1)])),
+                          "measure direction (1, 0) outside the open polar"),
+    "no-points": (GeometryError, lambda: from_points([], Cone2(())), "need at least one point"),
+    "no-points3": (GeometryError, lambda: from_points3([], Cone3(())), "need at least one point"),
+    "unbounded-summand": (GeometryError,
+                          lambda: polygon_summand_check(from_points([(0, 0), (1, 0)], _RAY),
+                                                        from_points([(0, 0)], Cone2(()))),
+                          "polygon_summand_check expects a bounded polygon"),
+    "repeated-chain": (GeometryError, lambda: BoundaryChain([(0, 0), (0, 0)]),
+                       "chain has repeated points"),
+    "collinear-chain": (GeometryError, lambda: BoundaryChain([(0, 0), (1, 0), (2, 0)]),
+                        "chain is not strictly convex CCW"),
+    "hartman-off-domain": (GeometryError,
+                           lambda: is_hartman_minimal(from_points([(0, 0)], _RAY),
+                                                      from_points([(0, 0)], _RAY)),
+                           "pair does not have a dc-domain cone"),
+    "render-nothing": (GeometryError, lambda: svg.render({}), "empty selection"),
+    "function-not-object": (SceneError, lambda: parse_scene('{"functions": {"g": 5}}'),
+                            "function 'g' must be an object"),
+    "one-entry-domain": (SceneError,
+                         lambda: parse_scene('{"functions": {"g": {"domain": ["0"], '
+                                             '"breakpoints": ["0"], "values": ["0"]}}}'),
+                         "function 'g': domain must be [a, b]"),
+    "serialize-int": (SceneError, lambda: set_json(3), "cannot serialize int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals_name_their_reason_in_one_line(name):
+    error, call, message = REFUSALS[name]
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def _loaded_by_cli_import(names):
