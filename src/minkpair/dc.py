@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .core import INF, Cone2, GeometryError, Value, as_point, lattice, vadd, vneg, vscale
 from .planar import (
-    ORIGIN,
     EdgeMeasure,
     VPolygon,
     is_zero_minimal,
@@ -153,18 +152,18 @@ def hartman_minimize(p: DcPair) -> DcPair:
     """Smallest representation of g - h with h >= 0 and h(0) = 0.
 
     Reduces the hypograph pair to an equivalent 0-minimal pair, then shifts
-    both sets by the top support point of the second one (ties broken by the
-    lexicographically smallest point of that face).
+    both sets by the second one's leftmost top point, face[-1] of its face
+    in direction (0, 1): a face runs CCW from face[1] to face[-1].
     """
     A1, B1 = reduce_pair(to_hypograph_set(p.g), to_hypograph_set(p.h))
     _, face = B1.support((0, 1))
-    x = vneg(face[1] if face[0] == "point" else min(face[1], face[2]))
+    x = vneg(face[-1])
     return DcPair(from_set(translate(A1, x), p.g.domain), from_set(translate(B1, x), p.g.domain))
 
 
 def is_hartman_minimal(A: VPolygon, B: VPolygon) -> bool:
-    """0-minimal, second set within the lower half-plane, origin inside it."""
+    """0-minimal, which puts the origin on B's chain and so in B, and B in y <= 0."""
     val, _ = B.support((0, 1))
     if val == INF:
         raise GeometryError("pair does not have a dc-domain cone")
-    return is_zero_minimal(A, B) and val <= 0 and B.contains(ORIGIN)
+    return is_zero_minimal(A, B) and val <= 0

@@ -291,12 +291,6 @@ def _argmax(pts, u):
     return vals.index(m), len(vals) - 1 - vals[::-1].index(m)
 
 
-def _face_midpoint(den, ints, u):
-    """Midpoint of the first and last of the points ints / den maximizing <p, u>."""
-    i, j = _argmax(ints, u)
-    return _point(vadd(ints[i], ints[j]), 2 * den)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -317,7 +311,8 @@ def from_points(points, cone: Cone2) -> VPolygon:
             if all(u[0] * x + u[1] * y < 0 for x, y in cone.gens):
                 items.append((u, g))
     measure = EdgeMeasure._of(den, _ccw_sorted(items))
-    return VPolygon(cone, _face_midpoint(den, hull, cone.u0), measure)
+    i, j = _argmax(hull, cone.u0)  # the anchor is the reference face's midpoint
+    return VPolygon(cone, _point(vadd(hull[i], hull[j]), 2 * den), measure)
 
 
 def minkowski_sum(a: VPolygon, b: VPolygon) -> VPolygon:
@@ -410,7 +405,8 @@ def polygon_summand_check(p: VPolygon, k: VPolygon) -> bool:
     """Support-set criterion: every edge face of p fits inside k's face.
 
     `p` must be bounded; decided through k's support faces, independently of
-    the measure comparison in is_summand.
+    the measure comparison in is_summand.  k's point or segment face in
+    direction u runs CCW from face[1] to face[-1] as t * rot90(u), t >= 0.
     """
     if not p.cone.is_trivial:
         raise GeometryError("polygon_summand_check expects a bounded polygon")
@@ -418,9 +414,8 @@ def polygon_summand_check(p: VPolygon, k: VPolygon) -> bool:
         _, face = k.support(u)
         if face is None or face[0] == "ray":
             continue
-        # a segment face is t * rot90(u) for some t > 0, and t < lam fails
-        if face[0] == "point" or dot(vsub(face[2], face[1]), rot90(u)) < lam * dot(u, u):
-            return False
+        if dot(vsub(face[-1], face[1]), rot90(u)) < lam * dot(u, u):
+            return False  # t < lam
     return True
 
 

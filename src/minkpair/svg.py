@@ -33,17 +33,11 @@ def _clip_halfplane(poly, n, off):
     """Sutherland-Hodgman step: keep {x : <n, x> <= off}; exact."""
     out = []
     vals = [dot(n, p) for p in poly]
-    for i, p in enumerate(poly):
-        q = poly[(i + 1) % len(poly)]
-        vp, vq = vals[i], vals[(i + 1) % len(poly)]
+    for p, q, vp, vq in zip(poly, poly[1:] + poly[:1], vals, vals[1:] + vals[:1]):
         if vp <= off:
             out.append(p)
-            if vq > off:
-                t = (off - vp) / (vq - vp)
-                out.append(vadd(p, vscale(t, vsub(q, p))))
-        elif vq <= off:
-            t = (off - vp) / (vq - vp)
-            out.append(vadd(p, vscale(t, vsub(q, p))))
+        if (vp <= off) != (vq <= off):  # the edge crosses the line
+            out.append(vadd(p, vscale((off - vp) / (vq - vp), vsub(q, p))))
     dedup = []
     for p in out:
         if not dedup or dedup[-1] != p:

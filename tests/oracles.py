@@ -61,7 +61,9 @@
   `fraction_is_zero_minimal`: the planar chain, support, reference face
   midpoint and 0-minimality test as the library computed them before it moved
   them to the chain's integer lattice, with every vertex a `Fraction` partial
-  sum and every comparison a `Fraction` dot product.
+  sum and every comparison a `Fraction` dot product.  The 0-minimality test
+  calls no `planar` function: shared directions come from `dict_measure_inf`
+  and the origin is placed on the chain by its own link test.
 - `dict_add`, `dict_sub`, `dict_scale` and `dict_measure_inf`: the edge
   measure operations as the library ran them before it kept measures on one
   integer scale: `Fraction` coefficients in a dict, re-sorted by
@@ -106,7 +108,7 @@ from minkpair.core import (
     vsub,
 )
 from minkpair.dc import DcPair, PLConvexFn, domain_cone
-from minkpair.planar import EdgeMeasure, VPolygon, _on_chain, convex_hull_2d, from_points, measure_inf
+from minkpair.planar import EdgeMeasure, VPolygon, convex_hull_2d, from_points
 from minkpair.spatial import (
     EdgeWithNormalCone,
     Facet,
@@ -843,10 +845,14 @@ def chain_max_halfplanes(poly):
 
 
 def fraction_is_zero_minimal(a, b) -> bool:
-    """`is_zero_minimal` with the origin tested on the `Fraction` chain of b."""
-    if not measure_inf(a.measure, b.measure).is_empty:
+    """`is_zero_minimal` with no library step: `dict_measure_inf` for a
+    shared direction, and the origin on a link [p, q] of the `Fraction`
+    chain of b (a one-point chain is the link [p, p]) iff p, q and the
+    origin are collinear with p and q not on one side of it."""
+    if dict_measure_inf(a.measure, b.measure):
         return False
-    return _on_chain(fraction_chain(b), (Fraction(0), Fraction(0)))
+    chain = fraction_chain(b)
+    return any(cross2(p, q) == 0 and dot(p, q) <= 0 for p, q in zip(chain, chain[1:] or chain))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from minkpair.planar import (
     ORIGIN,
     EdgeMeasure,
     VPolygon,
-    _face_midpoint,
     are_equivalent,
     convex_hull_2d,
     from_points,
@@ -761,8 +760,7 @@ def test_lattice_paths_match_fraction_oracles(case):
     assert A.lattice == (den, tuple(ints))
     for u in dirs:
         assert A.support(u) == fraction_support(A, u)
-    for u in {normalize_direction(u) for u in dirs}:
-        assert _face_midpoint(*lattice(pts), u) == fraction_face_midpoint(pts, u)
+    assert from_points(pts, A.cone).anchor == fraction_face_midpoint(convex_hull_2d(pts), A.cone.u0)
     for x in queries:
         assert A.contains(x) == fm_contains(A, x)
     if not A.cone.is_trivial:

@@ -361,6 +361,19 @@ def test_render_unbounded_draws_dashed_rays(tmp_path, capsys):
     ET.fromstring(out)
 
 
+def test_render_draws_nothing_of_a_set_and_origin_outside_the_viewport(tmp_path, capsys):
+    """A segment under the ray (0, 1) far above and right of the viewport,
+    its rays heading away from it: no region, no dashed ray and no origin
+    dot, only the set's label."""
+    scene = {"sets": {"A": {"dim": 2, "points": [["10", "10"], ["12", "10"]], "cone": [["0", "1"]]}}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scene))
+    code, out, _ = run(capsys, "render", "--scene", str(path), "--sets", "A",
+                       "--viewport=1,1,3,3", "--out", "-")
+    assert code == 0
+    assert [el.tag.rsplit("}", 1)[-1] for el in ET.fromstring(out)] == ["text"]
+
+
 def test_render_single_point_is_dot(tmp_path, capsys):
     scene = {"sets": {"P": {"dim": 2, "points": [["1", "1"]], "cone": []}}}
     path = tmp_path / "s.json"

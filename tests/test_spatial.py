@@ -26,6 +26,7 @@ from minkpair.core import (
 )
 from minkpair.spatial import (
     Polytope3,
+    VPolytope3,
     _face_contains_translate,
     _vertex_survives,
     are_equivalent3,
@@ -520,6 +521,18 @@ def test_equivalence_under_the_trivial_cone_ignores_non_vertex_points():
     for _ in range(100):
         a, b, m = (from_points3(rand_points3(rng, rng.randint(1, 5), lim=2), TRIV) for _ in range(3))
         assert are_equivalent3(a, b, minkowski_sum3(a, m), minkowski_sum3(b, m))
+
+
+def test_sums_skip_the_vertices_a_directly_built_set_keeps_under_its_cone():
+    """`VPolytope3` takes any hull: the cube's four bottom vertices fail the
+    ray (0, 0, -1), so sums and both sides of an equivalence skip them and
+    match those of the pruned `from_points3` set."""
+    X, C = VPolytope3(hull3(CUBE), DOWN), from_points3(CUBE, DOWN)
+    assert (len(X.bounded.vertices), len(C.bounded.vertices)) == (8, 4)
+    Y = from_points3(TETRA, DOWN)
+    assert minkowski_sum3(X, Y) == minkowski_sum3(C, Y)
+    assert are_equivalent3(X, Y, C, Y)
+    assert are_equivalent3(Y, X, Y, C)
 
 
 def test_sum3_cone_mismatch():
